@@ -44,6 +44,7 @@ from .linking import (
     counterexample_document,
     dumps_canonical,
     find_intersecting_pair,
+    intersecting_pairs,
     is_linked,
     link_report_document,
     total_linked_parity,
@@ -95,6 +96,7 @@ __all__ = [
     "find_intersecting_pair",
     "format_rational",
     "intersect_complementary",
+    "intersecting_pairs",
     "is_general_position",
     "is_linked",
     "link_report_document",

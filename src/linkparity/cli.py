@@ -10,9 +10,10 @@ sample       draw a random general-position configuration and write it to a file
 plot         SVG picture of a 5-point planar configuration and its segment parities
 
 Exit codes: 0 success, 2 verification failure, 3 degeneracy or sampling
-failure, 64 usage error.  ``--workers`` (default from LINKPARITY_WORKERS)
-never changes report content, only wall time.  JSON reports contain no
-timestamps or worker counts, so identical inputs give byte-identical files.
+failure, 64 usage error.  Reports are computed serially: ``--workers``
+(default from LINKPARITY_WORKERS) is validated, must be at least 1, and is
+otherwise ignored.  Output contains no timestamps or worker counts, so
+identical inputs give byte-identical reports and stdout.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import hashlib
 import io
 import os
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
@@ -60,28 +59,6 @@ EXIT_USAGE = 64
 WORKERS_ENV = "LINKPARITY_WORKERS"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run bit-for-bit."""
-
-    command: str
-    parameters: dict
-    seeds: tuple[int, ...]
-    tool_version: str
-    input_hashes: dict
-    timestamp: str
-
-    def document(self) -> dict:
-        # timestamp stays out of serialized reports so reruns are byte-identical
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seeds": list(self.seeds),
-            "tool_version": self.tool_version,
-            "input_hashes": self.input_hashes,
-        }
-
-
 def _hash_file(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -89,15 +66,15 @@ def _hash_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _manifest(command: str, parameters: dict, seeds=(), inputs=()) -> RunManifest:
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        seeds=tuple(seeds),
-        tool_version=__version__,
-        input_hashes={path: _hash_file(path) for path in inputs},
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+def _manifest(command: str, parameters: dict, seeds=(), inputs=()) -> dict:
+    """Everything needed to reproduce a run bit-for-bit."""
+    return {
+        "command": command,
+        "parameters": parameters,
+        "seeds": list(seeds),
+        "tool_version": __version__,
+        "input_hashes": {path: _hash_file(path) for path in inputs},
+    }
 
 
 def _usage(message: str) -> int:
@@ -113,15 +90,16 @@ def _parse_labels(text: str) -> tuple[int, ...]:
 
 
 def _resolve_workers(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(WORKERS_ENV)
-    if env is None:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ContractError(f"{WORKERS_ENV} must be an integer, got {env!r}")
+    source = "--workers"
+    if value is None:
+        source, env = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
+        try:
+            value = int(env)
+        except ValueError:
+            raise ContractError(f"{WORKERS_ENV} must be an integer, got {env!r}")
+    if value < 1:
+        raise ContractError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,11 +174,11 @@ def cmd_verify(args) -> int:
         f"{len(report.per_subset)} subsets, total linked = {report.total_linked}"
     )
     status = "PASS" if result.ok else "FAIL"
-    print(f"all counts even and n1=n2=n3=n4: {status} ({manifest.timestamp})")
+    print(f"all counts even and n1=n2=n3=n4: {status}")
     for failure in result.failures:
         print(f"  failure: {failure}", file=sys.stderr)
     if args.json:
-        document = counterexample_document(result, manifest=manifest.document())
+        document = counterexample_document(result, manifest=manifest)
         with open(args.json, "w", encoding="ascii") as handle:
             handle.write(dumps_canonical(document))
         print(f"report written to {args.json}")
@@ -258,7 +236,7 @@ def cmd_parity(args) -> int:
         print(f"degeneracy: {exc} (offending subset: {exc.labels})", file=sys.stderr)
         return EXIT_DEGENERACY
     if args.json:
-        payload = {"command": "parity", "reports": documents, "manifest": manifest.document()}
+        payload = {"command": "parity", "reports": documents, "manifest": manifest}
         with open(args.json, "w", encoding="ascii") as handle:
             handle.write(dumps_canonical(payload))
     return EXIT_OK if all_even else EXIT_VERIFY_FAIL

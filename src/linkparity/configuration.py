@@ -237,7 +237,12 @@ def _parse_provenance(text: str) -> Provenance:
         params = tuple(parse_rational(tok) for tok in raw.split(","))
         return MomentCurve(params)
     if body.startswith("random-sample "):
-        fields = dict(part.split("=", 1) for part in body[len("random-sample "):].split())
+        parts = body[len("random-sample "):].split()
+        if bad := [part for part in parts if "=" not in part]:
+            raise ValueError(f"provenance field without '=': {bad[0]!r}")
+        fields = dict(part.split("=", 1) for part in parts)
+        if missing := [key for key in ("seed", "bound", "attempts") if key not in fields]:
+            raise ValueError(f"random-sample provenance lacks {', '.join(missing)}")
         return RandomSample(
             seed=int(fields["seed"]),
             bound=int(fields["bound"]),

@@ -64,28 +64,17 @@ def _disjoint_subsets(config_n: int, first: Iterable[int], second: Iterable[int]
     return fs, ss
 
 
-def intersect_complementary(
-    config: Configuration,
-    first: Iterable[int],
-    second: Iterable[int],
-) -> IntersectionResult:
-    """Decide conv(first) ∩ conv(second) for complementary vertex sets.
+def affine_dependence(config: Configuration, labels: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The affine dependence of d + 2 labeled points, scaled so its last entry is 1.
 
-    Requires |first| + |second| = d + 2.  Raises DegeneracyError when some
-    d + 1 of the involved points are affinely dependent, i.e. the points are
-    not in general position.
+    Solves sum_c g_c x_c = 0, sum_c g_c = 0, g_last = 1 through the
+    module-level ``solve``.  Raises DegeneracyError when the system is
+    singular or a coefficient is zero: either way some d + 1 of the points
+    are affinely dependent.
     """
-    fs, ss = _disjoint_subsets(config.n, first, second)
     d = config.dimension
-    if len(fs) + len(ss) != d + 2:
-        raise ContractError(
-            f"|first| + |second| must be d + 2 = {d + 2}, got {len(fs) + len(ss)}"
-        )
-    labels = fs + ss
     points = [config.point(label) for label in labels]
-    m = len(fs)
     total = len(labels)
-
     zero, one = Fraction(0), Fraction(1)
     rows = [[p[axis] for p in points] for axis in range(d)]
     rows.append([one] * total)
@@ -108,6 +97,30 @@ def intersect_complementary(
                 f"points {others} are affinely dependent: not in general position",
                 labels=others,
             )
+    return gamma
+
+
+def intersect_complementary(
+    config: Configuration,
+    first: Iterable[int],
+    second: Iterable[int],
+) -> IntersectionResult:
+    """Decide conv(first) ∩ conv(second) for complementary vertex sets.
+
+    Requires |first| + |second| = d + 2.  Raises DegeneracyError when some
+    d + 1 of the involved points are affinely dependent, i.e. the points are
+    not in general position.
+    """
+    fs, ss = _disjoint_subsets(config.n, first, second)
+    d = config.dimension
+    if len(fs) + len(ss) != d + 2:
+        raise ContractError(
+            f"|first| + |second| must be d + 2 = {d + 2}, got {len(fs) + len(ss)}"
+        )
+    labels = fs + ss
+    points = [config.point(label) for label in labels]
+    m = len(fs)
+    gamma = affine_dependence(config, labels)
 
     scale = sum(gamma[:m])
     if scale != 0:
@@ -135,7 +148,7 @@ def intersect_complementary(
     lam = candidate[:m]
     mu = candidate[m:]
     point = tuple(
-        sum((l * p[axis] for l, p in zip(lam, points[:m])), zero)
+        sum((l * p[axis] for l, p in zip(lam, points[:m])), Fraction(0))
         for axis in range(d)
     )
     return IntersectionResult(

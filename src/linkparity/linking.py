@@ -7,6 +7,13 @@ conv(I) in at most one point, so the boundary intersection count is the
 number of faces hit.  I is *linked* with its complement when that count is
 odd.
 
+I and a face J together cover every label but one, v, so conv(I) meets
+conv(J) exactly when {I, J} is the Radon partition of the other n - 1
+points: the sign split of their unique affine dependence (Radon's theorem;
+Matoušek, *Lectures on Discrete Geometry*, 2002, §5.6).  One dependence per
+omitted label, n linear solves in all, therefore gives every face hit of
+every I; the counts below are all read from that one table.
+
 Verification campaigns:
 
 * ``total_linked_parity`` enumerates every I and checks the total number of
@@ -19,20 +26,20 @@ Verification campaigns:
   alternating with I (n4).
 * ``find_intersecting_pair`` exhibits two disjoint (k+1)-subsets with
   intersecting hulls, which must exist for any d+3 general-position points
-  in even dimension d.
+  in even dimension d.  It and ``intersecting_pairs`` decide each pair with
+  the per-pair predicate ``intersect_complementary``.
 
-Reports serialize to JSON with a stable key order; volatile data (timestamps,
-elapsed time, worker counts) never enters the document, so reruns and
-different worker counts produce byte-identical files.
+Reports are computed serially; the ``workers`` arguments are accepted and
+ignored.  Reports serialize to JSON with a stable key order and carry no
+timestamps or worker counts, so reruns produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import (
     IndexSubset,
@@ -43,7 +50,7 @@ from .combinatorics import (
 )
 from .configuration import Configuration, Point, find_degenerate_subset, moment_curve
 from .errors import ContractError, DegeneracyError
-from .intersection import IntersectionResult, intersect_complementary
+from .intersection import IntersectionResult, affine_dependence, intersect_complementary
 from .ratmat import format_rational
 
 
@@ -111,7 +118,6 @@ class LinkReport:
     single_point_subsets: tuple[IndexSubset, ...]
     total_linked: int
     parity_ok: bool
-    elapsed_seconds: float
 
     def __post_init__(self):
         if self.parity_ok != (self.total_linked % 2 == 0):
@@ -141,27 +147,42 @@ def _require_linking_shape(config: Configuration) -> int:
     return d // 2
 
 
-def _face_hits(config: Configuration, subset: IndexSubset) -> tuple[FaceHit, ...]:
-    complement = tuple(v for v in config.labels if v not in set(subset))
-    hits = []
-    for face in combinations_colex(complement, len(subset)):
-        result = intersect_complementary(config, subset, face)
-        if result.intersects:
-            assert result.point is not None
-            hits.append(FaceHit(face=face, point=result.point))
-    return tuple(hits)
+def _require_general_position(config: Configuration) -> None:
+    degenerate = find_degenerate_subset(config)
+    if degenerate is not None:
+        raise DegeneracyError(
+            f"points {degenerate} lie in a common hyperplane", labels=degenerate
+        )
 
 
-def _subset_counts(config: Configuration, subset: IndexSubset) -> SubsetCounts:
-    hits = _face_hits(config, subset)
-    distinct_points = {hit.point for hit in hits}
-    return SubsetCounts(
-        subset=subset,
-        n1=len(distinct_points),
-        n3=len(hits),
-        n4=alternating_count_bruteforce(subset, config.n),
-        hits=hits,
-    )
+def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]]:
+    """Face hits of every (k+1)-subset that has any, from one dependence per label.
+
+    Each subset's hits are in the colex order of their faces.
+    """
+    k = config.dimension // 2
+    found: dict[IndexSubset, list[FaceHit]] = {}
+    for omitted in config.labels:
+        labels = tuple(v for v in config.labels if v != omitted)
+        gamma = affine_dependence(config, labels)
+        positive = tuple(v for v, g in zip(labels, gamma) if g > 0)
+        negative = tuple(v for v, g in zip(labels, gamma) if g < 0)
+        # no coefficient is zero and there are 2k + 2 of them
+        if len(positive) != k + 1:
+            continue
+        weights = [g for g in gamma if g > 0]
+        scale = sum(weights)
+        point = tuple(
+            sum((w * config.point(v)[axis] for w, v in zip(weights, positive)), Fraction(0))
+            / scale
+            for axis in range(config.dimension)
+        )
+        found.setdefault(positive, []).append(FaceHit(face=negative, point=point))
+        found.setdefault(negative, []).append(FaceHit(face=positive, point=point))
+    return {
+        subset: tuple(sorted(hits, key=lambda hit: hit.face[::-1]))
+        for subset, hits in found.items()
+    }
 
 
 def boundary_intersection_count(config: Configuration, subset: Iterable[int]) -> int:
@@ -175,7 +196,7 @@ def boundary_intersection_count(config: Configuration, subset: Iterable[int]) ->
     canon = check_subset(subset, config.n, name="I")
     if len(canon) != k + 1:
         raise ContractError(f"|I| must be k + 1 = {k + 1}, got {len(canon)}")
-    hits = _face_hits(config, canon)
+    hits = _radon_table(config).get(canon, ())
     assert len({hit.point for hit in hits}) == len(hits), \
         "coincident face hits indicate a general-position violation"
     return len(hits)
@@ -186,50 +207,26 @@ def is_linked(config: Configuration, subset: Iterable[int]) -> bool:
     return boundary_intersection_count(config, subset) % 2 == 1
 
 
-# --- worker-pool plumbing: rows are computed per subset, order-preserving ---
-
-_WORKER_CONFIG: Configuration | None = None
-
-
-def _init_worker(config: Configuration) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-
-
-def _worker_counts(subset: IndexSubset) -> SubsetCounts:
-    assert _WORKER_CONFIG is not None
-    return _subset_counts(_WORKER_CONFIG, subset)
-
-
-def _all_subset_counts(
-    config: Configuration,
-    subsets: Sequence[IndexSubset],
-    workers: int,
-) -> list[SubsetCounts]:
-    if workers <= 1 or len(subsets) < 2:
-        return [_subset_counts(config, s) for s in subsets]
-    chunk = max(1, len(subsets) // (workers * 8))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(config,)
-    ) as pool:
-        return list(pool.map(_worker_counts, subsets, chunksize=chunk))
-
-
 def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     """Enumerate every (k+1)-subset, count the linked ones, and check evenness.
 
     Raises DegeneracyError (with the offending subset) when the configuration
-    is not in general position.
+    is not in general position.  ``workers`` is accepted and ignored: the
+    whole report costs n linear solves and is computed serially.
     """
     k = _require_linking_shape(config)
-    degenerate = find_degenerate_subset(config)
-    if degenerate is not None:
-        raise DegeneracyError(
-            f"points {degenerate} lie in a common hyperplane", labels=degenerate
-        )
-    start = time.perf_counter()
-    subsets = list(combinations_colex(tuple(config.labels), k + 1))
-    rows = _all_subset_counts(config, subsets, workers)
+    _require_general_position(config)
+    table = _radon_table(config)
+    rows = []
+    for subset in combinations_colex(tuple(config.labels), k + 1):
+        hits = table.get(subset, ())
+        rows.append(SubsetCounts(
+            subset=subset,
+            n1=len({hit.point for hit in hits}),
+            n3=len(hits),
+            n4=alternating_count_bruteforce(subset, config.n),
+            hits=hits,
+        ))
     linked = tuple(row.subset for row in rows if row.linked)
     single = tuple(row.subset for row in rows if row.n1 == 1)
     total = len(linked)
@@ -244,7 +241,6 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
         single_point_subsets=single,
         total_linked=total,
         parity_ok=total % 2 == 0,
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 
@@ -287,35 +283,32 @@ def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
     )
 
 
-def find_intersecting_pair(
+def intersecting_pairs(
     config: Configuration,
-    find_all: bool = False,
-) -> (
-    tuple[IndexSubset, IndexSubset, IntersectionResult]
-    | None
-    | list[tuple[IndexSubset, IndexSubset, IntersectionResult]]
-):
-    """First disjoint (k+1)-subset pair (colex order) with intersecting hulls.
+) -> Iterator[tuple[IndexSubset, IndexSubset, IntersectionResult]]:
+    """Every disjoint (k+1)-subset pair with intersecting hulls.
 
-    With ``find_all`` set, returns every intersecting pair instead.  Returns
-    None (or an empty list) only for inputs outside the guarantee; for
-    general-position configurations with n = d + 3 an intersecting pair
-    always exists.
+    Pairs come in ``enumerate_disjoint_pairs`` order, each decided by the
+    per-pair ``intersect_complementary``.  Raises DegeneracyError on the
+    first step when the configuration is not in general position.
     """
     k = _require_linking_shape(config)
-    degenerate = find_degenerate_subset(config)
-    if degenerate is not None:
-        raise DegeneracyError(
-            f"points {degenerate} lie in a common hyperplane", labels=degenerate
-        )
-    found = []
+    _require_general_position(config)
     for first, second in enumerate_disjoint_pairs(config.n, k + 1):
         result = intersect_complementary(config, first, second)
         if result.intersects:
-            if not find_all:
-                return first, second, result
-            found.append((first, second, result))
-    return found if find_all else None
+            yield first, second, result
+
+
+def find_intersecting_pair(
+    config: Configuration,
+) -> tuple[IndexSubset, IndexSubset, IntersectionResult] | None:
+    """First disjoint (k+1)-subset pair (colex order) with intersecting hulls.
+
+    Returns None only for inputs outside the guarantee; for general-position
+    configurations with n = d + 3 an intersecting pair always exists.
+    """
+    return next(intersecting_pairs(config), None)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,26 @@ def test_workers_env_variable_default(tmp_path, monkeypatch):
     assert main(["verify", "-k", "1"]) == 64
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(workers, capsys):
+    assert main(["verify", "-k", "1", "--workers", workers]) == 64
+    assert main(["parity", "--random", "5", "2", "--workers", workers]) == 64
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_workers_env_variable_below_one_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("LINKPARITY_WORKERS", "0")
+    assert main(["verify", "-k", "1"]) == 64
+    assert "LINKPARITY_WORKERS must be >= 1" in capsys.readouterr().err
+
+
+def test_verify_stdout_identical_across_reruns(capsys):
+    assert main(["verify", "-k", "1"]) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", "-k", "1"]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_parity_random_trials(capsys):
     assert main(["parity", "--random", "5", "2", "--trials", "3", "--seed", "7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -73,6 +93,24 @@ def test_parity_reads_point_file(tmp_path):
     path = tmp_path / "m52.pts"
     save_points(moment_curve(5, 2), path)
     assert main(["parity", "--input", str(path)]) == 0
+
+
+@pytest.mark.parametrize("provenance, complaint", [
+    ("random-sample foo=1", "lacks seed, bound, attempts"),
+    ("random-sample seed=1 bound=5", "lacks attempts"),
+    ("random-sample seed=1 bound attempts=1", "without '='"),
+])
+@pytest.mark.parametrize("command", ["parity", "plot"])
+def test_malformed_provenance_is_usage_error(tmp_path, capsys, command, provenance, complaint):
+    path = tmp_path / "bad.pts"
+    path.write_text(f"2 5\n# provenance: {provenance}\n1 1\n2 4\n3 9\n4 16\n5 25\n")
+    argv = [command, "--input", str(path)]
+    if command == "plot":
+        argv += ["--out", str(tmp_path / "bad.svg")]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert complaint in err
+    assert "Traceback" not in err
 
 
 def test_parity_degenerate_file_exits_3(degenerate_file, capsys):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from linkparity.combinatorics import enumerate_disjoint_pairs
+from linkparity.combinatorics import combinations_colex, enumerate_disjoint_pairs
 from linkparity.configuration import (
     explicit_configuration,
     moment_curve,
@@ -17,6 +17,7 @@ from linkparity.linking import (
     counterexample_document,
     dumps_canonical,
     find_intersecting_pair,
+    intersecting_pairs,
     is_linked,
     link_report_document,
     total_linked_parity,
@@ -122,6 +123,36 @@ def test_double_sum_evenness_identity():
         assert ordered % 2 == 0
 
 
+def _per_face_reference(config, subset):
+    """Face hits of conv(I) by one per-pair solve per face of the complement."""
+    complement = tuple(v for v in config.labels if v not in subset)
+    hits = []
+    for face in combinations_colex(complement, len(subset)):
+        result = intersect_complementary(config, subset, face)
+        if result.intersects:
+            hits.append((face, result.point))
+    return hits
+
+
+def _table_oracle_cases():
+    for k in range(1, 5):
+        yield moment_curve(2 * k + 3, 2 * k)
+    for n, d in ((5, 2), (7, 4), (9, 6)):
+        for seed in range(10):
+            yield sample_random_configuration(n, d, seed=seed, bound=1000)
+
+
+def test_radon_table_matches_per_face_solves():
+    for config in _table_oracle_cases():
+        report = total_linked_parity(config)
+        for row in report.per_subset:
+            expected = _per_face_reference(config, row.subset)
+            case = (config.provenance.describe(), row.subset)
+            assert [(hit.face, hit.point) for hit in row.hits] == expected, case
+            assert row.n3 == len(expected), case
+            assert row.n1 == len({point for _, point in expected}), case
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_verify_counterexample_small(k):
     result = verify_counterexample(k)
@@ -149,7 +180,7 @@ def test_find_intersecting_pair_on_moment_curve():
 
 def test_find_intersecting_pair_all_flag():
     config = moment_curve(5, 2)
-    pairs = find_intersecting_pair(config, find_all=True)
+    pairs = list(intersecting_pairs(config))
     assert ((1, 3), (2, 4)) == (pairs[0][0], pairs[0][1])
     assert all(r.intersects for _, _, r in pairs)
     # ordered count is twice the unordered count
