@@ -25,6 +25,7 @@ import io
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .combinatorics import (
@@ -192,34 +193,30 @@ def cmd_parity(args) -> int:
     if (args.input is None) == (args.random is None):
         return _usage("exactly one of --input or --random is required")
     workers = _resolve_workers(args.workers)
-    configs: list[tuple[str, Configuration]] = []
-    seeds: list[int] = []
     if args.input is not None:
         try:
             config = load_points(args.input)
         except (OSError, ValueError) as exc:
             return _usage(f"cannot read point set {args.input}: {exc}")
-        manifest = _manifest("parity", {"input": args.input}, inputs=[args.input])
-        configs.append((args.input, config))
+        manifest = partial(_manifest, "parity", {"input": args.input}, inputs=[args.input])
+        configs = [(args.input, config)]
     else:
         n, d = args.random
         if args.trials < 1:
             return _usage(f"--trials must be >= 1, got {args.trials}")
-        manifest = _manifest(
+        seeds = range(args.seed, args.seed + args.trials)
+        manifest = partial(
+            _manifest,
             "parity",
             {"n": n, "d": d, "trials": args.trials, "seed": args.seed, "bound": args.bound},
-            seeds=range(args.seed, args.seed + args.trials),
+            seeds=seeds,
         )
-        try:
-            for trial in range(args.trials):
-                seed = args.seed + trial
-                seeds.append(seed)
-                configs.append(
-                    (f"seed={seed}", sample_random_configuration(n, d, seed, args.bound))
-                )
-        except SamplingError as exc:
-            print(f"sampling failed: {exc}", file=sys.stderr)
-            return EXIT_DEGENERACY
+        # sampled one trial at a time, and the manifest's seed list is built
+        # only for --json, so memory does not grow with --trials
+        configs = (
+            (f"seed={seed}", sample_random_configuration(n, d, seed, args.bound))
+            for seed in seeds
+        )
 
     documents = []
     all_even = True
@@ -231,12 +228,16 @@ def cmd_parity(args) -> int:
                 f"{name}: total linked = {report.total_linked} "
                 f"({'even' if report.parity_ok else 'ODD'})"
             )
-            documents.append(link_report_document(report))
+            if args.json:
+                documents.append(link_report_document(report))
+    except SamplingError as exc:
+        print(f"sampling failed: {exc}", file=sys.stderr)
+        return EXIT_DEGENERACY
     except DegeneracyError as exc:
         print(f"degeneracy: {exc} (offending subset: {exc.labels})", file=sys.stderr)
         return EXIT_DEGENERACY
     if args.json:
-        payload = {"command": "parity", "reports": documents, "manifest": manifest}
+        payload = {"command": "parity", "reports": documents, "manifest": manifest()}
         with open(args.json, "w", encoding="ascii") as handle:
             handle.write(dumps_canonical(payload))
     return EXIT_OK if all_even else EXIT_VERIFY_FAIL

@@ -50,6 +50,11 @@ def alternates(p: Iterable[int], q: Iterable[int]) -> bool:
         raise ContractError(f"sizes differ: {len(ps)} vs {len(qs)}")
     if set(ps) & set(qs):
         raise ContractError(f"subsets overlap: {sorted(set(ps) & set(qs))}")
+    return _merged_order_alternates(ps, qs)
+
+
+def _merged_order_alternates(ps: IndexSubset, qs: IndexSubset) -> bool:
+    """``alternates`` without validation, for sorted, disjoint, equal-size subsets."""
     merged = sorted([(v, 0) for v in ps] + [(v, 1) for v in qs])
     return all(merged[i][1] != merged[i + 1][1] for i in range(len(merged) - 1))
 
@@ -141,7 +146,7 @@ def alternating_count_bruteforce(i_labels: Iterable[int], n: int) -> int:
     complement = [v for v in range(1, n + 1) if v not in set(subject)]
     return sum(
         1 for j in itertools.combinations(complement, len(subject))
-        if alternates(subject, j)
+        if _merged_order_alternates(subject, j)
     )
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError, SamplingError
 from .ratmat import Matrix, det, format_rational, parse_rational
@@ -122,15 +122,16 @@ def moment_curve(n: int, d: int, parameters: Sequence[Fraction] | None = None) -
             raise ContractError(f"expected {n} parameters, got {len(params)}")
         if any(a >= b for a, b in zip(params, params[1:])):
             raise ContractError("parameters must be strictly increasing")
-    points = []
-    for t in params:
-        coords = []
-        power = Fraction(1)
-        for _ in range(d):
-            power *= t
-            coords.append(power)
-        points.append(tuple(coords))
-    return Configuration(dimension=d, points=tuple(points), provenance=MomentCurve(params))
+    points = tuple(tuple(islice(_curve_coordinates(t), d)) for t in params)
+    return Configuration(dimension=d, points=points, provenance=MomentCurve(params))
+
+
+def _curve_coordinates(t: Fraction) -> Iterator[Fraction]:
+    """t, t^2, t^3, ...: the moment-curve coordinates at parameter t, lazily."""
+    power = Fraction(1)
+    while True:
+        power *= t
+        yield power
 
 
 def find_degenerate_subset(config: Configuration) -> tuple[int, ...] | None:
@@ -225,6 +226,8 @@ def sample_random_configuration(
 # ---------------------------------------------------------------------------
 # Point-set text format: header "d n", optional "# provenance:" comment,
 # then n lines of d whitespace-separated rationals.  Round-trips bit-exactly.
+# A moment-curve provenance is checked against the points; a random-sample
+# one is trusted, since checking it would rerun the sampler.
 # ---------------------------------------------------------------------------
 
 
@@ -249,6 +252,26 @@ def _parse_provenance(text: str) -> Provenance:
             attempts=int(fields["attempts"]),
         )
     raise ValueError(f"unrecognized provenance: {text!r}")
+
+
+def _check_moment_curve(points: Sequence[Point], params: tuple[Fraction, ...]) -> None:
+    """Raise ValueError unless ``points`` are the moment-curve points at ``params``.
+
+    Coordinates are compared one power at a time, so a mismatch stops the
+    check before any power larger than the file's own numbers is formed.
+    """
+    if len(params) != len(points):
+        raise ValueError(
+            f"moment-curve provenance has {len(params)} parameters for {len(points)} points"
+        )
+    if any(a >= b for a, b in zip(params, params[1:])):
+        raise ValueError("moment-curve parameters must be strictly increasing")
+    for label, (point, t) in enumerate(zip(points, params), start=1):
+        if not all(x == y for x, y in zip(point, _curve_coordinates(t))):
+            raise ValueError(
+                f"point {label} is not the moment-curve point at parameter "
+                f"{format_rational(t)}"
+            )
 
 
 def write_points_text(config: Configuration) -> str:
@@ -286,6 +309,8 @@ def read_points_text(text: str) -> Configuration:
         if len(coords) != d:
             raise ValueError(f"expected {d} coordinates per point, got {len(coords)}")
         points.append(coords)
+    if isinstance(provenance, MomentCurve):
+        _check_moment_curve(points, provenance.parameters)
     return Configuration(dimension=d, points=tuple(points), provenance=provenance)
 
 

@@ -12,7 +12,7 @@ conv(J) exactly when {I, J} is the Radon partition of the other n - 1
 points: the sign split of their unique affine dependence (Radon's theorem;
 Matoušek, *Lectures on Discrete Geometry*, 2002, §5.6).  One dependence per
 omitted label, n linear solves in all, therefore gives every face hit of
-every I; the counts below are all read from that one table.
+every I and certifies general position; every query below reads that table.
 
 Verification campaigns:
 
@@ -26,8 +26,8 @@ Verification campaigns:
   alternating with I (n4).
 * ``find_intersecting_pair`` exhibits two disjoint (k+1)-subsets with
   intersecting hulls, which must exist for any d+3 general-position points
-  in even dimension d.  It and ``intersecting_pairs`` decide each pair with
-  the per-pair predicate ``intersect_complementary``.
+  in even dimension d.  It and ``intersecting_pairs`` read which pairs meet
+  from the table and take each pair's witness from ``intersect_complementary``.
 
 Reports are computed serially; the ``workers`` arguments are accepted and
 ignored.  Reports serialize to JSON with a stable key order and carry no
@@ -147,24 +147,25 @@ def _require_linking_shape(config: Configuration) -> int:
     return d // 2
 
 
-def _require_general_position(config: Configuration) -> None:
-    degenerate = find_degenerate_subset(config)
-    if degenerate is not None:
-        raise DegeneracyError(
-            f"points {degenerate} lie in a common hyperplane", labels=degenerate
-        )
-
-
 def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]]:
     """Face hits of every (k+1)-subset that has any, from one dependence per label.
 
-    Each subset's hits are in the colex order of their faces.
+    Each subset's hits are in the colex order of their faces.  A failed solve
+    means d + 1 points are affinely dependent (every (d+1)-subset misses some
+    label), and raises DegeneracyError with ``find_degenerate_subset``'s subset.
     """
     k = config.dimension // 2
     found: dict[IndexSubset, list[FaceHit]] = {}
     for omitted in config.labels:
         labels = tuple(v for v in config.labels if v != omitted)
-        gamma = affine_dependence(config, labels)
+        try:
+            gamma = affine_dependence(config, labels)
+        except DegeneracyError:
+            if (degenerate := find_degenerate_subset(config)) is None:
+                raise
+            raise DegeneracyError(
+                f"points {degenerate} lie in a common hyperplane", labels=degenerate
+            )
         positive = tuple(v for v, g in zip(labels, gamma) if g > 0)
         negative = tuple(v for v, g in zip(labels, gamma) if g < 0)
         # no coefficient is zero and there are 2k + 2 of them
@@ -215,7 +216,6 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     whole report costs n linear solves and is computed serially.
     """
     k = _require_linking_shape(config)
-    _require_general_position(config)
     table = _radon_table(config)
     rows = []
     for subset in combinations_colex(tuple(config.labels), k + 1):
@@ -288,16 +288,15 @@ def intersecting_pairs(
 ) -> Iterator[tuple[IndexSubset, IndexSubset, IntersectionResult]]:
     """Every disjoint (k+1)-subset pair with intersecting hulls.
 
-    Pairs come in ``enumerate_disjoint_pairs`` order, each decided by the
-    per-pair ``intersect_complementary``.  Raises DegeneracyError on the
-    first step when the configuration is not in general position.
+    Pairs come in ``enumerate_disjoint_pairs`` order.  The Radon table picks
+    them and ``intersect_complementary`` gives each one's witness.  Raises
+    DegeneracyError on the first step when general position fails.
     """
     k = _require_linking_shape(config)
-    _require_general_position(config)
+    table = _radon_table(config)
     for first, second in enumerate_disjoint_pairs(config.n, k + 1):
-        result = intersect_complementary(config, first, second)
-        if result.intersects:
-            yield first, second, result
+        if any(hit.face == second for hit in table.get(first, ())):
+            yield first, second, intersect_complementary(config, first, second)
 
 
 def find_intersecting_pair(

@@ -99,6 +99,8 @@ def test_parity_reads_point_file(tmp_path):
     ("random-sample foo=1", "lacks seed, bound, attempts"),
     ("random-sample seed=1 bound=5", "lacks attempts"),
     ("random-sample seed=1 bound attempts=1", "without '='"),
+    ("moment-curve params=1,2,3,4,6", "point 5 is not the moment-curve point at parameter 6"),
+    ("moment-curve params=1,2,3,4", "4 parameters for 5 points"),
 ])
 @pytest.mark.parametrize("command", ["parity", "plot"])
 def test_malformed_provenance_is_usage_error(tmp_path, capsys, command, provenance, complaint):

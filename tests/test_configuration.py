@@ -155,6 +155,16 @@ def test_point_file_round_trip_moment():
     assert write_points_text(back) == text
 
 
+def test_point_file_checks_moment_curve_provenance():
+    config = moment_curve(3, 2, [Fraction(1, 2), Fraction(3), Fraction(7, 2)])
+    text = write_points_text(config)
+    assert read_points_text(text) == config
+    with pytest.raises(ValueError, match="point 2 is not the moment-curve point"):
+        read_points_text(text.replace("\n3 9\n", "\n3 10\n"))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        read_points_text("2 2\n# provenance: moment-curve params=3,1\n3 9\n1 1\n")
+
+
 def test_point_file_round_trip_rational_coordinates():
     config = explicit_configuration([("1/2", "-3"), ("0", "7/5")])
     text = write_points_text(config)

@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkparity.combinatorics import combinations_colex, enumerate_disjoint_pairs
 from linkparity.configuration import (
     explicit_configuration,
+    find_degenerate_subset,
     moment_curve,
     sample_random_configuration,
 )
@@ -134,6 +137,17 @@ def _per_face_reference(config, subset):
     return hits
 
 
+def _per_pair_reference(config):
+    """Intersecting pairs by one per-pair solve for every disjoint pair."""
+    k = config.dimension // 2
+    triples = []
+    for first, second in enumerate_disjoint_pairs(config.n, k + 1):
+        result = intersect_complementary(config, first, second)
+        if result.intersects:
+            triples.append((first, second, result))
+    return triples
+
+
 def _table_oracle_cases():
     for k in range(1, 5):
         yield moment_curve(2 * k + 3, 2 * k)
@@ -151,6 +165,55 @@ def test_radon_table_matches_per_face_solves():
             assert [(hit.face, hit.point) for hit in row.hits] == expected, case
             assert row.n3 == len(expected), case
             assert row.n1 == len({point for _, point in expected}), case
+        assert list(intersecting_pairs(config)) == _per_pair_reference(config), \
+            config.provenance.describe()
+
+
+@st.composite
+def _small_configurations(draw):
+    """(5,2) or (7,4) points with coordinates in [-2, 2], often degenerate."""
+    n, d = draw(st.sampled_from([(5, 2), (7, 4)]))
+    coordinate_rows = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    rows = draw(st.lists(coordinate_rows, min_size=n, max_size=n))
+    subset = draw(st.sampled_from(list(combinations_colex(tuple(range(1, n + 1)), d // 2 + 1))))
+    return explicit_configuration(rows, dimension=d), subset
+
+
+def _linking_queries(subset):
+    return (
+        total_linked_parity,
+        lambda config: boundary_intersection_count(config, subset),
+        lambda config: is_linked(config, subset),
+        find_intersecting_pair,
+    )
+
+
+@given(_small_configurations())
+@settings(max_examples=200, deadline=None)
+def test_entry_points_name_the_scanned_degenerate_subset(case):
+    config, subset = case
+    degenerate = find_degenerate_subset(config)
+    for query in _linking_queries(subset):
+        if degenerate is None:
+            query(config)
+        else:
+            with pytest.raises(DegeneracyError) as info:
+                query(config)
+            assert info.value.labels == degenerate
+
+
+def test_degenerate_subset_does_not_depend_on_the_query():
+    # points 1..5 lie in the hyperplane x_4 = 0 and (2, 3, 5, 6, 7) is
+    # degenerate too; every query names the first in scan order
+    config = explicit_configuration([
+        (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+        (1, 1, 1, 0), (0, 0, 0, 1), (3, 1, 4, 1),
+    ])
+    assert find_degenerate_subset(config) == (1, 2, 3, 4, 5)
+    for query in _linking_queries((1, 2, 3)):
+        with pytest.raises(DegeneracyError) as info:
+            query(config)
+        assert info.value.labels == (1, 2, 3, 4, 5)
 
 
 @pytest.mark.parametrize("k", [1, 2])
