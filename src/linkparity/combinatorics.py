@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError
@@ -54,9 +55,16 @@ def alternates(p: Iterable[int], q: Iterable[int]) -> bool:
 
 
 def _merged_order_alternates(ps: IndexSubset, qs: IndexSubset) -> bool:
-    """``alternates`` without validation, for sorted, disjoint, equal-size subsets."""
-    merged = sorted([(v, 0) for v in ps] + [(v, 1) for v in qs])
-    return all(merged[i][1] != merged[i + 1][1] for i in range(len(merged) - 1))
+    """``alternates`` without validation, for sorted, disjoint, equal-size subsets.
+
+    Linear in the subset size, with no merge or sort: the merged order
+    alternates iff, with ``first`` the tuple holding the smaller minimum,
+    ``first[0] < second[0] < first[1] < second[1] < ...``.  The reference is
+    the tag-and-sort ``merged_order_alternates`` in ``tests/oracles.py``;
+    ``test_merged_order_alternates_matches_oracle`` holds the two equal.
+    """
+    first, second = (ps, qs) if ps[0] < qs[0] else (qs, ps)
+    return all(map(lt, first, second)) and all(map(lt, second, first[1:]))
 
 
 def combinations_colex(items: Sequence[int], size: int) -> Iterator[IndexSubset]:
@@ -90,7 +98,8 @@ def enumerate_disjoint_pairs(n: int, s: int) -> Iterator[tuple[IndexSubset, Inde
         raise ContractError(f"two disjoint {s}-subsets do not fit in [{n}]")
     universe = range(1, n + 1)
     for first in combinations_colex(tuple(universe), s):
-        rest = tuple(v for v in universe if v not in set(first))
+        taken = set(first)
+        rest = tuple(v for v in universe if v not in taken)
         lo = first[0]
         for second in combinations_colex(rest, s):
             if second[0] > lo:
@@ -137,13 +146,21 @@ class AlternatingCountBreakdown:
 
 
 def alternating_count_bruteforce(i_labels: Iterable[int], n: int) -> int:
-    """Count subsets J of [n] \\ I with |J| = |I| alternating with I, by enumeration."""
+    """Count subsets J of [n] \\ I with |J| = |I| alternating with I, by enumeration.
+
+    Every one of the C(n - |I|, |I|) candidates J is tested, with the linear
+    ``_merged_order_alternates``; no case analysis is used, so this stays the
+    independent check of ``alternating_count_closed_form``.
+    ``test_bruteforce_matches_oracle_count`` holds it equal to a count made
+    with the tag-and-sort oracle for every I with n <= 11.
+    """
     subject = check_subset(i_labels, n, name="I")
     if len(subject) > n - len(subject):
         raise ContractError(
             f"|I|={len(subject)} leaves no room for a disjoint equal-size subset in [{n}]"
         )
-    complement = [v for v in range(1, n + 1) if v not in set(subject)]
+    in_subject = set(subject)
+    complement = [v for v in range(1, n + 1) if v not in in_subject]
     return sum(
         1 for j in itertools.combinations(complement, len(subject))
         if _merged_order_alternates(subject, j)

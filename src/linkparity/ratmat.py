@@ -32,7 +32,7 @@ def parse_rational(text: str) -> Fraction:
     token = text.strip()
     if not _RATIONAL_RE.match(token):
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in token and token.split("/")[1] == "0":
+    if "/" in token and int(token.split("/")[1]) == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(token)
 
@@ -61,7 +61,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
-        materialized = [[Fraction(x) for x in row] for row in rows]
+        materialized = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
         nrows = len(materialized)
         ncols = len(materialized[0]) if materialized else 0
         if any(len(row) != ncols for row in materialized):

@@ -1,8 +1,8 @@
 """Independent oracles for cross-checking the fast paths.
 
-Everything here is deliberately naive: cofactor expansion for determinants
-and orientation-sign tests for planar segment crossings.  These must stay
-free of the code they check.
+Everything here is deliberately naive: cofactor expansion for determinants,
+orientation-sign tests for planar segment crossings, and a tag-and-sort
+alternation test.  These must stay free of the code they check.
 """
 
 from fractions import Fraction
@@ -52,3 +52,10 @@ def planar_boundary_crossings(config, subset):
             if segments_cross_properly(p1, p2, q1, q2):
                 count += 1
     return count
+
+
+def merged_order_alternates(ps, qs):
+    """True iff the merged order of disjoint, equal-size ``ps`` and ``qs``
+    strictly alternates: tag each label with its side, sort, scan."""
+    merged = sorted([(v, 0) for v in ps] + [(v, 1) for v in qs])
+    return all(merged[i][1] != merged[i + 1][1] for i in range(len(merged) - 1))

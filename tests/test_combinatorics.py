@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from linkparity.combinatorics import (
     AlternationCase,
+    _merged_order_alternates,
     alternates,
     alternating_count_bruteforce,
     alternating_count_closed_form,
@@ -17,6 +18,7 @@ from linkparity.combinatorics import (
     enumerate_disjoint_pairs,
 )
 from linkparity.errors import ContractError
+from oracles import merged_order_alternates
 
 
 # ------------------------------- alternates ---------------------------------
@@ -67,6 +69,17 @@ def test_alternates_shift_invariant(pair, shift):
     assert alternates(p, q) == alternates(shifted_p, shifted_q)
 
 
+@given(disjoint_pair)
+@settings(max_examples=300)
+def test_merged_order_alternates_matches_oracle(pair):
+    p, q = (tuple(sorted(side)) for side in pair)
+    expected = merged_order_alternates(p, q)
+    assert _merged_order_alternates(p, q) == expected
+    assert _merged_order_alternates(q, p) == expected
+    assert alternates(p, q) == expected
+    assert alternates(q, p) == expected
+
+
 # ------------------------------ brute force ---------------------------------
 
 
@@ -91,6 +104,18 @@ def test_bruteforce_identifies_the_two_alternators():
         j for j in itertools.combinations(complement, k + 1) if alternates(subject, j)
     ]
     assert winners == [(1, 3, 5), (3, 5, 7)]
+
+
+def test_bruteforce_matches_oracle_count():
+    for n in range(2, 12):
+        for size in range(1, n // 2 + 1):
+            for subject in itertools.combinations(range(1, n + 1), size):
+                complement = [v for v in range(1, n + 1) if v not in subject]
+                expected = sum(
+                    merged_order_alternates(subject, j)
+                    for j in itertools.combinations(complement, size)
+                )
+                assert alternating_count_bruteforce(subject, n) == expected, (subject, n)
 
 
 def test_bruteforce_oversized_subject_rejected():

@@ -4,7 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linkparity.cli import main
 from linkparity.configuration import (
     Configuration,
     Explicit,
@@ -195,3 +198,93 @@ def test_point_file_rejects_bad_data():
         read_points_text("2 1\n1 2 3\n")  # wrong coordinate count
     with pytest.raises(ValueError):
         read_points_text("")
+
+
+# ------------------------- hostile point-file texts -------------------------
+
+_VALID_TEXTS = tuple(
+    write_points_text(config)
+    for config in (
+        moment_curve(5, 2),
+        moment_curve(7, 4),
+        moment_curve(3, 2, [Fraction(1, 2), Fraction(3), Fraction(7, 2)]),
+        sample_random_configuration(5, 2, seed=3, bound=50),
+        sample_random_configuration(7, 4, seed=0, bound=1000),
+        explicit_configuration([("1/2", "-3"), ("0", "7/5"), ("4", "1"), ("-2/3", "5"), ("1", "1")]),
+    )
+)
+# HUGE stands for a 5,000-digit literal, past Python's int-string digit limit
+# (4,300); it is expanded only in _mutate, to keep the strategy's repr small.
+_HUGE = "9" * 5000
+_BAD_TOKENS = (
+    "", "x", "-", "1.5", "1e3", "0x1f", "1/0", "-7/000", "1/-2", "/3", "3/", "1//2",
+    "\u0663", "HUGE", "-HUGE", "1/HUGE", "HUGE/7", "-HUGE/000",
+)
+_BAD_HEADER_NUMBERS = ("-1", "0", "-7", "4" * 30, "HUGE", "2.0", "")
+_BAD_PROVENANCE = tuple(
+    "# provenance: " + body
+    for body in (
+        "", "moment-curve", "moment-curve params=", "moment-curve params=1,,2",
+        "moment-curve params=1/0,2", "moment-curve params=1/00,2", "moment-curve params=5,4,3,2,1",
+        "moment-curve params=1,2,x", "moment-curve params=1,HUGE", "random-sample",
+        "random-sample seed=1", "random-sample seed bound attempts",
+        "random-sample seed=x bound=1 attempts=1", "random-sample seed=1 bound=-5 attempts=0",
+        "random-sample seed=HUGE bound=1 attempts=1", "random-sample =1 =2 =3",
+        "explicit extra", "gale",
+    )
+)
+_MUTATION = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 12)),
+    st.tuples(st.just("duplicate"), st.integers(0, 12)),
+    st.tuples(st.just("token"), st.integers(0, 12), st.integers(0, 4), st.sampled_from(_BAD_TOKENS)),
+    st.tuples(st.just("header"), st.integers(0, 1), st.sampled_from(_BAD_HEADER_NUMBERS)),
+    st.tuples(st.just("provenance"), st.sampled_from(_BAD_PROVENANCE)),
+)
+
+
+def _mutate(text, mutations):
+    lines = text.splitlines()
+    for kind, *args in mutations:
+        if kind == "provenance":
+            marked = [i for i, line in enumerate(lines) if line.startswith("# provenance:")]
+            line = args[0].replace("HUGE", _HUGE)
+            if marked:
+                lines[marked[0]] = line
+            else:
+                lines.insert(1, line)
+        elif not lines:
+            continue
+        elif kind == "drop":
+            del lines[args[0] % len(lines)]
+        elif kind == "duplicate":
+            i = args[0] % len(lines)
+            lines.insert(i, lines[i])
+        else:  # "token" or "header": replace one token of a line
+            i = 0 if kind == "header" else args[0] % len(lines)
+            tokens = lines[i].split() or [""]
+            tokens[args[-2] % len(tokens)] = args[-1].replace("HUGE", _HUGE)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+hostile_point_text = st.builds(
+    _mutate, st.sampled_from(_VALID_TEXTS), st.lists(_MUTATION, min_size=1, max_size=4)
+)
+
+
+@given(hostile_point_text)
+@settings(max_examples=300, deadline=None)
+def test_point_file_parser_fuzz_loads_or_raises_value_error(text):
+    try:
+        config = read_points_text(text)
+    except ValueError:  # ContractError included
+        return
+    assert read_points_text(write_points_text(config)) == config
+
+
+@given(text=hostile_point_text)
+@settings(max_examples=60, deadline=None)
+def test_parity_input_fuzz_exits_with_a_documented_code(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "points.pts"
+    path.write_text(text, encoding="utf-8")
+    assert main(["parity", "--input", str(path)]) in (0, 2, 3, 64)
