@@ -9,8 +9,16 @@ witness      separating hyperplane or intersection witness for two label sets
 sample       draw a random general-position configuration and write it to a file
 plot         SVG picture of a 5-point planar configuration and its segment parities
 
-Exit codes: 0 success, 2 verification failure, 3 degeneracy or sampling
-failure, 64 usage error.  Reports are computed serially: ``--workers``
+Exit codes: 0 success, 2 verification failure (an odd count, a closed-form
+mismatch, or a configuration with no intersecting disjoint pair), 3
+degeneracy or sampling failure, 64 usage error.  ``main`` alone maps
+failures to exit codes: ``ValueError`` (``ContractError`` and malformed
+text included) and ``OSError`` exit 64 with ``error: ...``;
+``DegeneracyError`` exits 3 with ``degeneracy: ... (offending subset: ...)``;
+``SamplingError`` exits 3 with ``sampling failed: ...``.  The handlers
+return 0 or 2 and raise everything else.
+
+Reports are computed serially: ``--workers``
 (default from LINKPARITY_WORKERS) is validated, must be at least 1, and is
 otherwise ignored.  Output contains no timestamps or worker counts, so
 identical inputs give byte-identical reports and stdout.
@@ -78,16 +86,18 @@ def _manifest(command: str, parameters: dict, seeds=(), inputs=()) -> dict:
     }
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _parse_labels(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ContractError(f"expected comma-separated integers, got {text!r}")
+
+
+def _load(path: str) -> Configuration:
+    try:
+        return load_points(path)
+    except (OSError, ValueError) as exc:
+        raise ContractError(f"cannot read point set {path}: {exc}") from exc
 
 
 def _resolve_workers(value: int | None) -> int:
@@ -160,15 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    if args.k < 1:
-        return _usage(f"k must be >= 1, got {args.k}")
     workers = _resolve_workers(args.workers)
     manifest = _manifest("verify", {"k": args.k})
-    try:
-        result = verify_counterexample(args.k, workers=workers)
-    except DegeneracyError as exc:
-        print(f"degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
+    result = verify_counterexample(args.k, workers=workers)
     report = result.report
     print(
         f"k={args.k}: n={report.n} points in R^{report.dimension}, "
@@ -191,19 +195,15 @@ def cmd_verify(args) -> int:
 
 def cmd_parity(args) -> int:
     if (args.input is None) == (args.random is None):
-        return _usage("exactly one of --input or --random is required")
+        raise ContractError("exactly one of --input or --random is required")
     workers = _resolve_workers(args.workers)
     if args.input is not None:
-        try:
-            config = load_points(args.input)
-        except (OSError, ValueError) as exc:
-            return _usage(f"cannot read point set {args.input}: {exc}")
         manifest = partial(_manifest, "parity", {"input": args.input}, inputs=[args.input])
-        configs = [(args.input, config)]
+        configs = [(args.input, _load(args.input))]
     else:
         n, d = args.random
         if args.trials < 1:
-            return _usage(f"--trials must be >= 1, got {args.trials}")
+            raise ContractError(f"--trials must be >= 1, got {args.trials}")
         seeds = range(args.seed, args.seed + args.trials)
         manifest = partial(
             _manifest,
@@ -219,28 +219,25 @@ def cmd_parity(args) -> int:
         )
 
     documents = []
-    all_even = True
-    try:
-        for name, config in configs:
-            report = total_linked_parity(config, workers=workers)
-            all_even = all_even and report.parity_ok
-            print(
-                f"{name}: total linked = {report.total_linked} "
-                f"({'even' if report.parity_ok else 'ODD'})"
-            )
-            if args.json:
-                documents.append(link_report_document(report))
-    except SamplingError as exc:
-        print(f"sampling failed: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
-    except DegeneracyError as exc:
-        print(f"degeneracy: {exc} (offending subset: {exc.labels})", file=sys.stderr)
-        return EXIT_DEGENERACY
+    ok = True
+    for name, config in configs:
+        report = total_linked_parity(config, workers=workers)
+        ok = ok and report.parity_ok
+        print(
+            f"{name}: total linked = {report.total_linked} "
+            f"({'even' if report.parity_ok else 'ODD'})"
+        )
+        # claim (b): some two disjoint (k+1)-subsets have intersecting hulls
+        if not any(row.n3 for row in report.per_subset):
+            print(f"{name}: no intersecting disjoint pair", file=sys.stderr)
+            ok = False
+        if args.json:
+            documents.append(link_report_document(report))
     if args.json:
         payload = {"command": "parity", "reports": documents, "manifest": manifest()}
         with open(args.json, "w", encoding="ascii") as handle:
             handle.write(dumps_canonical(payload))
-    return EXIT_OK if all_even else EXIT_VERIFY_FAIL
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 # ------------------------------- alternation --------------------------------
@@ -262,27 +259,22 @@ def _breakdown_row(subset, n) -> tuple[list, bool]:
 
 def cmd_alternation(args) -> int:
     if (args.k is None) == (args.subset is None):
-        return _usage("exactly one of --k or --subset is required")
+        raise ContractError("exactly one of --k or --subset is required")
     rows = []
     all_ok = True
-    try:
-        if args.k is not None:
-            if args.k < 1:
-                return _usage(f"--k must be >= 1, got {args.k}")
-            n = 2 * args.k + 3
-            for subset in combinations_colex(tuple(range(1, n + 1)), args.k + 1):
-                row, ok = _breakdown_row(subset, n)
-                rows.append(row)
-                all_ok = all_ok and ok
-        else:
-            if args.n is None:
-                return _usage("--subset requires --n")
-            subset = _parse_labels(args.subset)
-            row, ok = _breakdown_row(subset, args.n)
+    if args.k is not None:
+        if args.k < 1:
+            raise ContractError(f"--k must be >= 1, got {args.k}")
+        n = 2 * args.k + 3
+        for subset in combinations_colex(tuple(range(1, n + 1)), args.k + 1):
+            row, ok = _breakdown_row(subset, n)
             rows.append(row)
             all_ok = all_ok and ok
-    except ContractError as exc:
-        return _usage(str(exc))
+    else:
+        if args.n is None:
+            raise ContractError("--subset requires --n")
+        row, all_ok = _breakdown_row(_parse_labels(args.subset), args.n)
+        rows.append(row)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -300,65 +292,49 @@ def cmd_alternation(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    try:
-        p_labels = _parse_labels(args.P)
-        q_labels = _parse_labels(args.Q)
-        d = args.d
-        if d < 2 or d % 2 != 0:
-            return _usage(f"--d must be even and >= 2, got {d}")
-        if set(p_labels) & set(q_labels):
-            return _usage(f"P and Q overlap: {sorted(set(p_labels) & set(q_labels))}")
-        if len(p_labels) != len(q_labels) or len(p_labels) != d // 2 + 1:
-            return _usage(f"|P| and |Q| must both be d/2 + 1 = {d // 2 + 1}")
-        n = max(p_labels + q_labels)
-        if args.params is not None:
-            params = tuple(parse_rational(tok) for tok in args.params.split(","))
-            if len(params) < n:
-                return _usage(f"need at least {n} parameters, got {len(params)}")
-            n = len(params)
-        else:
-            params = tuple(Fraction(i) for i in range(1, n + 1))
+    p_labels = _parse_labels(args.P)
+    q_labels = _parse_labels(args.Q)
+    d = args.d
+    if args.params is None:
+        params = tuple(Fraction(i) for i in range(1, max(p_labels + q_labels) + 1))
+    else:
+        params = tuple(parse_rational(tok) for tok in args.params.split(","))
 
-        if alternates(p_labels, q_labels):
-            config = moment_curve(n, d, params)
-            result = intersect_complementary(config, p_labels, q_labels)
-            assert result.intersects and result.point is not None
-            print(f"P={sorted(p_labels)} and Q={sorted(q_labels)} alternate; hulls intersect at:")
-            print("  point: " + " ".join(format_rational(x) for x in result.point))
-            print("  coeffs over P: " + " ".join(format_rational(c) for c in result.coeffs_first))
-            print("  coeffs over Q: " + " ".join(format_rational(c) for c in result.coeffs_second))
-            return EXIT_OK
-
-        witness = separating_hyperplane_moment(p_labels, q_labels, params, d)
-        print(f"separating hyperplane for P={sorted(p_labels)} vs Q={sorted(q_labels)} (d={d}):")
-        print("  coefficients: " + " ".join(format_rational(c) for c in witness.coefficients))
-        print(f"  offset: {format_rational(witness.offset)}")
-        print("  midpoint roots: " + " ".join(format_rational(r) for r in witness.midpoint_roots))
-        print("  filler roots: " + (" ".join(format_rational(r) for r in witness.filler_roots) or "(none)"))
-        print(f"  bicolored gaps: {witness.bicolored_count}")
-        for label in sorted(p_labels + q_labels):
-            side = "P" if label in p_labels else "Q"
-            value = witness.value_at(params[label - 1])
-            print(f"  p({format_rational(params[label - 1])}) = {format_rational(value)}  [{side}]")
+    if alternates(p_labels, q_labels):
+        # intersect_complementary checks this too, but only after moment_curve
+        # has built d coordinates per point, which a huge --d makes unbounded
+        if len(p_labels) + len(q_labels) != d + 2:
+            raise ContractError(
+                f"|P| + |Q| must be d + 2 = {d + 2}, got {len(p_labels) + len(q_labels)}"
+            )
+        config = moment_curve(len(params), d, params)
+        result = intersect_complementary(config, p_labels, q_labels)
+        assert result.intersects and result.point is not None
+        print(f"P={sorted(p_labels)} and Q={sorted(q_labels)} alternate; hulls intersect at:")
+        print("  point: " + " ".join(format_rational(x) for x in result.point))
+        print("  coeffs over P: " + " ".join(format_rational(c) for c in result.coeffs_first))
+        print("  coeffs over Q: " + " ".join(format_rational(c) for c in result.coeffs_second))
         return EXIT_OK
-    except ContractError as exc:
-        return _usage(str(exc))
-    except DegeneracyError as exc:
-        print(f"degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
+
+    witness = separating_hyperplane_moment(p_labels, q_labels, params, d)
+    print(f"separating hyperplane for P={sorted(p_labels)} vs Q={sorted(q_labels)} (d={d}):")
+    print("  coefficients: " + " ".join(format_rational(c) for c in witness.coefficients))
+    print(f"  offset: {format_rational(witness.offset)}")
+    print("  midpoint roots: " + " ".join(format_rational(r) for r in witness.midpoint_roots))
+    print("  filler roots: " + (" ".join(format_rational(r) for r in witness.filler_roots) or "(none)"))
+    print(f"  bicolored gaps: {witness.bicolored_count}")
+    for label in sorted(p_labels + q_labels):
+        side = "P" if label in p_labels else "Q"
+        value = witness.value_at(params[label - 1])
+        print(f"  p({format_rational(params[label - 1])}) = {format_rational(value)}  [{side}]")
+    return EXIT_OK
 
 
 # ---------------------------------- sample ----------------------------------
 
 
 def cmd_sample(args) -> int:
-    try:
-        config = sample_random_configuration(args.n, args.d, args.seed, args.bound)
-    except ContractError as exc:
-        return _usage(str(exc))
-    except SamplingError as exc:
-        print(f"sampling failed: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
+    config = sample_random_configuration(args.n, args.d, args.seed, args.bound)
     save_points(config, args.out)
     print(f"wrote {args.out}: {config.provenance.describe()}")
     return EXIT_OK
@@ -412,23 +388,16 @@ def _svg_document(config: Configuration, linked: set) -> str:
 
 def cmd_plot(args) -> int:
     if (args.input is None) == (args.k is None):
-        return _usage("exactly one of --input or --k is required")
+        raise ContractError("exactly one of --input or --k is required")
     if args.k is not None:
         if args.k != 1:
-            return _usage("plotting is implemented for the planar case only (k=1)")
+            raise ContractError("plotting is implemented for the planar case only (k=1)")
         config = moment_curve(5, 2)
     else:
-        try:
-            config = load_points(args.input)
-        except (OSError, ValueError) as exc:
-            return _usage(f"cannot read point set {args.input}: {exc}")
+        config = _load(args.input)
     if config.dimension != 2 or config.n != 5:
-        return _usage("plot needs 5 points in the plane")
-    try:
-        report = total_linked_parity(config)
-    except DegeneracyError as exc:
-        print(f"degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
+        raise ContractError("plot needs 5 points in the plane")
+    report = total_linked_parity(config)
     with open(args.out, "w", encoding="ascii") as handle:
         handle.write(_svg_document(config, set(report.linked_subsets)))
     print(f"wrote {args.out}: total linked = {report.total_linked}")
@@ -453,10 +422,15 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ContractError as exc:
-        return _usage(str(exc))
-    except OSError as exc:
-        return _usage(str(exc))
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except DegeneracyError as exc:
+        print(f"degeneracy: {exc} (offending subset: {exc.labels})", file=sys.stderr)
+        return EXIT_DEGENERACY
+    except SamplingError as exc:
+        print(f"sampling failed: {exc}", file=sys.stderr)
+        return EXIT_DEGENERACY
 
 
 if __name__ == "__main__":

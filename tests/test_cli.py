@@ -1,9 +1,19 @@
 """CLI exit codes, report files, and determinism contracts."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from linkparity import cli
 from linkparity.cli import main
 from linkparity.configuration import (
     moment_curve,
@@ -89,10 +99,31 @@ def test_parity_random_trials(capsys):
     assert all("even" in line for line in lines)
 
 
-def test_parity_reads_point_file(tmp_path):
+def test_parity_reads_point_file(tmp_path, capsys):
     path = tmp_path / "m52.pts"
     save_points(moment_curve(5, 2), path)
     assert main(["parity", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{path}: total linked = 0 (even)\n"
+    assert captured.err == ""
+
+
+def test_parity_without_an_intersecting_pair_exits_2(tmp_path, monkeypatch, capsys):
+    # general position guarantees a pair, so the report is doctored
+    path = tmp_path / "m52.pts"
+    save_points(moment_curve(5, 2), path)
+    real = cli.total_linked_parity
+
+    def without_hits(config, workers=1):
+        report = real(config, workers=workers)
+        rows = tuple(replace(row, n1=0, n3=0, hits=()) for row in report.per_subset)
+        return replace(report, per_subset=rows, single_point_subsets=())
+
+    monkeypatch.setattr(cli, "total_linked_parity", without_hits)
+    assert main(["parity", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"{path}: total linked = 0 (even)\n"
+    assert captured.err == f"{path}: no intersecting disjoint pair\n"
 
 
 @pytest.mark.parametrize("provenance, complaint", [
@@ -117,6 +148,11 @@ def test_malformed_provenance_is_usage_error(tmp_path, capsys, command, provenan
 
 def test_parity_degenerate_file_exits_3(degenerate_file, capsys):
     assert main(["parity", "--input", degenerate_file]) == 3
+    assert "offending subset" in capsys.readouterr().err
+
+
+def test_plot_degenerate_file_exits_3(degenerate_file, tmp_path, capsys):
+    assert main(["plot", "--input", degenerate_file, "--out", str(tmp_path / "x.svg")]) == 3
     assert "offending subset" in capsys.readouterr().err
 
 
@@ -194,6 +230,35 @@ def test_witness_custom_parameters(capsys):
     assert "separating hyperplane" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [
+    ["--P", "1,2", "--Q", "3,4", "--d", "2", "--params", "1,2,x,4"],
+    ["--P", "1,2", "--Q", "3,4", "--d", "2", "--params", "1,2,3,1/0"],
+    ["--P", "1,2", "--Q", "3,4", "--d", "2", "--params", "1,2,3,1/00"],
+    ["--P", "1,2", "--Q", "3,4", "--d", "2", "--params", ",,"],
+    ["--P", "1,2", "--Q", "3,4", "--d", "2", "--params", "1,2,3,\u0664"],
+    ["--P", "1,2", "--Q", "3,4", "--d", "2", "--params", "1,2,3"],
+    ["--P", "1,2", "--Q", "3,4", "--d", "3"],
+    ["--P", "1,3", "--Q", "2,4", "--d", "3"],
+    ["--P", "1,2", "--Q", "3,4", "--d", "0"],
+    ["--P", "1,3", "--Q", "2", "--d", "2"],
+    # an alternating pair is rejected before d coordinates per point are built
+    ["--P", "1,3", "--Q", "2,4", "--d", "1000000"],
+])
+def test_witness_bad_input_is_usage_error(extra, capsys):
+    assert main(["witness", *extra]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_sample_exhausting_its_attempts_exits_3(tmp_path, capsys):
+    # six distinct values from {-1, 0, 1} cannot exist
+    out = tmp_path / "never.pts"
+    assert main(["sample", "--n", "6", "--d", "1", "--bound", "1", "--out", str(out)]) == 3
+    assert "sampling failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_roundtrip_through_parity(tmp_path):
     path = tmp_path / "sampled.pts"
     assert main(["sample", "--n", "5", "--d", "2", "--seed", "9",
@@ -226,3 +291,101 @@ def test_plot_rejects_wrong_shape(tmp_path):
     save_points(moment_curve(7, 4), path)
     assert main(["plot", "--input", str(path), "--out", str(tmp_path / "x.svg")]) == 64
     assert main(["plot", "--k", "2", "--out", str(tmp_path / "y.svg")]) == 64
+
+
+def test_module_entry_point_exit_codes():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "linkparity", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    assert run("verify", "-k", "1").returncode == 0
+    malformed = run("witness", "--P", "1,2", "--Q", "3,4", "--d", "2", "--params", "1,2,x,4")
+    assert malformed.returncode == 64
+    assert "Traceback" not in malformed.stderr
+
+
+# --------------------------- argument-vector fuzz ---------------------------
+#
+# Each flag takes a valid token (three times in four) or a hostile one.  Sizes
+# stay small (k <= 3, n <= 9, trials <= 3): larger valid sizes are a matter of
+# resource limits, not of parsing.  Path tokens in capitals are replaced by
+# real paths in the test.
+
+_BAD_NUMBERS = [("0",), ("-1",), ("x",), ("1.5",), ("",), ("9" * 5000,)]
+_OUT = [("OUT",)], [("MISSING_DIR/out",)]
+_IN = [("POINTS",), ("COLLINEAR",)], [("MISSING",), ("DIRECTORY",)]
+_LABELS = [("",), ("1,1",), ("0,2",), ("2,12",), (",,",), ("9" * 5000,)]
+_WORKERS = [("1",), ("2",)], _BAD_NUMBERS
+
+_SHAPES = [
+    ("verify", [("-k", [("1",), ("2",), ("3",)], _BAD_NUMBERS),
+                ("--json", *_OUT), ("--workers", *_WORKERS)]),
+    ("parity", [("--input", *_IN), ("--json", *_OUT), ("--workers", *_WORKERS)]),
+    ("parity", [("--random", [("5", "2"), ("7", "4"), ("9", "6")],
+                 [("6", "2"), ("5", "3"), ("-5", "2"), ("5", "x"), ("9" * 5000, "2"), ("5",)]),
+                ("--trials", [("1",), ("3",)], _BAD_NUMBERS),
+                ("--seed", [("0",), ("7",), ("-3",)], [("x",), ("9" * 5000,)]),
+                ("--bound", [("1000",), ("1",)], _BAD_NUMBERS),
+                ("--json", *_OUT), ("--workers", *_WORKERS)]),
+    ("alternation", [("--k", [("1",), ("2",), ("3",)], _BAD_NUMBERS), ("--csv", *_OUT)]),
+    ("alternation", [("--subset", [("1,3",), ("2,4",), ("1,2,5",)], _LABELS),
+                     ("--n", [("5",), ("7",)], _BAD_NUMBERS), ("--csv", *_OUT)]),
+    ("witness", [("--P", [("1,3",)], _LABELS),
+                 ("--Q", [("2,4",), ("4,5",)], _LABELS),
+                 ("--d", [("2",)], [("4",), *_BAD_NUMBERS]),
+                 ("--params", [("1,2,3,4,5",), ("1/2,1,3/2,4,5",)],
+                  [("x",), ("1/0",), ("1/00",), (",,",), ("1,2,x,4",)])]),
+    ("sample", [("--n", [("5",), ("7",), ("9",)], _BAD_NUMBERS),
+                ("--d", [("2",), ("4",), ("6",)], _BAD_NUMBERS),
+                ("--seed", [("0",), ("-3",)], [("x",)]),
+                ("--bound", [("1000",), ("1",)], _BAD_NUMBERS),
+                ("--out", *_OUT)]),
+    ("plot", [("--input", *_IN), ("--out", *_OUT)]),
+    ("plot", [("--k", [("1",)], [("2",), *_BAD_NUMBERS]), ("--out", *_OUT)]),
+]
+
+
+@st.composite
+def _argvs(draw):
+    """An argument vector with flags dropped, duplicated, reordered or unknown."""
+    command, flags = draw(st.sampled_from(_SHAPES))
+    pairs = []
+    for flag, valid, hostile in flags:
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+            pool = hostile if draw(st.integers(0, 3)) == 0 else valid
+            pairs.append((flag, *draw(st.sampled_from(pool))))
+    if draw(st.integers(0, 7)) == 0:
+        pairs.append(("--frobnicate",))
+    pairs = draw(st.permutations(pairs))
+    return [command, *(token for pair in pairs for token in pair)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    save_points(moment_curve(5, 2), root / "m52.pts")
+    (root / "collinear.pts").write_text("2 5\n0 0\n1 1\n2 2\n0 1\n1 0\n")
+    return {
+        "POINTS": str(root / "m52.pts"),
+        "COLLINEAR": str(root / "collinear.pts"),
+        "MISSING": str(root / "absent.pts"),
+        "DIRECTORY": str(root),
+        "OUT": str(root / "out"),
+        "MISSING_DIR/out": str(root / "absent" / "out"),
+    }
+
+
+@given(argv=_argvs())
+@example(argv=["witness", "--P", "1,2", "--Q", "3,4", "--d", "2", "--params", "1,2,x,4"])
+@settings(max_examples=200, deadline=None)
+def test_main_argv_fuzz_exits_with_a_documented_code(fuzz_paths, argv):
+    argv = [fuzz_paths.get(token, token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 64)
+    assert "Traceback" not in err.getvalue()

@@ -137,7 +137,9 @@ def test_parse_plain_integer_and_signs():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
 
 
-@pytest.mark.parametrize("bad", ["1.5", "a", "1/0", "1/00", "2/-3", "1e3", "", "1 / 2"])
+@pytest.mark.parametrize(
+    "bad", ["1.5", "a", "1/0", "1/00", "2/-3", "1e3", "", "1 / 2", "\u0663", "\u0663/\u0664"]
+)
 def test_parse_rejects_non_rational_text(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
