@@ -23,6 +23,7 @@ general position holds.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .ratmat import Matrix, det, format_rational, parse_rational
 Point = tuple[Fraction, ...]
 
 _MASK64 = (1 << 64) - 1
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _PHI64 = 0x9E3779B97F4A7C15
 
 
@@ -231,6 +233,13 @@ def sample_random_configuration(
 # ---------------------------------------------------------------------------
 
 
+def _parse_integer(text: str) -> int:
+    """Parse an ASCII ``[+-]?[0-9]+`` literal, the integer form ``parse_rational`` accepts."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
 def _parse_provenance(text: str) -> Provenance:
     body = text.strip()
     if body == "explicit":
@@ -247,9 +256,9 @@ def _parse_provenance(text: str) -> Provenance:
         if missing := [key for key in ("seed", "bound", "attempts") if key not in fields]:
             raise ValueError(f"random-sample provenance lacks {', '.join(missing)}")
         return RandomSample(
-            seed=int(fields["seed"]),
-            bound=int(fields["bound"]),
-            attempts=int(fields["attempts"]),
+            seed=_parse_integer(fields["seed"]),
+            bound=_parse_integer(fields["bound"]),
+            attempts=_parse_integer(fields["attempts"]),
         )
     raise ValueError(f"unrecognized provenance: {text!r}")
 
@@ -300,7 +309,7 @@ def read_points_text(text: str) -> Configuration:
     header = data_lines[0].split()
     if len(header) != 2:
         raise ValueError(f"header must be 'd n', got {data_lines[0]!r}")
-    d, n = int(header[0]), int(header[1])
+    d, n = _parse_integer(header[0]), _parse_integer(header[1])
     if len(data_lines) - 1 != n:
         raise ValueError(f"expected {n} point lines, got {len(data_lines) - 1}")
     points = []

@@ -10,9 +10,11 @@ odd.
 I and a face J together cover every label but one, v, so conv(I) meets
 conv(J) exactly when {I, J} is the Radon partition of the other n - 1
 points: the sign split of their unique affine dependence (Radon's theorem;
-Matoušek, *Lectures on Discrete Geometry*, 2002, §5.6).  One dependence per
-omitted label, n linear solves in all, therefore gives every face hit of
-every I and certifies general position; every query below reads that table.
+Matoušek, *Lectures on Discrete Geometry*, 2002, §5.6).  The affine
+dependences of all n points form a 2-dimensional space, their Gale dual, so
+two of them span it: the dependence of [n] \\ {v} is the 2×2 cross product
+of that pair taken at v.  Two linear solves therefore give every face hit of
+every I and certify general position; every query below reads that table.
 
 Verification campaigns:
 
@@ -46,7 +48,6 @@ from .combinatorics import (
     alternating_count_bruteforce,
     check_subset,
     combinations_colex,
-    enumerate_disjoint_pairs,
 )
 from .configuration import Configuration, Point, find_degenerate_subset, moment_curve
 from .errors import ContractError, DegeneracyError
@@ -147,28 +148,47 @@ def _require_linking_shape(config: Configuration) -> int:
     return d // 2
 
 
-def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]]:
-    """Face hits of every (k+1)-subset that has any, from one dependence per label.
+def _degeneracy(config: Configuration, dependent: IndexSubset) -> DegeneracyError:
+    """The error for a general-position failure, naming ``find_degenerate_subset``'s subset.
 
-    Each subset's hits are in the colex order of their faces.  A failed solve
-    means d + 1 points are affinely dependent (every (d+1)-subset misses some
-    label), and raises DegeneracyError with ``find_degenerate_subset``'s subset.
+    ``dependent`` is an affinely dependent subset the caller found.  Some
+    dependent (d+1)-subset contains it, so the scan always finds one and
+    ``dependent`` is only a fallback.
+    """
+    degenerate = find_degenerate_subset(config) or dependent
+    return DegeneracyError(f"points {degenerate} lie in a common hyperplane", labels=degenerate)
+
+
+def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]]:
+    """Face hits of every (k+1)-subset that has any, from two dependences.
+
+    The homogeneous (d+1)×n matrix of the points has a 2-dimensional kernel,
+    the space of their affine dependences (the Gale dual).  ``a`` omits label
+    n and ``b`` omits label n - 1; solving them certifies that the kernel is
+    exactly 2-dimensional, so for each label v the cross product
+    c = a_v·b - b_v·a is the dependence of [n] \\ {v}, up to scale.  Its sign
+    split is that set's Radon partition, and c_i = 0 for some i != v exactly
+    when the d + 1 points [n] \\ {v, i} are affinely dependent.  Each subset's
+    hits are in the colex order of their faces.  A failed solve or a zero
+    c_i raises DegeneracyError with ``find_degenerate_subset``'s subset.
     """
     k = config.dimension // 2
+    labels = tuple(config.labels)
+    try:
+        a = affine_dependence(config, labels[:-1]) + (0,)
+        b = affine_dependence(config, labels[:-2] + labels[-1:])
+    except DegeneracyError as exc:
+        raise _degeneracy(config, exc.labels) from None
+    b = b[:-1] + (0,) + b[-1:]
     found: dict[IndexSubset, list[FaceHit]] = {}
-    for omitted in config.labels:
-        labels = tuple(v for v in config.labels if v != omitted)
-        try:
-            gamma = affine_dependence(config, labels)
-        except DegeneracyError:
-            if (degenerate := find_degenerate_subset(config)) is None:
-                raise
-            raise DegeneracyError(
-                f"points {degenerate} lie in a common hyperplane", labels=degenerate
-            )
+    for av, bv in zip(a, b):
+        gamma = [av * bi - bv * ai for ai, bi in zip(a, b)]
+        # gamma vanishes at v; any other zero is a dependent (d+1)-subset
+        if gamma.count(0) > 1:
+            raise _degeneracy(config, tuple(v for v, g in zip(labels, gamma) if g != 0))
         positive = tuple(v for v, g in zip(labels, gamma) if g > 0)
         negative = tuple(v for v, g in zip(labels, gamma) if g < 0)
-        # no coefficient is zero and there are 2k + 2 of them
+        # 2k + 2 nonzero coefficients
         if len(positive) != k + 1:
             continue
         weights = [g for g in gamma if g > 0]
@@ -213,7 +233,7 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
 
     Raises DegeneracyError (with the offending subset) when the configuration
     is not in general position.  ``workers`` is accepted and ignored: the
-    whole report costs n linear solves and is computed serially.
+    whole report costs two linear solves and is computed serially.
     """
     k = _require_linking_shape(config)
     table = _radon_table(config)
@@ -288,15 +308,18 @@ def intersecting_pairs(
 ) -> Iterator[tuple[IndexSubset, IndexSubset, IntersectionResult]]:
     """Every disjoint (k+1)-subset pair with intersecting hulls.
 
-    Pairs come in ``enumerate_disjoint_pairs`` order.  The Radon table picks
-    them and ``intersect_complementary`` gives each one's witness.  Raises
-    DegeneracyError on the first step when general position fails.
+    Pairs come in ``enumerate_disjoint_pairs`` order: ``first`` holds the
+    smaller minimum and advances in colex order, and its partners follow in
+    the colex order of the table's hits.  ``intersect_complementary`` gives
+    each pair's witness.  Raises DegeneracyError on the first step when
+    general position fails.
     """
     k = _require_linking_shape(config)
     table = _radon_table(config)
-    for first, second in enumerate_disjoint_pairs(config.n, k + 1):
-        if any(hit.face == second for hit in table.get(first, ())):
-            yield first, second, intersect_complementary(config, first, second)
+    for first in combinations_colex(tuple(config.labels), k + 1):
+        for hit in table.get(first, ()):
+            if hit.face[0] > first[0]:
+                yield first, hit.face, intersect_complementary(config, first, hit.face)
 
 
 def find_intersecting_pair(

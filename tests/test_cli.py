@@ -44,12 +44,22 @@ def test_verify_k1_succeeds(tmp_path, capsys):
     assert "timestamp" not in doc["manifest"]
 
 
-def test_verify_invalid_k_is_usage_error():
+def test_verify_invalid_k_is_usage_error(capsys):
     assert main(["verify", "-k", "0"]) == 64
+    assert main(["verify", "-k", "x"]) == 64
+    err = capsys.readouterr().err
+    assert err.endswith(
+        "linkparity verify: error: argument -k/--k: invalid int value: 'x'\n"
+    )
 
 
-def test_verify_missing_k_is_usage_error():
+def test_verify_missing_k_is_usage_error(capsys):
     assert main(["verify"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: linkparity verify")
+    assert err.endswith(
+        "linkparity verify: error: the following arguments are required: -k/--k\n"
+    )
 
 
 def test_unknown_command_is_usage_error():
@@ -132,6 +142,7 @@ def test_parity_without_an_intersecting_pair_exits_2(tmp_path, monkeypatch, caps
     ("random-sample seed=1 bound attempts=1", "without '='"),
     ("moment-curve params=1,2,3,4,6", "point 5 is not the moment-curve point at parameter 6"),
     ("moment-curve params=1,2,3,4", "4 parameters for 5 points"),
+    ("random-sample seed=1 bound=1_0 attempts=1", "not an integer literal: '1_0'"),
 ])
 @pytest.mark.parametrize("command", ["parity", "plot"])
 def test_malformed_provenance_is_usage_error(tmp_path, capsys, command, provenance, complaint):

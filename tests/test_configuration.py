@@ -198,6 +198,17 @@ def test_point_file_rejects_bad_data():
         read_points_text("2 1\n1 2 3\n")  # wrong coordinate count
     with pytest.raises(ValueError):
         read_points_text("")
+    # header counts take ASCII digits only, like rational literals
+    for header in ("\u0662 2", "2 0_2", "2 +\u0662", "2 2.0"):
+        with pytest.raises(ValueError, match="not an integer literal"):
+            read_points_text(f"{header}\n1 2\n3 4\n")
+    for provenance in (
+        "random-sample seed=\u0663 bound=5 attempts=1",
+        "random-sample seed=1 bound=1_0 attempts=1",
+        "random-sample seed=1 bound=5 attempts=+\u0661",
+    ):
+        with pytest.raises(ValueError, match="not an integer literal"):
+            read_points_text(f"2 2\n# provenance: {provenance}\n1 2\n3 4\n")
 
 
 # ------------------------- hostile point-file texts -------------------------

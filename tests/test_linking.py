@@ -202,18 +202,27 @@ def test_entry_points_name_the_scanned_degenerate_subset(case):
             assert info.value.labels == degenerate
 
 
-def test_degenerate_subset_does_not_depend_on_the_query():
+_DEGENERATE_CASES = (
     # points 1..5 lie in the hyperplane x_4 = 0 and (2, 3, 5, 6, 7) is
     # degenerate too; every query names the first in scan order
-    config = explicit_configuration([
-        (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-        (1, 1, 1, 0), (0, 0, 0, 1), (3, 1, 4, 1),
-    ])
-    assert find_degenerate_subset(config) == (1, 2, 3, 4, 5)
-    for query in _linking_queries((1, 2, 3)):
-        with pytest.raises(DegeneracyError) as info:
-            query(config)
-        assert info.value.labels == (1, 2, 3, 4, 5)
+    ([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+      (1, 1, 1, 0), (0, 0, 0, 1), (3, 1, 4, 1)], (1, 2, 3, 4, 5)),
+    # both table solves succeed; only a zero cross product shows these
+    ([(0, 0), (3, 1), (0, 2), (1, 3), (2, 4)], (3, 4, 5)),
+    ([(0, 0, 0, 0), (5, 1, 0, 2), (1, 7, 1, 0), (2, 1, 9, 1),
+      (0, 0, 0, 1), (1, 1, 1, 1), (2, 2, 2, 2)], (1, 2, 3, 6, 7)),
+)
+
+
+def test_degenerate_subset_does_not_depend_on_the_query():
+    for points, degenerate in _DEGENERATE_CASES:
+        config = explicit_configuration(points)
+        assert find_degenerate_subset(config) == degenerate
+        k = config.dimension // 2
+        for query in _linking_queries(tuple(range(1, k + 2))):
+            with pytest.raises(DegeneracyError) as info:
+                query(config)
+            assert info.value.labels == degenerate, points
 
 
 @pytest.mark.parametrize("k", [1, 2])
