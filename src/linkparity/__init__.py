@@ -38,7 +38,6 @@ from .intersection import (
 )
 from .linking import (
     CounterexampleReport,
-    CrossCheckReport,
     LinkReport,
     boundary_intersection_count,
     counterexample_document,
@@ -69,7 +68,6 @@ __all__ = [
     "Configuration",
     "ContractError",
     "CounterexampleReport",
-    "CrossCheckReport",
     "DegeneracyError",
     "DimensionError",
     "Explicit",

@@ -18,10 +18,9 @@ text included) and ``OSError`` exit 64 with ``error: ...``;
 ``SamplingError`` exits 3 with ``sampling failed: ...``.  The handlers
 return 0 or 2 and raise everything else.
 
-Reports are computed serially: ``--workers``
-(default from LINKPARITY_WORKERS) is validated, must be at least 1, and is
-otherwise ignored.  Output contains no timestamps or worker counts, so
-identical inputs give byte-identical reports and stdout.
+Reports are computed serially: ``--workers`` (default 1) is validated, must
+be at least 1, and is otherwise ignored.  Output contains no timestamps or
+worker counts, so identical inputs give byte-identical reports and stdout.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import argparse
 import csv
 import hashlib
 import io
-import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -65,8 +63,6 @@ EXIT_VERIFY_FAIL = 2
 EXIT_DEGENERACY = 3
 EXIT_USAGE = 64
 
-WORKERS_ENV = "LINKPARITY_WORKERS"
-
 
 def _hash_file(path: str) -> str:
     digest = hashlib.sha256()
@@ -100,16 +96,9 @@ def _load(path: str) -> Configuration:
         raise ContractError(f"cannot read point set {path}: {exc}") from exc
 
 
-def _resolve_workers(value: int | None) -> int:
-    source = "--workers"
-    if value is None:
-        source, env = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
-        try:
-            value = int(env)
-        except ValueError:
-            raise ContractError(f"{WORKERS_ENV} must be an integer, got {env!r}")
+def _resolve_workers(value: int) -> int:
     if value < 1:
-        raise ContractError(f"{source} must be >= 1, got {value}")
+        raise ContractError(f"--workers must be >= 1, got {value}")
     return value
 
 
@@ -127,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify the no-linked-pair configuration")
     p_verify.add_argument("-k", "--k", type=int, required=True, dest="k")
     p_verify.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    p_verify.add_argument("--workers", type=int, default=None)
+    p_verify.add_argument("--workers", type=int, default=1)
 
     p_parity = sub.add_parser("parity", help="linked-count parity check")
     p_parity.add_argument("--input", metavar="PATH", help="point-set file")
@@ -136,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_parity.add_argument("--seed", type=int, default=0)
     p_parity.add_argument("--bound", type=int, default=1000)
     p_parity.add_argument("--json", metavar="PATH")
-    p_parity.add_argument("--workers", type=int, default=None)
+    p_parity.add_argument("--workers", type=int, default=1)
 
     p_alt = sub.add_parser("alternation", help="alternating-count table")
     p_alt.add_argument("--k", type=int, default=None)

@@ -18,7 +18,8 @@ c = (attempt*n + point_index)*d + coord_index.  Each 64-bit draw u_r is
 mapped to [-bound, bound] by rejection: with range = 2*bound + 1 and
 limit = 2^64 - (2^64 mod range), the first u_r < limit is accepted and the
 value is (u_r mod range) - bound.  Whole configurations are resampled until
-general position holds.
+general position holds.  The bound must lie in [1, 2^63 - 1]: beyond that,
+range exceeds 2^64, limit is 0 and no draw would ever be accepted.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ Point = tuple[Fraction, ...]
 _MASK64 = (1 << 64) - 1
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _PHI64 = 0x9E3779B97F4A7C15
+_MAX_BOUND = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,18 @@ def _coordinate_draw(seed: int, slot: int, bound: int) -> int:
         trial += 1
 
 
+def _check_bound(bound: int) -> None:
+    if not 1 <= bound <= _MAX_BOUND:
+        raise ContractError(f"bound must be in [1, 2^63 - 1], got {bound}")
+
+
+def _attempt_points(n: int, d: int, seed: int, bound: int, attempt: int) -> Iterator[Point]:
+    """The points of sampler attempt ``attempt`` (0-based), one at a time."""
+    base = attempt * n * d
+    for i in range(n):
+        yield tuple(Fraction(_coordinate_draw(seed, base + i * d + j, bound)) for j in range(d))
+
+
 def sample_random_configuration(
     n: int,
     d: int,
@@ -194,27 +208,19 @@ def sample_random_configuration(
 
     Coordinates are uniform integers in [-bound, bound]; whole configurations
     are redrawn until general position holds.  Identical (n, d, seed, bound)
-    always produce identical output.  Small bounds may exhaust the attempt
-    budget, which raises SamplingError.
+    always produce identical output.  A bound outside [1, 2^63 - 1] raises
+    ContractError.  Small bounds may exhaust the attempt budget, which raises
+    SamplingError.
     """
     if n < d + 1:
         raise ContractError(f"need n >= d + 1 points, got n={n}, d={d}")
-    if bound < 1:
-        raise ContractError(f"bound must be a positive integer, got {bound}")
+    _check_bound(bound)
     if max_attempts < 1:
         raise ContractError(f"max_attempts must be >= 1, got {max_attempts}")
     for attempt in range(max_attempts):
-        base = attempt * n * d
-        points = tuple(
-            tuple(
-                Fraction(_coordinate_draw(seed, base + i * d + j, bound))
-                for j in range(d)
-            )
-            for i in range(n)
-        )
         config = Configuration(
             dimension=d,
-            points=points,
+            points=tuple(_attempt_points(n, d, seed, bound, attempt)),
             provenance=RandomSample(seed=seed, bound=bound, attempts=attempt + 1),
         )
         if find_degenerate_subset(config) is None:
@@ -228,8 +234,8 @@ def sample_random_configuration(
 # ---------------------------------------------------------------------------
 # Point-set text format: header "d n", optional "# provenance:" comment,
 # then n lines of d whitespace-separated rationals.  Round-trips bit-exactly.
-# A moment-curve provenance is checked against the points; a random-sample
-# one is trusted, since checking it would rerun the sampler.
+# A moment-curve or random-sample provenance is checked against the points;
+# for a random sample only the recorded attempt is redrawn.
 # ---------------------------------------------------------------------------
 
 
@@ -283,6 +289,26 @@ def _check_moment_curve(points: Sequence[Point], params: tuple[Fraction, ...]) -
             )
 
 
+def _check_random_sample(points: Sequence[Point], d: int, provenance: RandomSample) -> None:
+    """Raise ValueError unless ``points`` are the sampler's recorded attempt.
+
+    The bound and attempt count are range-checked first, so a hostile bound
+    cannot stall the redraw.  Whether the earlier attempts were degenerate is
+    not rechecked.
+    """
+    _check_bound(provenance.bound)
+    if provenance.attempts < 1:
+        raise ValueError(f"random-sample attempts must be >= 1, got {provenance.attempts}")
+    drawn = _attempt_points(
+        len(points), d, provenance.seed, provenance.bound, provenance.attempts - 1
+    )
+    for label, (point, expected) in enumerate(zip(points, drawn), start=1):
+        if point != expected:
+            raise ValueError(
+                f"point {label} is not the sampler's draw for {provenance.describe()}"
+            )
+
+
 def write_points_text(config: Configuration) -> str:
     lines = [f"{config.dimension} {config.n}"]
     lines.append(f"# provenance: {config.provenance.describe()}")
@@ -320,6 +346,8 @@ def read_points_text(text: str) -> Configuration:
         points.append(coords)
     if isinstance(provenance, MomentCurve):
         _check_moment_curve(points, provenance.parameters)
+    elif isinstance(provenance, RandomSample):
+        _check_random_sample(points, d, provenance)
     return Configuration(dimension=d, points=tuple(points), provenance=provenance)
 
 

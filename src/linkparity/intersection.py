@@ -43,16 +43,13 @@ class IntersectionResult:
 
     When the hulls intersect, ``point`` is the unique common point and the
     coefficient tuples are its strictly positive barycentric coordinates over
-    the first and second vertex sets.  Otherwise ``failing_index`` records a
-    position (into the concatenated coefficient vector) whose coefficient is
-    not positive.
+    the first and second vertex sets; otherwise all three are None.
     """
 
     intersects: bool
     point: Point | None
     coeffs_first: tuple[Fraction, ...] | None
     coeffs_second: tuple[Fraction, ...] | None
-    failing_index: int | None = None
 
 
 def _disjoint_subsets(config_n: int, first: Iterable[int], second: Iterable[int]):
@@ -122,31 +119,16 @@ def intersect_complementary(
     m = len(fs)
     gamma = affine_dependence(config, labels)
 
-    scale = sum(gamma[:m])
-    if scale != 0:
-        # unique common point of the affine hulls; barycentric over both sets
-        candidate = tuple(g / scale for g in gamma[:m]) + tuple(
-            -g / scale for g in gamma[m:]
-        )
-    else:
-        # parallel affine hulls: no common point, so no orientation sums to 1;
-        # orient by the first coefficient just to exhibit a sign mismatch
-        orient = 1 if gamma[0] > 0 else -1
-        candidate = tuple(orient * g for g in gamma[:m]) + tuple(
-            -orient * g for g in gamma[m:]
-        )
-    failing = next((idx for idx, c in enumerate(candidate) if c <= 0), None)
-    if scale == 0 or failing is not None:
-        assert failing is not None
+    # no coefficient is zero, so the hulls meet iff gamma[:m] has one sign and
+    # gamma[m:] the other; one sign on gamma[:m] also makes its sum nonzero
+    side = gamma[0] > 0
+    if any((g > 0) != side for g in gamma[:m]) or any((g > 0) == side for g in gamma[m:]):
         return IntersectionResult(
-            intersects=False,
-            point=None,
-            coeffs_first=None,
-            coeffs_second=None,
-            failing_index=failing,
+            intersects=False, point=None, coeffs_first=None, coeffs_second=None
         )
-    lam = candidate[:m]
-    mu = candidate[m:]
+    scale = sum(gamma[:m])
+    lam = tuple(g / scale for g in gamma[:m])
+    mu = tuple(-g / scale for g in gamma[m:])
     point = tuple(
         sum((l * p[axis] for l, p in zip(lam, points[:m])), Fraction(0))
         for axis in range(d)

@@ -65,7 +65,13 @@ class FaceHit:
 
 @dataclass(frozen=True)
 class SubsetCounts:
-    """Per-subset counts: distinct boundary points, faces hit, alternating subsets."""
+    """The counts compared for one subset I.
+
+    n1 counts distinct boundary points, n3 faces hit and n4 alternating
+    subsets.  n2, the subsets J whose hull meets conv(I), equals n3 by
+    construction: the k-faces of the complementary simplex are exactly the
+    sets conv(J) for (k+1)-subsets J of the complement.
+    """
 
     subset: IndexSubset
     n1: int
@@ -74,27 +80,8 @@ class SubsetCounts:
     hits: tuple[FaceHit, ...]
 
     @property
-    def even(self) -> bool:
-        return self.n3 % 2 == 0
-
-    @property
-    def linked(self) -> bool:
-        return self.n3 % 2 == 1
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """The four counts compared for one subset I.
-
-    n2 equals n3 by construction: the k-faces of the complementary simplex
-    are exactly the sets conv(J) for (k+1)-subsets J of the complement.
-    """
-
-    subject: IndexSubset
-    n1: int
-    n2: int
-    n3: int
-    n4: int
+    def n2(self) -> int:
+        return self.n3
 
     @property
     def consistent(self) -> bool:
@@ -102,7 +89,11 @@ class CrossCheckReport:
 
     @property
     def even(self) -> bool:
-        return self.n1 % 2 == 0
+        return self.n3 % 2 == 0
+
+    @property
+    def linked(self) -> bool:
+        return self.n3 % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -127,12 +118,15 @@ class LinkReport:
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    """LinkReport plus per-subset cross-checks for the moment-curve configuration."""
+    """LinkReport plus the cross-check failures for the moment-curve configuration."""
 
     k: int
     report: LinkReport
-    cross_checks: tuple[CrossCheckReport, ...]
     failures: tuple[str, ...]
+
+    @property
+    def cross_checks(self) -> tuple[SubsetCounts, ...]:
+        return self.report.per_subset
 
     @property
     def ok(self) -> bool:
@@ -278,29 +272,19 @@ def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
     report = total_linked_parity(config, workers=workers)
 
     failures = []
-    cross_checks = []
     for row in report.per_subset:
-        check = CrossCheckReport(
-            subject=row.subset, n1=row.n1, n2=row.n3, n3=row.n3, n4=row.n4
-        )
-        cross_checks.append(check)
-        if not check.consistent:
+        if not row.consistent:
             failures.append(
                 f"count mismatch at I={row.subset}: "
-                f"n1={check.n1} n2={check.n2} n3={check.n3} n4={check.n4}"
+                f"n1={row.n1} n2={row.n2} n3={row.n3} n4={row.n4}"
             )
-        if not check.even:
-            failures.append(f"odd boundary count {check.n1} at I={row.subset}")
+        if row.n1 % 2 != 0:
+            failures.append(f"odd boundary count {row.n1} at I={row.subset}")
     if report.total_linked != 0:
         failures.append(f"{report.total_linked} linked subsets: {report.linked_subsets}")
     if not report.parity_ok:
         failures.append("total linked count is odd")
-    return CounterexampleReport(
-        k=k,
-        report=report,
-        cross_checks=tuple(cross_checks),
-        failures=tuple(failures),
-    )
+    return CounterexampleReport(k=k, report=report, failures=tuple(failures))
 
 
 def intersecting_pairs(
@@ -359,7 +343,7 @@ def _witnesses_json(report: LinkReport) -> list[dict]:
 
 def link_report_document(
     report: LinkReport,
-    cross_checks: Sequence[CrossCheckReport] = (),
+    cross_checks: Sequence[SubsetCounts] = (),
     failures: Sequence[str] = (),
     manifest: dict | None = None,
 ) -> dict:
@@ -396,14 +380,14 @@ def link_report_document(
     if cross_checks:
         doc["cross_checks"] = [
             {
-                "I": list(c.subject),
-                "n1": c.n1,
-                "n2": c.n2,
-                "n3": c.n3,
-                "n4": c.n4,
-                "consistent": c.consistent,
+                "I": list(row.subset),
+                "n1": row.n1,
+                "n2": row.n2,
+                "n3": row.n3,
+                "n4": row.n4,
+                "consistent": row.consistent,
             }
-            for c in cross_checks
+            for row in cross_checks
         ]
     if manifest is not None:
         doc["manifest"] = manifest

@@ -74,12 +74,9 @@ def test_verify_worker_count_does_not_change_report(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_workers_env_variable_default(tmp_path, monkeypatch):
-    out1 = tmp_path / "env.json"
-    monkeypatch.setenv("LINKPARITY_WORKERS", "2")
-    assert main(["verify", "-k", "1", "--json", str(out1)]) == 0
+def test_workers_environment_variable_is_not_read(monkeypatch):
     monkeypatch.setenv("LINKPARITY_WORKERS", "zebra")
-    assert main(["verify", "-k", "1"]) == 64
+    assert main(["verify", "-k", "1"]) == 0
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -87,12 +84,6 @@ def test_workers_below_one_is_usage_error(workers, capsys):
     assert main(["verify", "-k", "1", "--workers", workers]) == 64
     assert main(["parity", "--random", "5", "2", "--workers", workers]) == 64
     assert "--workers must be >= 1" in capsys.readouterr().err
-
-
-def test_workers_env_variable_below_one_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("LINKPARITY_WORKERS", "0")
-    assert main(["verify", "-k", "1"]) == 64
-    assert "LINKPARITY_WORKERS must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_stdout_identical_across_reruns(capsys):
@@ -143,6 +134,10 @@ def test_parity_without_an_intersecting_pair_exits_2(tmp_path, monkeypatch, caps
     ("moment-curve params=1,2,3,4,6", "point 5 is not the moment-curve point at parameter 6"),
     ("moment-curve params=1,2,3,4", "4 parameters for 5 points"),
     ("random-sample seed=1 bound=1_0 attempts=1", "not an integer literal: '1_0'"),
+    ("random-sample seed=1 bound=5 attempts=1", "point 1 is not the sampler's draw"),
+    ("random-sample seed=1 bound=-5 attempts=0", "bound must be in [1, 2^63 - 1]"),
+    ("random-sample seed=1 bound=9223372036854775808 attempts=1", "bound must be in [1, 2^63 - 1]"),
+    ("random-sample seed=1 bound=5 attempts=0", "attempts must be >= 1"),
 ])
 @pytest.mark.parametrize("command", ["parity", "plot"])
 def test_malformed_provenance_is_usage_error(tmp_path, capsys, command, provenance, complaint):
@@ -278,6 +273,17 @@ def test_sample_roundtrip_through_parity(tmp_path):
     from linkparity.configuration import load_points
     assert load_points(path) == expected
     assert main(["parity", "--input", str(path)]) == 0
+
+
+@pytest.mark.parametrize("bound, code", [("9223372036854775807", 0), ("9223372036854775808", 64)])
+def test_sample_bound_range(tmp_path, capsys, bound, code):
+    # past 2^63 - 1 the sampler's rejection step would never accept a draw
+    out = tmp_path / "edge.pts"
+    assert main(["sample", "--n", "5", "--d", "2", "--bound", bound, "--out", str(out)]) == code
+    assert main(["parity", "--random", "5", "2", "--bound", bound]) == code
+    if code:
+        assert "bound must be in [1, 2^63 - 1]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_plot_moment_curve(tmp_path):

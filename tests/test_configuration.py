@@ -150,6 +150,15 @@ def test_sampler_contract_errors():
         sample_random_configuration(5, 2, seed=0, bound=0)
 
 
+def test_sampler_bound_range_edges():
+    # past 2^63 - 1 the range 2*bound + 1 exceeds 2^64 and no draw is accepted
+    with pytest.raises(ContractError, match=r"bound must be in \[1, 2\^63 - 1\]"):
+        sample_random_configuration(5, 2, seed=0, bound=1 << 63)
+    config = sample_random_configuration(5, 2, seed=0, bound=(1 << 63) - 1)
+    assert read_points_text(write_points_text(config)) == config
+    assert any(abs(x) > 1 << 62 for point in config.points for x in point)
+
+
 def test_point_file_round_trip_moment():
     config = moment_curve(5, 2)
     text = write_points_text(config)
@@ -208,6 +217,23 @@ def test_point_file_rejects_bad_data():
         "random-sample seed=1 bound=5 attempts=+\u0661",
     ):
         with pytest.raises(ValueError, match="not an integer literal"):
+            read_points_text(f"2 2\n# provenance: {provenance}\n1 2\n3 4\n")
+    # a random-sample provenance is checked by redrawing the recorded attempt
+    lines = write_points_text(sample_random_configuration(7, 4, seed=0, bound=1000)).splitlines()
+    for label in range(1, 8):
+        tampered = list(lines)
+        first, *rest = tampered[label + 1].split()
+        tampered[label + 1] = " ".join([str(int(first) + 1), *rest])
+        with pytest.raises(ValueError, match=f"point {label} is not the sampler's draw"):
+            read_points_text("\n".join(tampered) + "\n")
+    for provenance, complaint in (
+        ("random-sample seed=1 bound=-5 attempts=0", "bound must be in"),
+        ("random-sample seed=1 bound=0 attempts=1", "bound must be in"),
+        ("random-sample seed=1 bound=9223372036854775808 attempts=1", "bound must be in"),
+        ("random-sample seed=1 bound=5 attempts=0", "attempts must be >= 1"),
+        ("random-sample seed=1 bound=5 attempts=-3", "attempts must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=complaint):
             read_points_text(f"2 2\n# provenance: {provenance}\n1 2\n3 4\n")
 
 

@@ -37,7 +37,7 @@ def test_moment_non_alternating_pair_misses():
     result = intersect_complementary(config, (1, 2), (3, 4))
     assert not result.intersects
     assert result.point is None
-    assert result.failing_index is not None
+    assert result.coeffs_first is None and result.coeffs_second is None
 
 
 def test_parallel_chords_miss_without_degeneracy():
@@ -46,7 +46,8 @@ def test_parallel_chords_miss_without_degeneracy():
     config = moment_curve(5, 2)
     result = intersect_complementary(config, (2, 3), (1, 4))
     assert not result.intersects
-    assert result.failing_index is not None
+    assert result.point is None
+    assert result.coeffs_first is None and result.coeffs_second is None
 
 
 def test_intersection_symmetry_and_witness_soundness():

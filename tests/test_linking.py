@@ -127,11 +127,19 @@ def test_double_sum_evenness_identity():
 
 
 def _per_face_reference(config, subset):
-    """Face hits of conv(I) by one per-pair solve per face of the complement."""
+    """Face hits of conv(I) by one per-pair solve per face of the complement.
+
+    Each face is also queried in the other order, which must give the same
+    decision and point with the coefficient tuples swapped.
+    """
     complement = tuple(v for v in config.labels if v not in subset)
     hits = []
     for face in combinations_colex(complement, len(subset)):
         result = intersect_complementary(config, subset, face)
+        swapped = intersect_complementary(config, face, subset)
+        assert (swapped.intersects, swapped.point) == (result.intersects, result.point)
+        assert (swapped.coeffs_first, swapped.coeffs_second) == \
+            (result.coeffs_second, result.coeffs_first)
         if result.intersects:
             hits.append((face, result.point))
     return hits
@@ -154,6 +162,10 @@ def _table_oracle_cases():
     for n, d in ((5, 2), (7, 4), (9, 6)):
         for seed in range(10):
             yield sample_random_configuration(n, d, seed=seed, bound=1000)
+    # tiny coordinates make parallel hulls (a side's coefficients summing to 0) common
+    for n, d in ((5, 2), (7, 4)):
+        for seed in range(10):
+            yield sample_random_configuration(n, d, seed=seed, bound=1)
 
 
 def test_radon_table_matches_per_face_solves():
