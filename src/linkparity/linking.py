@@ -13,8 +13,9 @@ points: the sign split of their unique affine dependence (Radon's theorem;
 Matoušek, *Lectures on Discrete Geometry*, 2002, §5.6).  The affine
 dependences of all n points form a 2-dimensional space, their Gale dual, so
 two of them span it: the dependence of [n] \\ {v} is the 2×2 cross product
-of that pair taken at v.  Two linear solves therefore give every face hit of
-every I and certify general position; every query below reads that table.
+of that pair taken at v.  Two fraction-free integer eliminations therefore
+give every face hit of every I and certify general position; every query
+below reads that table.
 
 Verification campaigns:
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import (
@@ -51,8 +53,8 @@ from .combinatorics import (
 )
 from .configuration import Configuration, Point, find_degenerate_subset, moment_curve
 from .errors import ContractError, DegeneracyError
-from .intersection import IntersectionResult, affine_dependence, intersect_complementary
-from .ratmat import format_rational
+from .intersection import IntersectionResult, intersect_complementary
+from .ratmat import format_rational, integer_kernel
 
 
 @dataclass(frozen=True)
@@ -156,23 +158,33 @@ def _degeneracy(config: Configuration, dependent: IndexSubset) -> DegeneracyErro
 def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]]:
     """Face hits of every (k+1)-subset that has any, from two dependences.
 
-    The homogeneous (d+1)×n matrix of the points has a 2-dimensional kernel,
-    the space of their affine dependences (the Gale dual).  ``a`` omits label
-    n and ``b`` omits label n - 1; solving them certifies that the kernel is
-    exactly 2-dimensional, so for each label v the cross product
-    c = a_v·b - b_v·a is the dependence of [n] \\ {v}, up to scale.  Its sign
-    split is that set's Radon partition, and c_i = 0 for some i != v exactly
-    when the d + 1 points [n] \\ {v, i} are affinely dependent.  Each subset's
-    hits are in the colex order of their faces.  A failed solve or a zero
+    Column i of the homogeneous (d+1)×n matrix is (p_i, 1) scaled by the
+    positive lcm of p_i's denominators, so the matrix is integer and its
+    2-dimensional kernel is the space of affine dependences (the Gale dual)
+    with each coefficient divided by that positive scale, which keeps every
+    sign.  ``a`` omits label n and ``b`` omits label n - 1; two integer
+    eliminations (``integer_kernel``) certify that the kernel is exactly
+    2-dimensional, so for each label v the integer cross product
+    c = a_v·b - b_v·a is the dependence of [n] \\ {v}, up to scale.  Its
+    sign split is that set's Radon partition, and c_i = 0 for some i != v
+    exactly when the d + 1 points [n] \\ {v, i} are affinely dependent.
+    Each Radon point is the first ``Fraction`` formed.  Each subset's hits
+    are in the colex order of their faces.  A singular elimination or a zero
     c_i raises DegeneracyError with ``find_degenerate_subset``'s subset.
     """
     k = config.dimension // 2
     labels = tuple(config.labels)
-    try:
-        a = affine_dependence(config, labels[:-1]) + (0,)
-        b = affine_dependence(config, labels[:-2] + labels[-1:])
-    except DegeneracyError as exc:
-        raise _degeneracy(config, exc.labels) from None
+    columns = []
+    for point in config.points:
+        scale = lcm(*(x.denominator for x in point))
+        columns.append([x.numerator * (scale // x.denominator) for x in point] + [scale])
+    rows = list(zip(*columns))
+    a = integer_kernel([row[:-1] for row in rows])
+    b = integer_kernel([row[:-2] + row[-1:] for row in rows])
+    if a is None or b is None:
+        # both eliminations pivot on the first d + 1 columns
+        raise _degeneracy(config, labels[:-2])
+    a = a + (0,)
     b = b[:-1] + (0,) + b[-1:]
     found: dict[IndexSubset, list[FaceHit]] = {}
     for av, bv in zip(a, b):
@@ -185,11 +197,10 @@ def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]
         # 2k + 2 nonzero coefficients
         if len(positive) != k + 1:
             continue
-        weights = [g for g in gamma if g > 0]
-        scale = sum(weights)
+        weighted = [(g, column) for g, column in zip(gamma, columns) if g > 0]
+        total = sum(g * column[-1] for g, column in weighted)
         point = tuple(
-            sum((w * config.point(v)[axis] for w, v in zip(weights, positive)), Fraction(0))
-            / scale
+            Fraction(sum(g * column[axis] for g, column in weighted), total)
             for axis in range(config.dimension)
         )
         found.setdefault(positive, []).append(FaceHit(face=negative, point=point))
@@ -227,7 +238,7 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
 
     Raises DegeneracyError (with the offending subset) when the configuration
     is not in general position.  ``workers`` is accepted and ignored: the
-    whole report costs two linear solves and is computed serially.
+    whole report costs two integer eliminations and is computed serially.
     """
     k = _require_linking_shape(config)
     table = _radon_table(config)

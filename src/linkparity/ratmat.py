@@ -7,6 +7,10 @@ over Python integers, so intermediate entries stay bounded by minors of the
 input instead of blowing up the way naive fraction elimination does.  No
 floating point is used anywhere.
 
+``integer_kernel`` stays in the integers throughout: for an m×(m+1) integer
+matrix it runs the same elimination and then a fraction-free back
+substitution, giving the kernel as an integer vector with no ``Fraction``.
+
 All values are immutable and all functions are pure.
 """
 
@@ -185,3 +189,30 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> SolveResult:
             acc -= aug[i][j] * solution[j]
         solution[i] = acc / aug[i][i]
     return SolveResult(tuple(solution))
+
+
+def integer_kernel(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """An integer vector spanning the kernel of an m×(m+1) integer matrix.
+
+    Returns None when the leading m×m block is singular.  Otherwise the
+    kernel is one-dimensional and the result is its vector whose last entry
+    is the leading block's determinant up to sign, which makes every entry
+    an integer (Cramer's rule).  Bareiss elimination is followed by a
+    fraction-free back substitution in which every division is exact, so no
+    ``Fraction`` is formed.
+    """
+    m = len(rows)
+    if any(len(row) != m + 1 for row in rows):
+        raise DimensionError(f"integer_kernel needs an m×(m+1) matrix, m={m}")
+    upper = [list(row) for row in rows]
+    if _bareiss_eliminate(upper, m + 1) is None:
+        return None
+    x = [0] * (m + 1)
+    x[m] = upper[m - 1][m - 1] if m else 1
+    for i in range(m - 1, -1, -1):
+        row = upper[i]
+        acc = 0
+        for j in range(i + 1, m + 1):
+            acc += row[j] * x[j]
+        x[i] = -acc // row[i]
+    return tuple(x)

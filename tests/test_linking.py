@@ -1,6 +1,7 @@
 """Linking counts, parity reports, counterexample verification, existence."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,23 @@ def _table_oracle_cases():
     for n, d in ((5, 2), (7, 4)):
         for seed in range(10):
             yield sample_random_configuration(n, d, seed=seed, bound=1)
+    yield from _rational_cases()
+
+
+_RATIONAL_PARAMETERS = tuple(
+    Fraction(t) for t in ("1/3", "1/2", "2", "7/3", "3", "5", "11/2")
+)
+
+
+def _rational_cases():
+    """(7,4) configurations whose points have denominators other than 1."""
+    yield moment_curve(7, 4, parameters=_RATIONAL_PARAMETERS)
+    for seed in range(5):
+        sampled = sample_random_configuration(7, 4, seed=seed, bound=1000)
+        yield explicit_configuration(
+            [x / (label + 1) for x in point]
+            for label, point in enumerate(sampled.points, start=1)
+        )
 
 
 def test_radon_table_matches_per_face_solves():
@@ -183,9 +201,11 @@ def test_radon_table_matches_per_face_solves():
 
 @st.composite
 def _small_configurations(draw):
-    """(5,2) or (7,4) points with coordinates in [-2, 2], often degenerate."""
+    """(5,2) or (7,4) points with coordinates p/q, p in [-2, 2] and q in
+    {1, 2, 3}, often degenerate."""
     n, d = draw(st.sampled_from([(5, 2), (7, 4)]))
-    coordinate_rows = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    coordinate = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+    coordinate_rows = st.lists(coordinate, min_size=d, max_size=d)
     rows = draw(st.lists(coordinate_rows, min_size=n, max_size=n))
     subset = draw(st.sampled_from(list(combinations_colex(tuple(range(1, n + 1)), d // 2 + 1))))
     return explicit_configuration(rows, dimension=d), subset

@@ -12,6 +12,7 @@ from linkparity.ratmat import (
     Matrix,
     det,
     format_rational,
+    integer_kernel,
     parse_rational,
     solve,
 )
@@ -116,6 +117,45 @@ def test_matrix_entry_count_validated():
 def test_matrix_ragged_rows_rejected():
     with pytest.raises(DimensionError):
         Matrix.from_rows([[1, 2], [3]])
+
+
+@st.composite
+def _kernel_matrices(draw):
+    """m×(m+1) integer matrices, m <= 7; a third have a repeated leading
+    column and a third a repeated row, so the leading block is singular."""
+    m = draw(st.integers(1, 7))
+    row = st.lists(st.integers(-3, 3), min_size=m + 1, max_size=m + 1)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    shape = draw(st.sampled_from(["random", "column", "row"]))
+    if m > 1 and shape != "random":
+        src, dst = draw(st.permutations(range(m)))[:2]
+        if shape == "column":
+            for r in rows:
+                r[dst] = r[src]
+        else:
+            rows[dst] = rows[src][:]
+    return rows
+
+
+@given(_kernel_matrices())
+@settings(max_examples=80, deadline=None)
+def test_integer_kernel_matches_cramer_oracle(rows):
+    m = len(rows)
+    x = integer_kernel(rows)
+    if cofactor_det([r[:m] for r in rows]) == 0:
+        assert x is None
+        return
+    assert x is not None and all(type(v) is int for v in x)
+    assert all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
+    # the Cramer vector: signed maximal minors, nonzero at m here
+    cramer = [(-1) ** i * cofactor_det([r[:i] + r[i + 1:] for r in rows]) for i in range(m + 1)]
+    assert all(xi * cramer[m] == x[m] * ci for xi, ci in zip(x, cramer))
+    assert x[m] != 0
+
+
+def test_integer_kernel_rejects_wrong_shape():
+    with pytest.raises(DimensionError):
+        integer_kernel([[1, 2], [3, 4]])
 
 
 rationals = st.fractions(
