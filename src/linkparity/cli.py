@@ -50,6 +50,7 @@ from .configuration import (
 from .errors import ContractError, DegeneracyError, SamplingError
 from .intersection import intersect_complementary, separating_hyperplane_moment
 from .linking import (
+    _require_linking_shape,
     counterexample_document,
     dumps_canonical,
     link_report_document,
@@ -193,6 +194,8 @@ def cmd_parity(args) -> int:
         n, d = args.random
         if args.trials < 1:
             raise ContractError(f"--trials must be >= 1, got {args.trials}")
+        # a wrong shape is rejected before C(n, d + 1) determinants are spent sampling
+        _require_linking_shape(d, n)
         seeds = range(args.seed, args.seed + args.trials)
         manifest = partial(
             _manifest,
@@ -284,12 +287,20 @@ def cmd_witness(args) -> int:
     p_labels = _parse_labels(args.P)
     q_labels = _parse_labels(args.Q)
     d = args.d
+    p_names, q_names = sorted(p_labels), sorted(q_labels)
+    crossing = alternates(p_labels, q_labels)
     if args.params is None:
-        params = tuple(Fraction(i) for i in range(1, max(p_labels + q_labels) + 1))
+        # the default t_i = i is built for P ∪ Q only, relabeled 1..|P|+|Q| in
+        # order, so the cost does not grow with the largest label
+        merged = sorted(p_labels + q_labels)
+        params = tuple(Fraction(label) for label in merged)
+        rank = {label: i for i, label in enumerate(merged, start=1)}
+        p_labels = tuple(rank[label] for label in p_labels)
+        q_labels = tuple(rank[label] for label in q_labels)
     else:
         params = tuple(parse_rational(tok) for tok in args.params.split(","))
 
-    if alternates(p_labels, q_labels):
+    if crossing:
         # intersect_complementary checks this too, but only after moment_curve
         # has built d coordinates per point, which a huge --d makes unbounded
         if len(p_labels) + len(q_labels) != d + 2:
@@ -298,15 +309,15 @@ def cmd_witness(args) -> int:
             )
         config = moment_curve(len(params), d, params)
         result = intersect_complementary(config, p_labels, q_labels)
-        assert result.intersects and result.point is not None
-        print(f"P={sorted(p_labels)} and Q={sorted(q_labels)} alternate; hulls intersect at:")
+        assert result.intersects
+        print(f"P={p_names} and Q={q_names} alternate; hulls intersect at:")
         print("  point: " + " ".join(format_rational(x) for x in result.point))
         print("  coeffs over P: " + " ".join(format_rational(c) for c in result.coeffs_first))
         print("  coeffs over Q: " + " ".join(format_rational(c) for c in result.coeffs_second))
         return EXIT_OK
 
     witness = separating_hyperplane_moment(p_labels, q_labels, params, d)
-    print(f"separating hyperplane for P={sorted(p_labels)} vs Q={sorted(q_labels)} (d={d}):")
+    print(f"separating hyperplane for P={p_names} vs Q={q_names} (d={d}):")
     print("  coefficients: " + " ".join(format_rational(c) for c in witness.coefficients))
     print(f"  offset: {format_rational(witness.offset)}")
     print("  midpoint roots: " + " ".join(format_rational(r) for r in witness.midpoint_roots))

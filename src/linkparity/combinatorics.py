@@ -72,16 +72,12 @@ def combinations_colex(items: Sequence[int], size: int) -> Iterator[IndexSubset]
 
     ``items`` must be sorted ascending.  Colex compares the largest differing
     element, so every subset with maximum m precedes every subset with a
-    larger maximum.
+    larger maximum.  Read backwards, colex order is the lexicographic order of
+    the subsets written largest first, which ``itertools.combinations`` gives
+    in reverse when it runs over the items from largest to smallest.
     """
-    items = tuple(items)
-    if size == 0:
-        yield ()
-        return
-    for idx in range(size - 1, len(items)):
-        last = items[idx]
-        for rest in combinations_colex(items[:idx], size - 1):
-            yield rest + (last,)
+    descending = list(itertools.combinations(tuple(items)[::-1], size))
+    return (subset[::-1] for subset in reversed(descending))
 
 
 def enumerate_disjoint_pairs(n: int, s: int) -> Iterator[tuple[IndexSubset, IndexSubset]]:
@@ -131,8 +127,6 @@ _CASE_COUNTS = {
 class AlternatingCountBreakdown:
     """Closed-form alternating count for one subset, with its case evidence."""
 
-    subject: IndexSubset
-    universe_size: int
     count: int
     case_tag: AlternationCase
     block_sizes: tuple[int, ...] | None
@@ -227,8 +221,6 @@ def alternating_count_closed_form(i_labels: Iterable[int], n: int) -> Alternatin
         assert product == _CASE_COUNTS[case], (blocks, product)
 
     return AlternatingCountBreakdown(
-        subject=subject,
-        universe_size=n,
         count=_CASE_COUNTS[case],
         case_tag=case,
         block_sizes=blocks,

@@ -40,6 +40,7 @@ _MASK64 = (1 << 64) - 1
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _PHI64 = 0x9E3779B97F4A7C15
 _MAX_BOUND = (1 << 63) - 1
+_MAX_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -197,27 +198,19 @@ def _attempt_points(n: int, d: int, seed: int, bound: int, attempt: int) -> Iter
         yield tuple(Fraction(_coordinate_draw(seed, base + i * d + j, bound)) for j in range(d))
 
 
-def sample_random_configuration(
-    n: int,
-    d: int,
-    seed: int,
-    bound: int,
-    max_attempts: int = 1000,
-) -> Configuration:
+def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Configuration:
     """Deterministic rejection sampler for general-position integer configurations.
 
     Coordinates are uniform integers in [-bound, bound]; whole configurations
     are redrawn until general position holds.  Identical (n, d, seed, bound)
     always produce identical output.  A bound outside [1, 2^63 - 1] raises
-    ContractError.  Small bounds may exhaust the attempt budget, which raises
-    SamplingError.
+    ContractError.  Small bounds may exhaust the ``_MAX_ATTEMPTS`` budget,
+    which raises SamplingError.
     """
     if n < d + 1:
         raise ContractError(f"need n >= d + 1 points, got n={n}, d={d}")
     _check_bound(bound)
-    if max_attempts < 1:
-        raise ContractError(f"max_attempts must be >= 1, got {max_attempts}")
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         config = Configuration(
             dimension=d,
             points=tuple(_attempt_points(n, d, seed, bound, attempt)),
@@ -227,7 +220,7 @@ def sample_random_configuration(
             return config
     raise SamplingError(
         f"no general-position configuration with n={n}, d={d}, bound={bound} "
-        f"after {max_attempts} attempts (seed {seed})"
+        f"after {_MAX_ATTEMPTS} attempts (seed {seed})"
     )
 
 

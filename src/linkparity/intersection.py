@@ -43,13 +43,17 @@ class IntersectionResult:
 
     When the hulls intersect, ``point`` is the unique common point and the
     coefficient tuples are its strictly positive barycentric coordinates over
-    the first and second vertex sets; otherwise all three are None.
+    the first and second vertex sets; otherwise all three are None.  The
+    decision ``intersects`` is derived: ``point is not None``.
     """
 
-    intersects: bool
     point: Point | None
     coeffs_first: tuple[Fraction, ...] | None
     coeffs_second: tuple[Fraction, ...] | None
+
+    @property
+    def intersects(self) -> bool:
+        return self.point is not None
 
 
 def _disjoint_subsets(config_n: int, first: Iterable[int], second: Iterable[int]):
@@ -123,9 +127,7 @@ def intersect_complementary(
     # gamma[m:] the other; one sign on gamma[:m] also makes its sum nonzero
     side = gamma[0] > 0
     if any((g > 0) != side for g in gamma[:m]) or any((g > 0) == side for g in gamma[m:]):
-        return IntersectionResult(
-            intersects=False, point=None, coeffs_first=None, coeffs_second=None
-        )
+        return IntersectionResult(point=None, coeffs_first=None, coeffs_second=None)
     scale = sum(gamma[:m])
     lam = tuple(g / scale for g in gamma[:m])
     mu = tuple(-g / scale for g in gamma[m:])
@@ -133,12 +135,7 @@ def intersect_complementary(
         sum((l * p[axis] for l, p in zip(lam, points[:m])), Fraction(0))
         for axis in range(d)
     )
-    return IntersectionResult(
-        intersects=True,
-        point=point,
-        coeffs_first=lam,
-        coeffs_second=mu,
-    )
+    return IntersectionResult(point=point, coeffs_first=lam, coeffs_second=mu)
 
 
 @dataclass(frozen=True)
@@ -148,20 +145,22 @@ class HyperplaneWitness:
     Restricted to the curve, the hyperplane is the degree-d polynomial
     p(x) = n_1 x + n_2 x^2 + ... + n_d x^d - offset whose simple roots are
     exactly ``midpoint_roots`` (one per bicolored parameter gap) and
-    ``filler_roots`` (below the parameter range).
+    ``filler_roots`` (below the parameter range).  ``bicolored_count`` is
+    derived: ``len(midpoint_roots)``.
     """
 
     coefficients: tuple[Fraction, ...]
     offset: Fraction
     midpoint_roots: tuple[Fraction, ...]
     filler_roots: tuple[Fraction, ...]
-    bicolored_count: int
 
     def __post_init__(self):
         if len(self.midpoint_roots) + len(self.filler_roots) != len(self.coefficients):
             raise AssertionError("root count must equal the polynomial degree")
-        if len(self.midpoint_roots) != self.bicolored_count:
-            raise AssertionError("one midpoint root per bicolored gap")
+
+    @property
+    def bicolored_count(self) -> int:
+        return len(self.midpoint_roots)
 
     @property
     def degree(self) -> int:
@@ -234,7 +233,6 @@ def separating_hyperplane_moment(
         offset=-coeffs[0],
         midpoint_roots=midpoints,
         filler_roots=fillers,
-        bicolored_count=t,
     )
     p_signs = {witness.value_at(params[label - 1]) > 0 for label in ps}
     q_signs = {witness.value_at(params[label - 1]) > 0 for label in qs}

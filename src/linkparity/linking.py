@@ -43,7 +43,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .combinatorics import (
     IndexSubset,
@@ -69,17 +69,21 @@ class FaceHit:
 class SubsetCounts:
     """The counts compared for one subset I.
 
-    n1 counts distinct boundary points, n3 faces hit and n4 alternating
-    subsets.  n2, the subsets J whose hull meets conv(I), equals n3 by
-    construction: the k-faces of the complementary simplex are exactly the
-    sets conv(J) for (k+1)-subsets J of the complement.
+    n1 counts distinct boundary points and n4 alternating subsets; both are
+    stored.  n3, the faces hit, is derived as ``len(hits)``.  n2, the
+    subsets J whose hull meets conv(I), equals n3 by construction: the
+    k-faces of the complementary simplex are exactly the sets conv(J) for
+    (k+1)-subsets J of the complement.
     """
 
     subset: IndexSubset
     n1: int
-    n3: int
     n4: int
     hits: tuple[FaceHit, ...]
+
+    @property
+    def n3(self) -> int:
+        return len(self.hits)
 
     @property
     def n2(self) -> int:
@@ -100,7 +104,11 @@ class SubsetCounts:
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Outcome of a full linked-pair enumeration over one configuration."""
+    """Outcome of a full linked-pair enumeration over one configuration.
+
+    Only the rows are stored; the linked and single-point subsets, the
+    linked total and the parity verdict are derived from ``per_subset``.
+    """
 
     dimension: int
     n: int
@@ -108,21 +116,28 @@ class LinkReport:
     provenance: str
     points: tuple[Point, ...]
     per_subset: tuple[SubsetCounts, ...]
-    linked_subsets: tuple[IndexSubset, ...]
-    single_point_subsets: tuple[IndexSubset, ...]
-    total_linked: int
-    parity_ok: bool
 
-    def __post_init__(self):
-        if self.parity_ok != (self.total_linked % 2 == 0):
-            raise AssertionError("parity flag inconsistent with total")
+    @property
+    def linked_subsets(self) -> tuple[IndexSubset, ...]:
+        return tuple(row.subset for row in self.per_subset if row.linked)
+
+    @property
+    def single_point_subsets(self) -> tuple[IndexSubset, ...]:
+        return tuple(row.subset for row in self.per_subset if row.n1 == 1)
+
+    @property
+    def total_linked(self) -> int:
+        return sum(row.linked for row in self.per_subset)
+
+    @property
+    def parity_ok(self) -> bool:
+        return self.total_linked % 2 == 0
 
 
 @dataclass(frozen=True)
 class CounterexampleReport:
     """LinkReport plus the cross-check failures for the moment-curve configuration."""
 
-    k: int
     report: LinkReport
     failures: tuple[str, ...]
 
@@ -135,23 +150,23 @@ class CounterexampleReport:
         return not self.failures
 
 
-def _require_linking_shape(config: Configuration) -> int:
-    d = config.dimension
+def _require_linking_shape(d: int, n: int) -> int:
+    """k for n = d + 3 points in even dimension d; ContractError for any other shape."""
     if d % 2 != 0:
         raise ContractError(f"linking verification needs even dimension, got d={d}")
-    if config.n != d + 3:
-        raise ContractError(f"need n = d + 3 points, got n={config.n}, d={d}")
+    if n != d + 3:
+        raise ContractError(f"need n = d + 3 points, got n={n}, d={d}")
     return d // 2
 
 
-def _degeneracy(config: Configuration, dependent: IndexSubset) -> DegeneracyError:
+def _degeneracy(config: Configuration) -> DegeneracyError:
     """The error for a general-position failure, naming ``find_degenerate_subset``'s subset.
 
-    ``dependent`` is an affinely dependent subset the caller found.  Some
-    dependent (d+1)-subset contains it, so the scan always finds one and
-    ``dependent`` is only a fallback.
+    Called only after a singular elimination or a zero cross product in
+    ``_radon_table``.  Either one means some d + 1 of the points are
+    affinely dependent, so the scan always finds a subset to name.
     """
-    degenerate = find_degenerate_subset(config) or dependent
+    degenerate = find_degenerate_subset(config)
     return DegeneracyError(f"points {degenerate} lie in a common hyperplane", labels=degenerate)
 
 
@@ -183,7 +198,7 @@ def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]
     b = integer_kernel([row[:-2] + row[-1:] for row in rows])
     if a is None or b is None:
         # both eliminations pivot on the first d + 1 columns
-        raise _degeneracy(config, labels[:-2])
+        raise _degeneracy(config)
     a = a + (0,)
     b = b[:-1] + (0,) + b[-1:]
     found: dict[IndexSubset, list[FaceHit]] = {}
@@ -191,7 +206,7 @@ def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]
         gamma = [av * bi - bv * ai for ai, bi in zip(a, b)]
         # gamma vanishes at v; any other zero is a dependent (d+1)-subset
         if gamma.count(0) > 1:
-            raise _degeneracy(config, tuple(v for v, g in zip(labels, gamma) if g != 0))
+            raise _degeneracy(config)
         positive = tuple(v for v, g in zip(labels, gamma) if g > 0)
         negative = tuple(v for v, g in zip(labels, gamma) if g < 0)
         # 2k + 2 nonzero coefficients
@@ -218,7 +233,7 @@ def boundary_intersection_count(config: Configuration, subset: Iterable[int]) ->
     complement; each face contributes at most one point, and distinct faces
     hit distinct points under general position (asserted).
     """
-    k = _require_linking_shape(config)
+    k = _require_linking_shape(config.dimension, config.n)
     canon = check_subset(subset, config.n, name="I")
     if len(canon) != k + 1:
         raise ContractError(f"|I| must be k + 1 = {k + 1}, got {len(canon)}")
@@ -240,7 +255,7 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     is not in general position.  ``workers`` is accepted and ignored: the
     whole report costs two integer eliminations and is computed serially.
     """
-    k = _require_linking_shape(config)
+    k = _require_linking_shape(config.dimension, config.n)
     table = _radon_table(config)
     rows = []
     for subset in combinations_colex(tuple(config.labels), k + 1):
@@ -248,13 +263,9 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
         rows.append(SubsetCounts(
             subset=subset,
             n1=len({hit.point for hit in hits}),
-            n3=len(hits),
             n4=alternating_count_bruteforce(subset, config.n),
             hits=hits,
         ))
-    linked = tuple(row.subset for row in rows if row.linked)
-    single = tuple(row.subset for row in rows if row.n1 == 1)
-    total = len(linked)
     return LinkReport(
         dimension=config.dimension,
         n=config.n,
@@ -262,10 +273,6 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
         provenance=config.provenance.describe(),
         points=config.points,
         per_subset=tuple(rows),
-        linked_subsets=linked,
-        single_point_subsets=single,
-        total_linked=total,
-        parity_ok=total % 2 == 0,
     )
 
 
@@ -295,7 +302,7 @@ def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
         failures.append(f"{report.total_linked} linked subsets: {report.linked_subsets}")
     if not report.parity_ok:
         failures.append("total linked count is odd")
-    return CounterexampleReport(k=k, report=report, failures=tuple(failures))
+    return CounterexampleReport(report=report, failures=tuple(failures))
 
 
 def intersecting_pairs(
@@ -304,15 +311,15 @@ def intersecting_pairs(
     """Every disjoint (k+1)-subset pair with intersecting hulls.
 
     Pairs come in ``enumerate_disjoint_pairs`` order: ``first`` holds the
-    smaller minimum and advances in colex order, and its partners follow in
-    the colex order of the table's hits.  ``intersect_complementary`` gives
-    each pair's witness.  Raises DegeneracyError on the first step when
-    general position fails.
+    smaller minimum and walks the table's subsets in colex order, and its
+    partners follow in the colex order of the table's hits.
+    ``intersect_complementary`` gives each pair's witness.  Raises
+    DegeneracyError on the first step when general position fails.
     """
-    k = _require_linking_shape(config)
+    _require_linking_shape(config.dimension, config.n)
     table = _radon_table(config)
-    for first in combinations_colex(tuple(config.labels), k + 1):
-        for hit in table.get(first, ()):
+    for first in sorted(table, key=lambda subset: subset[::-1]):
+        for hit in table[first]:
             if hit.face[0] > first[0]:
                 yield first, hit.face, intersect_complementary(config, first, hit.face)
 
@@ -352,12 +359,7 @@ def _witnesses_json(report: LinkReport) -> list[dict]:
     return docs
 
 
-def link_report_document(
-    report: LinkReport,
-    cross_checks: Sequence[SubsetCounts] = (),
-    failures: Sequence[str] = (),
-    manifest: dict | None = None,
-) -> dict:
+def link_report_document(report: LinkReport, manifest: dict | None = None) -> dict:
     """Assemble the serializable report document.
 
     Key order is fixed; elapsed time and timestamps are deliberately absent
@@ -386,32 +388,31 @@ def link_report_document(
         "total": report.total_linked,
         "parity_ok": report.parity_ok,
         "witnesses": _witnesses_json(report),
-        "failures": list(failures),
+        "failures": [],
     }
-    if cross_checks:
-        doc["cross_checks"] = [
-            {
-                "I": list(row.subset),
-                "n1": row.n1,
-                "n2": row.n2,
-                "n3": row.n3,
-                "n4": row.n4,
-                "consistent": row.consistent,
-            }
-            for row in cross_checks
-        ]
     if manifest is not None:
         doc["manifest"] = manifest
     return doc
 
 
 def counterexample_document(result: CounterexampleReport, manifest: dict | None = None) -> dict:
-    return link_report_document(
-        result.report,
-        cross_checks=result.cross_checks,
-        failures=result.failures,
-        manifest=manifest,
-    )
+    """The report document with the failures filled in and the cross checks appended."""
+    doc = link_report_document(result.report)
+    doc["failures"] = list(result.failures)
+    doc["cross_checks"] = [
+        {
+            "I": list(row.subset),
+            "n1": row.n1,
+            "n2": row.n2,
+            "n3": row.n3,
+            "n4": row.n4,
+            "consistent": row.consistent,
+        }
+        for row in result.cross_checks
+    ]
+    if manifest is not None:
+        doc["manifest"] = manifest
+    return doc
 
 
 def dumps_canonical(document: dict) -> str:

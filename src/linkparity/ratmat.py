@@ -100,10 +100,6 @@ class SolveResult:
     solution: tuple[Fraction, ...] | None
 
     @property
-    def is_unique(self) -> bool:
-        return self.solution is not None
-
-    @property
     def is_singular(self) -> bool:
         return self.solution is None
 

@@ -117,8 +117,8 @@ def test_parity_without_an_intersecting_pair_exits_2(tmp_path, monkeypatch, caps
 
     def without_hits(config, workers=1):
         report = real(config, workers=workers)
-        rows = tuple(replace(row, n1=0, n3=0, hits=()) for row in report.per_subset)
-        return replace(report, per_subset=rows, single_point_subsets=())
+        rows = tuple(replace(row, n1=0, hits=()) for row in report.per_subset)
+        return replace(report, per_subset=rows)
 
     monkeypatch.setattr(cli, "total_linked_parity", without_hits)
     assert main(["parity", "--input", str(path)]) == 2
@@ -223,6 +223,20 @@ def test_witness_intersection(capsys):
     assert "5/2 7" in out
 
 
+@pytest.mark.parametrize("huge, small", [
+    (["--P", "1,2", "--Q", "3,10000000000"], ["--P", "1,2", "--Q", "3,4"]),
+    (["--P", "1,3", "--Q", "2,10000000000"], ["--P", "1,3", "--Q", "2,4"]),
+])
+def test_witness_cost_does_not_grow_with_the_largest_label(huge, small, capsys):
+    # default parameters are built for P and Q only, not for every label up to 10^10
+    assert main(["witness", *huge, "--d", "2"]) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert main(["witness", *small, "--d", "2", "--params", "1,2,3,10000000000"]) == 0
+    expected = capsys.readouterr().out.splitlines()
+    assert got[1:] == expected[1:]
+    assert "10000000000" in got[0]
+
+
 def test_witness_overlap_is_usage_error():
     assert main(["witness", "--P", "1,2", "--Q", "2,3", "--d", "2"]) == 64
 
@@ -263,6 +277,19 @@ def test_sample_exhausting_its_attempts_exits_3(tmp_path, capsys):
     assert main(["sample", "--n", "6", "--d", "1", "--bound", "1", "--out", str(out)]) == 3
     assert "sampling failed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n, d, complaint", [
+    (30, 4, "need n = d + 3 points, got n=30, d=4"),
+    (7, 3, "linking verification needs even dimension, got d=3"),
+])
+def test_parity_random_checks_the_shape_before_sampling(n, d, complaint, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled a configuration of the wrong shape")
+
+    monkeypatch.setattr(cli, "sample_random_configuration", never)
+    assert main(["parity", "--random", str(n), str(d)]) == 64
+    assert capsys.readouterr().err == f"error: {complaint}\n"
 
 
 def test_sample_roundtrip_through_parity(tmp_path):

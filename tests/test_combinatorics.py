@@ -228,6 +228,12 @@ def test_combinations_colex_order():
         (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4),
         (1, 5), (2, 5), (3, 5), (4, 5),
     ]
+    # oracle: every subset in lexicographic order, sorted by its reversal
+    for length in range(10):
+        for items in (tuple(range(1, length + 1)), tuple(range(2, 3 * length + 2, 3))):
+            for size in range(length + 2):
+                expected = sorted(itertools.combinations(items, size), key=lambda c: c[::-1])
+                assert list(combinations_colex(items, size)) == expected, (items, size)
 
 
 def test_check_subset_validation():

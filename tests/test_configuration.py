@@ -138,9 +138,9 @@ def test_sampler_output_is_general_position():
 
 
 def test_sampler_exhausts_budget_on_tiny_bound():
-    # seed chosen so that 8 attempts at bound 1 all produce degeneracies
+    # six distinct values from {-1, 0, 1} cannot exist
     with pytest.raises(SamplingError):
-        sample_random_configuration(5, 2, seed=1, bound=1, max_attempts=8)
+        sample_random_configuration(6, 1, seed=1, bound=1)
 
 
 def test_sampler_contract_errors():
