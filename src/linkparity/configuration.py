@@ -41,6 +41,10 @@ _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _PHI64 = 0x9E3779B97F4A7C15
 _MAX_BOUND = (1 << 63) - 1
 _MAX_ATTEMPTS = 1000
+# Each sampler attempt certifies general position with C(n, d + 1)
+# determinants (about 0.6 s for 10,000 of them at d = 4); a shape that needs
+# more is refused before the first draw.
+_MAX_GP_SUBSETS = 10_000
 
 
 @dataclass(frozen=True)
@@ -198,18 +202,40 @@ def _attempt_points(n: int, d: int, seed: int, bound: int, attempt: int) -> Iter
         yield tuple(Fraction(_coordinate_draw(seed, base + i * d + j, bound)) for j in range(d))
 
 
+def _exceeds_binomial(n: int, r: int, ceiling: int) -> bool:
+    """True iff C(n, r) > ceiling, for 0 <= r <= n.
+
+    C(n, i) grows with i up to r = min(r, n - r), so the product is built
+    term by term and stops once it passes the ceiling: a huge n or r never
+    forms a huge binomial.
+    """
+    count = 1
+    for i in range(min(r, n - r)):
+        if count > ceiling:
+            return True
+        count = count * (n - i) // (i + 1)
+    return count > ceiling
+
+
 def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Configuration:
     """Deterministic rejection sampler for general-position integer configurations.
 
     Coordinates are uniform integers in [-bound, bound]; whole configurations
     are redrawn until general position holds.  Identical (n, d, seed, bound)
     always produce identical output.  A bound outside [1, 2^63 - 1] raises
-    ContractError.  Small bounds may exhaust the ``_MAX_ATTEMPTS`` budget,
-    which raises SamplingError.
+    ContractError, and so does a shape whose general-position check needs
+    more than ``_MAX_GP_SUBSETS`` (10,000) determinants, C(n, d + 1), per
+    attempt; both are checked before any point is drawn.  Small bounds may
+    exhaust the ``_MAX_ATTEMPTS`` budget, which raises SamplingError.
     """
     if n < d + 1:
         raise ContractError(f"need n >= d + 1 points, got n={n}, d={d}")
     _check_bound(bound)
+    if _exceeds_binomial(n, d + 1, _MAX_GP_SUBSETS):
+        raise ContractError(
+            f"n={n}, d={d}: the general-position check needs C(n, d + 1) determinants "
+            f"per sampling attempt, more than the sampler's ceiling of {_MAX_GP_SUBSETS:,}"
+        )
     for attempt in range(_MAX_ATTEMPTS):
         config = Configuration(
             dimension=d,

@@ -39,9 +39,10 @@ timestamps or worker counts, so reruns produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Iterable, Iterator
 
@@ -416,5 +417,81 @@ def counterexample_document(result: CounterexampleReport, manifest: dict | None 
 
 
 def dumps_canonical(document: dict) -> str:
-    """Serialize with a stable layout suitable for byte-for-byte comparison."""
-    return json.dumps(document, indent=2, ensure_ascii=True) + "\n"
+    """Serialize with a stable layout suitable for byte-for-byte comparison.
+
+    The text is exactly ``json.dumps(document, indent=2, ensure_ascii=True)``
+    plus a final newline.  Only dicts with ``str`` keys, lists, ``str``,
+    ``int``, ``bool`` and ``None`` are accepted; any other value or key type
+    (a ``float``, a ``tuple``, a ``set``, an ``int`` key) raises TypeError.
+    """
+    return _encode(document, "") + "\n"
+
+
+_BOOLS = {True: "true", False: "false"}
+
+
+def _encode(value, pad: str) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it on a line indented by ``pad``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return _BOOLS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return _block(_table(value, inner) or [_encode(item, inner) for item in value], pad, "[]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return _block((f"{_key(key)}: {_encode(item, inner)}" for key, item in value.items()),
+                      pad, "{}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _block(items: Iterable[str], pad: str, brackets: str) -> str:
+    """Non-empty ``items``, one a line indented by ``pad`` plus two spaces, in brackets."""
+    inner = pad + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _table(rows: list, pad: str) -> list[str] | None:
+    """The rows of a list of same-keyed dicts, each indented by ``pad``, or None if not one.
+
+    The rows share one ``%`` template; whole columns of ints, bools and int
+    lists are formatted at once, any other column value recursively.
+    """
+    if set(map(type, rows)) != {dict} or not rows[0]:
+        return None
+    keys = list(rows[0])
+    # list(row) == keys compares order too, which comparing key views would not
+    if not all(map(keys.__eq__, map(list, rows))):
+        return None
+    template = _block((_key(key).replace("%", "%%") + ": %s" for key in keys), pad, "{}")
+    inner = pad + "  "
+    columns = []
+    for key in keys:
+        column = [row[key] for row in rows]
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            columns.append(map(int.__repr__, column))
+        elif kinds == {bool}:
+            columns.append(map(_BOOLS.__getitem__, column))
+        elif kinds == {list} and set(map(type, chain.from_iterable(column))) <= {int}:
+            columns.append([
+                _block(map(int.__repr__, items), inner, "[]") if items else "[]"
+                for items in column
+            ])
+        else:
+            columns.append([_encode(item, inner) for item in column])
+    return [template % fields for fields in zip(*columns)]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkparity import cli
+from linkparity import cli, configuration
 from linkparity.cli import main
 from linkparity.configuration import (
     moment_curve,
@@ -277,6 +277,30 @@ def test_sample_exhausting_its_attempts_exits_3(tmp_path, capsys):
     assert main(["sample", "--n", "6", "--d", "1", "--bound", "1", "--out", str(out)]) == 3
     assert "sampling failed" in capsys.readouterr().err
     assert not out.exists()
+
+
+_HUGE = 10**100
+
+
+@pytest.mark.parametrize("argv", [
+    # C(25, 5) = 53,130 and C(30, 5) = 142,506 determinants per attempt
+    ["sample", "--n", "25", "--d", "4", "--out", "never.pts"],
+    ["sample", "--n", "30", "--d", "4", "--out", "never.pts"],
+    ["sample", "--n", str(_HUGE), "--d", "4", "--out", "never.pts"],
+    ["sample", "--n", str(_HUGE + 3), "--d", str(_HUGE), "--out", "never.pts"],
+    # C(143, 141) = 10,153
+    ["parity", "--random", "143", "140"],
+    ["parity", "--random", str(_HUGE + 3), str(_HUGE)],
+])
+def test_sampler_refuses_shapes_past_its_determinant_ceiling(argv, tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("drew points for a shape past the ceiling")
+
+    monkeypatch.setattr(configuration, "_attempt_points", never)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 64
+    assert "more than the sampler's ceiling of 10,000" in capsys.readouterr().err
+    assert not (tmp_path / "never.pts").exists()
 
 
 @pytest.mark.parametrize("n, d, complaint", [

@@ -1,6 +1,7 @@
 """Configuration tests: moment curve, general position, sampling, file format."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from linkparity.configuration import (
     MomentCurve,
     RandomSample,
     _PHI64,
+    _exceeds_binomial,
     explicit_configuration,
     find_degenerate_subset,
     is_general_position,
@@ -148,6 +150,13 @@ def test_sampler_contract_errors():
         sample_random_configuration(2, 2, seed=0, bound=10)
     with pytest.raises(ContractError):
         sample_random_configuration(5, 2, seed=0, bound=0)
+
+
+@given(n=st.integers(0, 60), data=st.data(), ceiling=st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_binomial_ceiling_matches_math_comb(n, data, ceiling):
+    r = data.draw(st.integers(0, n))
+    assert _exceeds_binomial(n, r, ceiling) == (math.comb(n, r) > ceiling)
 
 
 def test_sampler_bound_range_edges():

@@ -1,9 +1,11 @@
 """Reports stay byte-identical: SHA-256 digests pinned from earlier output.
 
-The digests were taken from the code before the Radon table moved to
-integer arithmetic, so any change in a sign, a Radon point or the JSON
-layout of these reports shows up here.  The rational cases exercise
-points with denominators other than 1, which the CLI runs never produce.
+The digests for k <= 4 were taken from the code before the Radon table
+moved to integer arithmetic, and those for k = 5 and 6 from the code that
+still wrote JSON through ``json.dumps(indent=2)``, so any change in a sign,
+a Radon point or the JSON layout of these reports shows up here.  The
+rational cases exercise points with denominators other than 1, which the
+CLI runs never produce.
 """
 
 import hashlib
@@ -25,6 +27,8 @@ VERIFY_DIGESTS = {
     2: "db3ec2b9b0b47a941b1c4b01055ac14ebe5fa3aea37028dd832a4a7bff09a554",
     3: "3c0978526a944cdc2cbd482eeeee76521b9dd112617dd7a92e0ef733fa8519b4",
     4: "9587d4be681f1a3a52f52f9f2d4b3da3f9961f18f5dd957a913d7a2da10e60b3",
+    5: "c19befa94e66aa8f98de12adefb35008446d9a02489ae61628eedcfd485c805a",
+    6: "6ffa2c23f559c9b276637e676f5a6c36850ae5f21a3c8af217add56433a37315",
 }
 PARITY_RANDOM_DIGEST = "fa34c4d465180490b081a6ea2699d55ea5a8974bb6f14d9c2efaf7da1ab97deb"
 RATIONAL_CASES_DIGEST = "c61c9b1deb80f108b7591d000f7ed0d08afa5ef0483e2d03a7f78e61ca7c33fa"

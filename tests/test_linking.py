@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkparity.combinatorics import combinations_colex, enumerate_disjoint_pairs
@@ -347,3 +347,65 @@ def test_parity_report_document_on_random_config():
         assert witness["faces"]
         for face in witness["faces"]:
             assert all(isinstance(c, str) for c in face["point"])
+
+
+_KEYS = st.text(max_size=3) | st.sampled_from(
+    ["I", "n1", "even", "50%", "%s", "%%", '"', "a\nb", "\u00e9", "\U0001f600", ""]
+)
+_BIG_INTS = st.integers(10**300, 10**310) | st.integers(-(10**310), -(10**300))
+_SCALARS = st.none() | st.booleans() | st.integers() | _BIG_INTS | st.text(max_size=5)
+_COLUMNS = [
+    st.integers() | _BIG_INTS,
+    st.booleans(),
+    st.booleans() | st.integers(),
+    st.lists(st.integers(), max_size=3),
+    st.lists(st.integers() | st.booleans(), max_size=3),
+]
+
+
+@st.composite
+def _tables(draw, values):
+    """Lists of dicts sharing their keys, some rows in another key order."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+    columns = {key: draw(st.sampled_from([*_COLUMNS, values])) for key in keys}
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(keys)) if draw(st.integers(0, 3)) == 0 else keys
+        rows.append({key: draw(columns[key]) for key in order})
+    return rows
+
+
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda values: st.lists(values, max_size=3)
+    | st.dictionaries(_KEYS, values, max_size=3)
+    | _tables(values),
+    max_leaves=30,
+)
+
+
+@given(_DOCUMENTS)
+@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
+@example([{"%": 1, "x%sy": True, "%(a)s": None}])
+@example([{"n": 1}, {"n": True}, {"n": 0}])
+@example([{"I": [1, 2]}, {"I": []}, {"I": [True, 3]}])
+@example([{}, {}])
+@example([{"a": 1}, ["a"]])
+@example({"big": -(10**300), "empty_dict": {}, "empty_list": [], "\u00e9\n\"": "\u2603"})
+@settings(max_examples=300, deadline=None)
+def test_dumps_canonical_equals_json_indent_2(document):
+    # json's indent path is the oracle for every byte of the layout
+    assert dumps_canonical(document) == json.dumps(document, indent=2, ensure_ascii=True) + "\n"
+
+
+@pytest.mark.parametrize("document", [
+    {"x": 1.5},
+    [{"n": 1}, {"n": 0.5}],
+    {"s": {1, 2}},
+    {1: "int key"},
+    [{"a": 1, 2: "b"}],
+    {"t": (1, 2)},
+])
+def test_dumps_canonical_rejects_values_outside_json_documents(document):
+    with pytest.raises(TypeError):
+        dumps_canonical(document)
