@@ -194,7 +194,7 @@ def cmd_parity(args) -> int:
         n, d = args.random
         if args.trials < 1:
             raise ContractError(f"--trials must be >= 1, got {args.trials}")
-        # a wrong shape is rejected before C(n, d + 1) determinants are spent sampling
+        # a wrong shape is rejected before any attempt is drawn and certified
         _require_linking_shape(d, n)
         seeds = range(args.seed, args.seed + args.trials)
         manifest = partial(
@@ -214,11 +214,10 @@ def cmd_parity(args) -> int:
     ok = True
     for name, config in configs:
         report = total_linked_parity(config, workers=workers)
-        ok = ok and report.parity_ok
-        print(
-            f"{name}: total linked = {report.total_linked} "
-            f"({'even' if report.parity_ok else 'ODD'})"
-        )
+        total = report.total_linked
+        even = total % 2 == 0
+        ok = ok and even
+        print(f"{name}: total linked = {total} ({'even' if even else 'ODD'})")
         # claim (b): some two disjoint (k+1)-subsets have intersecting hulls
         if not any(row.n3 for row in report.per_subset):
             print(f"{name}: no intersecting disjoint pair", file=sys.stderr)

@@ -5,8 +5,12 @@ and a provenance record saying how it was built.  Three constructors are
 provided: points on the moment curve t -> (t, t^2, ..., t^d), explicit point
 lists, and rejection-sampled random integer configurations.
 
-General position means no d+1 points lie in a common (d-1)-hyperplane; it is
-certified exhaustively by checking every (d+1)x(d+1) homogenized determinant.
+General position means no d+1 points lie in a common (d-1)-hyperplane.  For
+n = d+3 points it is certified from the Gale dual: two fraction-free integer
+eliminations give two affine dependences spanning all of them, and a
+(d+1)-subset is dependent exactly when the 2x2 cross product of the two at
+the labels outside it is zero, so C(n, 2) integer products decide every
+subset.  Other shapes check every (d+1)x(d+1) homogenized determinant.
 
 Random sampling PRNG (documented for cross-language reproduction): the value
 for coordinate slot c is drawn from its own splitmix64 output stream
@@ -29,10 +33,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError, SamplingError
-from .ratmat import Matrix, det, format_rational, parse_rational
+from .ratmat import Matrix, det, format_rational, integer_kernel, parse_rational
 
 Point = tuple[Fraction, ...]
 
@@ -41,9 +46,10 @@ _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _PHI64 = 0x9E3779B97F4A7C15
 _MAX_BOUND = (1 << 63) - 1
 _MAX_ATTEMPTS = 1000
-# Each sampler attempt certifies general position with C(n, d + 1)
-# determinants (about 0.6 s for 10,000 of them at d = 4); a shape that needs
-# more is refused before the first draw.
+# Each sampler attempt certifies general position over C(n, d + 1) subsets:
+# one determinant each (about 0.6 s for 10,000 of them at d = 4), or, for
+# n = d + 3, one cross product each, since C(d + 3, d + 1) = C(d + 3, 2).  A
+# shape with more is refused before the first draw.
 _MAX_GP_SUBSETS = 10_000
 
 
@@ -158,6 +164,53 @@ def find_degenerate_subset(config: Configuration) -> tuple[int, ...] | None:
     return None
 
 
+# integer homogeneous columns and two affine dependences spanning all others
+_GalePair = tuple[list[list[int]], tuple[int, ...], tuple[int, ...]]
+
+
+def _gale_pair(config: Configuration) -> _GalePair | None:
+    """Integer homogeneous columns and two affine dependences spanning all of them.
+
+    For n = d + 3 points.  Column i is (p_i, 1) scaled by the positive lcm
+    s_i of p_i's denominators, so the (d+1)×n matrix is integer and its
+    kernel is the space of affine dependences (the Gale dual) with
+    coefficient i divided by s_i, which keeps every sign.  ``a`` omits label
+    n and ``b`` omits label n - 1, each from one ``integer_kernel``
+    elimination; both are padded with a zero at the omitted label.  When
+    both eliminations succeed the kernel is exactly 2-dimensional and
+    a, b span it.  Returns None when an elimination is singular: both pivot
+    on the columns of labels 1..d+1, so those points are affinely dependent.
+    """
+    columns = []
+    for point in config.points:
+        scale = lcm(*(x.denominator for x in point))
+        columns.append([x.numerator * (scale // x.denominator) for x in point] + [scale])
+    rows = list(zip(*columns))
+    a = integer_kernel([row[:-1] for row in rows])
+    b = integer_kernel([row[:-2] + row[-1:] for row in rows])
+    if a is None or b is None:
+        return None
+    return columns, a + (0,), b[:-1] + (0,) + b[-1:]
+
+
+def _in_general_position(config: Configuration) -> bool:
+    """``find_degenerate_subset(config) is None``, from the Gale pair when n = d + 3.
+
+    Every affine dependence is x·a + y·b, so a (d+1)-subset S is affinely
+    dependent exactly when a nonzero one vanishes at both labels i, j
+    outside S, which is when the cross product a_i·b_j - a_j·b_i is zero.  A
+    singular elimination already shows labels 1..d+1 dependent.  Other
+    shapes run the scan.
+    """
+    if config.n != config.dimension + 3:
+        return find_degenerate_subset(config) is None
+    pair = _gale_pair(config)
+    if pair is None:
+        return False
+    _, a, b = pair
+    return all(ai * bj != aj * bi for (ai, bi), (aj, bj) in combinations(zip(a, b), 2))
+
+
 def is_general_position(config: Configuration) -> bool:
     """True iff every (d+1)-subset of the points spans R^d affinely."""
     if config.n < config.dimension + 1:
@@ -167,7 +220,7 @@ def is_general_position(config: Configuration) -> bool:
             stacklevel=2,
         )
         return True
-    return find_degenerate_subset(config) is None
+    return _in_general_position(config)
 
 
 def _mix64(z: int) -> int:
@@ -222,18 +275,21 @@ def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Config
 
     Coordinates are uniform integers in [-bound, bound]; whole configurations
     are redrawn until general position holds.  Identical (n, d, seed, bound)
-    always produce identical output.  A bound outside [1, 2^63 - 1] raises
-    ContractError, and so does a shape whose general-position check needs
-    more than ``_MAX_GP_SUBSETS`` (10,000) determinants, C(n, d + 1), per
-    attempt; both are checked before any point is drawn.  Small bounds may
-    exhaust the ``_MAX_ATTEMPTS`` budget, which raises SamplingError.
+    always produce identical output.  Each attempt is certified by
+    ``_in_general_position``: two integer eliminations and C(n, 2) cross
+    products when n = d + 3, every (d+1)x(d+1) determinant otherwise.  A
+    bound outside [1, 2^63 - 1] raises ContractError, and so does a shape
+    with more than ``_MAX_GP_SUBSETS`` (10,000) (d+1)-subsets, C(n, d + 1),
+    to certify per attempt; both are checked before any point is drawn.
+    Small bounds may exhaust the ``_MAX_ATTEMPTS`` budget, which raises
+    SamplingError.
     """
     if n < d + 1:
         raise ContractError(f"need n >= d + 1 points, got n={n}, d={d}")
     _check_bound(bound)
     if _exceeds_binomial(n, d + 1, _MAX_GP_SUBSETS):
         raise ContractError(
-            f"n={n}, d={d}: the general-position check needs C(n, d + 1) determinants "
+            f"n={n}, d={d}: the general-position check covers C(n, d + 1) subsets "
             f"per sampling attempt, more than the sampler's ceiling of {_MAX_GP_SUBSETS:,}"
         )
     for attempt in range(_MAX_ATTEMPTS):
@@ -242,7 +298,7 @@ def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Config
             points=tuple(_attempt_points(n, d, seed, bound, attempt)),
             provenance=RandomSample(seed=seed, bound=bound, attempts=attempt + 1),
         )
-        if find_degenerate_subset(config) is None:
+        if _in_general_position(config):
             return config
     raise SamplingError(
         f"no general-position configuration with n={n}, d={d}, bound={bound} "

@@ -13,9 +13,9 @@ points: the sign split of their unique affine dependence (Radon's theorem;
 Matoušek, *Lectures on Discrete Geometry*, 2002, §5.6).  The affine
 dependences of all n points form a 2-dimensional space, their Gale dual, so
 two of them span it: the dependence of [n] \\ {v} is the 2×2 cross product
-of that pair taken at v.  Two fraction-free integer eliminations therefore
-give every face hit of every I and certify general position; every query
-below reads that table.
+of that pair taken at v.  Two fraction-free integer eliminations
+(``configuration._gale_pair``) therefore give every face hit of every I and
+certify general position; every query below reads that table.
 
 Verification campaigns:
 
@@ -30,7 +30,9 @@ Verification campaigns:
 * ``find_intersecting_pair`` exhibits two disjoint (k+1)-subsets with
   intersecting hulls, which must exist for any d+3 general-position points
   in even dimension d.  It and ``intersecting_pairs`` read which pairs meet
-  from the table and take each pair's witness from ``intersect_complementary``.
+  from the table and build each pair's barycentric witness from the same two
+  dependences, with no further solve; ``intersect_complementary`` is the
+  per-pair oracle the tests compare them with.
 
 Reports are computed serially; the ``workers`` arguments are accepted and
 ignored.  Reports serialize to JSON with a stable key order and carry no
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import lcm
 from typing import Iterable, Iterator
 
 from .combinatorics import (
@@ -52,10 +53,19 @@ from .combinatorics import (
     check_subset,
     combinations_colex,
 )
-from .configuration import Configuration, Point, find_degenerate_subset, moment_curve
+from .configuration import (
+    Configuration,
+    Point,
+    _GalePair,
+    _gale_pair,
+    find_degenerate_subset,
+    moment_curve,
+)
 from .errors import ContractError, DegeneracyError
-from .intersection import IntersectionResult, intersect_complementary
-from .ratmat import format_rational, integer_kernel
+# intersect_complementary is not called here; perfbench's span tracer wraps
+# it under this module's name
+from .intersection import IntersectionResult, intersect_complementary  # noqa: F401
+from .ratmat import format_rational
 
 
 @dataclass(frozen=True)
@@ -163,45 +173,38 @@ def _require_linking_shape(d: int, n: int) -> int:
 def _degeneracy(config: Configuration) -> DegeneracyError:
     """The error for a general-position failure, naming ``find_degenerate_subset``'s subset.
 
-    Called only after a singular elimination or a zero cross product in
-    ``_radon_table``.  Either one means some d + 1 of the points are
+    Called only after a singular elimination in ``_gale`` or a zero cross
+    product in ``_radon_table``.  Either one means some d + 1 of the points are
     affinely dependent, so the scan always finds a subset to name.
     """
     degenerate = find_degenerate_subset(config)
     return DegeneracyError(f"points {degenerate} lie in a common hyperplane", labels=degenerate)
 
 
-def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]]:
+def _gale(config: Configuration) -> _GalePair:
+    """``_gale_pair(config)``, or DegeneracyError when an elimination is singular."""
+    pair = _gale_pair(config)
+    if pair is None:
+        raise _degeneracy(config)
+    return pair
+
+
+def _radon_table(config: Configuration, gale: _GalePair) -> dict[IndexSubset, tuple[FaceHit, ...]]:
     """Face hits of every (k+1)-subset that has any, from two dependences.
 
-    Column i of the homogeneous (d+1)×n matrix is (p_i, 1) scaled by the
-    positive lcm of p_i's denominators, so the matrix is integer and its
-    2-dimensional kernel is the space of affine dependences (the Gale dual)
-    with each coefficient divided by that positive scale, which keeps every
-    sign.  ``a`` omits label n and ``b`` omits label n - 1; two integer
-    eliminations (``integer_kernel``) certify that the kernel is exactly
-    2-dimensional, so for each label v the integer cross product
+    ``gale`` is ``_gale(config)``: the homogeneous columns, each scaled by a
+    positive integer, and two integer dependences a, b spanning the
+    2-dimensional Gale dual.  For each label v the integer cross product
     c = a_v·b - b_v·a is the dependence of [n] \\ {v}, up to scale.  Its
     sign split is that set's Radon partition, and c_i = 0 for some i != v
     exactly when the d + 1 points [n] \\ {v, i} are affinely dependent.
     Each Radon point is the first ``Fraction`` formed.  Each subset's hits
-    are in the colex order of their faces.  A singular elimination or a zero
-    c_i raises DegeneracyError with ``find_degenerate_subset``'s subset.
+    are in the colex order of their faces.  A zero c_i raises
+    DegeneracyError with ``find_degenerate_subset``'s subset.
     """
     k = config.dimension // 2
     labels = tuple(config.labels)
-    columns = []
-    for point in config.points:
-        scale = lcm(*(x.denominator for x in point))
-        columns.append([x.numerator * (scale // x.denominator) for x in point] + [scale])
-    rows = list(zip(*columns))
-    a = integer_kernel([row[:-1] for row in rows])
-    b = integer_kernel([row[:-2] + row[-1:] for row in rows])
-    if a is None or b is None:
-        # both eliminations pivot on the first d + 1 columns
-        raise _degeneracy(config)
-    a = a + (0,)
-    b = b[:-1] + (0,) + b[-1:]
+    columns, a, b = gale
     found: dict[IndexSubset, list[FaceHit]] = {}
     for av, bv in zip(a, b):
         gamma = [av * bi - bv * ai for ai, bi in zip(a, b)]
@@ -227,6 +230,33 @@ def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]
     }
 
 
+def _witness(
+    gale: _GalePair, first: IndexSubset, second: IndexSubset, point: Point
+) -> IntersectionResult:
+    """The barycentric witness of a pair the table found meeting at ``point``.
+
+    ``first`` and ``second`` cover every label but v, so their dependence
+    is c = a_v·b - b_v·a.  With s_i the positive scale of column i,
+    g_i = c_i·s_i is that affine dependence of the points themselves, and the
+    coordinates are g_i / Σ_first g on ``first`` and -g_j / Σ_first g on
+    ``second``: ``intersect_complementary``'s, with no solve.
+    """
+    columns, a, b = gale
+    n = len(columns)
+    v = n * (n + 1) // 2 - sum(first) - sum(second)
+    av, bv = a[v - 1], b[v - 1]
+    weight = {
+        label: (av * b[label - 1] - bv * a[label - 1]) * columns[label - 1][-1]
+        for label in first + second
+    }
+    total = sum(weight[label] for label in first)
+    return IntersectionResult(
+        point=point,
+        coeffs_first=tuple(Fraction(weight[label], total) for label in first),
+        coeffs_second=tuple(Fraction(-weight[label], total) for label in second),
+    )
+
+
 def boundary_intersection_count(config: Configuration, subset: Iterable[int]) -> int:
     """Number of boundary points of the complementary simplex met by conv(I).
 
@@ -238,7 +268,7 @@ def boundary_intersection_count(config: Configuration, subset: Iterable[int]) ->
     canon = check_subset(subset, config.n, name="I")
     if len(canon) != k + 1:
         raise ContractError(f"|I| must be k + 1 = {k + 1}, got {len(canon)}")
-    hits = _radon_table(config).get(canon, ())
+    hits = _radon_table(config, _gale(config)).get(canon, ())
     assert len({hit.point for hit in hits}) == len(hits), \
         "coincident face hits indicate a general-position violation"
     return len(hits)
@@ -257,14 +287,17 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     whole report costs two integer eliminations and is computed serially.
     """
     k = _require_linking_shape(config.dimension, config.n)
-    table = _radon_table(config)
+    table = _radon_table(config, _gale(config))
     rows = []
     for subset in combinations_colex(tuple(config.labels), k + 1):
         hits = table.get(subset, ())
+        # no label of J can sit between two adjacent labels a, a + 1 of I,
+        # so no J alternates with such an I
+        adjacent = any(y - x == 1 for x, y in zip(subset, subset[1:]))
         rows.append(SubsetCounts(
             subset=subset,
             n1=len({hit.point for hit in hits}),
-            n4=alternating_count_bruteforce(subset, config.n),
+            n4=0 if adjacent else alternating_count_bruteforce(subset, config.n),
             hits=hits,
         ))
     return LinkReport(
@@ -299,9 +332,10 @@ def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
             )
         if row.n1 % 2 != 0:
             failures.append(f"odd boundary count {row.n1} at I={row.subset}")
-    if report.total_linked != 0:
-        failures.append(f"{report.total_linked} linked subsets: {report.linked_subsets}")
-    if not report.parity_ok:
+    total = report.total_linked
+    if total != 0:
+        failures.append(f"{total} linked subsets: {report.linked_subsets}")
+    if total % 2 != 0:
         failures.append("total linked count is odd")
     return CounterexampleReport(report=report, failures=tuple(failures))
 
@@ -313,16 +347,18 @@ def intersecting_pairs(
 
     Pairs come in ``enumerate_disjoint_pairs`` order: ``first`` holds the
     smaller minimum and walks the table's subsets in colex order, and its
-    partners follow in the colex order of the table's hits.
-    ``intersect_complementary`` gives each pair's witness.  Raises
-    DegeneracyError on the first step when general position fails.
+    partners follow in the colex order of the table's hits.  Each pair's
+    witness comes from the same two dependences as the table, equal field
+    by field to ``intersect_complementary``'s.  Raises DegeneracyError on
+    the first step when general position fails.
     """
     _require_linking_shape(config.dimension, config.n)
-    table = _radon_table(config)
+    gale = _gale(config)
+    table = _radon_table(config, gale)
     for first in sorted(table, key=lambda subset: subset[::-1]):
         for hit in table[first]:
             if hit.face[0] > first[0]:
-                yield first, hit.face, intersect_complementary(config, first, hit.face)
+                yield first, hit.face, _witness(gale, first, hit.face, hit.point)
 
 
 def find_intersecting_pair(
@@ -366,6 +402,7 @@ def link_report_document(report: LinkReport, manifest: dict | None = None) -> di
     Key order is fixed; elapsed time and timestamps are deliberately absent
     so that identical inputs give byte-identical documents.
     """
+    total = report.total_linked
     doc = {
         "config": {
             "dimension": report.dimension,
@@ -386,8 +423,8 @@ def link_report_document(report: LinkReport, manifest: dict | None = None) -> di
         ],
         "linked_pairs": [list(s) for s in report.linked_subsets],
         "single_point_subsets": [list(s) for s in report.single_point_subsets],
-        "total": report.total_linked,
-        "parity_ok": report.parity_ok,
+        "total": total,
+        "parity_ok": total % 2 == 0,
         "witnesses": _witnesses_json(report),
         "failures": [],
     }

@@ -15,7 +15,9 @@ from linkparity.configuration import (
     MomentCurve,
     RandomSample,
     _PHI64,
+    _attempt_points,
     _exceeds_binomial,
+    _gale_pair,
     explicit_configuration,
     find_degenerate_subset,
     is_general_position,
@@ -68,6 +70,32 @@ def test_collinear_points_detected():
     config = explicit_configuration([(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
     assert not is_general_position(config)
     assert find_degenerate_subset(config) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("n, d", [(5, 2), (7, 4), (9, 6)])
+def test_gale_general_position_equals_the_scan(n, d):
+    # attempt 0 of each seed, degenerate or not; small bounds make most
+    # attempts degenerate
+    for bound in (1, 2, 3, 1000):
+        for seed in range(150):
+            config = Configuration(
+                dimension=d,
+                points=tuple(_attempt_points(n, d, seed, bound, 0)),
+                provenance=RandomSample(seed=seed, bound=bound, attempts=1),
+            )
+            expected = find_degenerate_subset(config) is None
+            assert is_general_position(config) == expected, (bound, seed)
+
+
+def test_gale_general_position_with_dependent_leading_points():
+    # points 1..5 lie in x_4 = 0, so both eliminations are singular
+    config = explicit_configuration([
+        (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+        (1, 1, 1, 0), (0, 0, 0, 1), (3, 1, 4, 1),
+    ])
+    assert _gale_pair(config) is None
+    assert not is_general_position(config)
+    assert find_degenerate_subset(config) == (1, 2, 3, 4, 5)
 
 
 def test_general_position_permutation_invariant():

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkparity.combinatorics import combinations_colex, enumerate_disjoint_pairs
+from linkparity.combinatorics import (
+    alternating_count_bruteforce,
+    combinations_colex,
+    enumerate_disjoint_pairs,
+)
 from linkparity.configuration import (
     explicit_configuration,
     find_degenerate_subset,
@@ -197,6 +201,32 @@ def test_radon_table_matches_per_face_solves():
             assert row.n1 == len({point for _, point in expected}), case
         assert list(intersecting_pairs(config)) == _per_pair_reference(config), \
             config.provenance.describe()
+
+
+def _witness_cases():
+    for n, d in ((5, 2), (7, 4), (9, 6)):
+        for bound in (3, 1000):
+            for seed in range(100):
+                yield sample_random_configuration(n, d, seed=seed, bound=bound)
+    for k in range(1, 5):
+        yield moment_curve(2 * k + 3, 2 * k)
+
+
+def test_witnesses_equal_the_per_pair_solve():
+    for config in _witness_cases():
+        for first, second, result in intersecting_pairs(config):
+            expected = intersect_complementary(config, first, second)
+            case = (config.provenance.describe(), first, second)
+            assert result.point == expected.point, case
+            assert result.coeffs_first == expected.coeffs_first, case
+            assert result.coeffs_second == expected.coeffs_second, case
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_n4_equals_the_bruteforce_count(k):
+    report = total_linked_parity(moment_curve(2 * k + 3, 2 * k))
+    for row in report.per_subset:
+        assert row.n4 == alternating_count_bruteforce(row.subset, report.n), row.subset
 
 
 @st.composite
