@@ -35,6 +35,7 @@ from functools import partial
 
 from . import __version__
 from .combinatorics import (
+    _require_report_rows,
     alternates,
     alternating_count_bruteforce,
     alternating_count_closed_form,
@@ -42,6 +43,7 @@ from .combinatorics import (
 )
 from .configuration import (
     Configuration,
+    _check_sampling,
     load_points,
     moment_curve,
     sample_random_configuration,
@@ -194,8 +196,11 @@ def cmd_parity(args) -> int:
         n, d = args.random
         if args.trials < 1:
             raise ContractError(f"--trials must be >= 1, got {args.trials}")
-        # a wrong shape is rejected before any attempt is drawn and certified
-        _require_linking_shape(d, n)
+        # a wrong shape, a shape the sampler refuses or an oversized report
+        # is rejected before any attempt is drawn and certified
+        k = _require_linking_shape(d, n)
+        _check_sampling(n, d, args.bound)
+        _require_report_rows(k)
         seeds = range(args.seed, args.seed + args.trials)
         manifest = partial(
             _manifest,
@@ -256,6 +261,7 @@ def cmd_alternation(args) -> int:
     if args.k is not None:
         if args.k < 1:
             raise ContractError(f"--k must be >= 1, got {args.k}")
+        _require_report_rows(args.k)
         n = 2 * args.k + 3
         for subset in combinations_colex(tuple(range(1, n + 1)), args.k + 1):
             row, ok = _breakdown_row(subset, n)

@@ -19,6 +19,10 @@ from .errors import ContractError
 
 IndexSubset = tuple[int, ...]
 
+# A report over 2k + 3 points, like the alternation table, has one row per
+# (k+1)-subset: C(21, 10) rows at k = 9, C(23, 11) = 1,352,078 at k = 10.
+MAX_REPORT_ROWS = 352_716
+
 
 def check_subset(labels: Iterable[int], n: int | None = None, name: str = "subset") -> IndexSubset:
     """Validate and canonicalize a label subset.
@@ -65,6 +69,30 @@ def _merged_order_alternates(ps: IndexSubset, qs: IndexSubset) -> bool:
     """
     first, second = (ps, qs) if ps[0] < qs[0] else (qs, ps)
     return all(map(lt, first, second)) and all(map(lt, second, first[1:]))
+
+
+def _exceeds_binomial(n: int, r: int, ceiling: int) -> bool:
+    """True iff C(n, r) > ceiling, for 0 <= r <= n.
+
+    C(n, i) grows with i up to r = min(r, n - r), so the product is built
+    term by term and stops once it passes the ceiling: a huge n or r never
+    forms a huge binomial.
+    """
+    count = 1
+    for i in range(min(r, n - r)):
+        if count > ceiling:
+            return True
+        count = count * (n - i) // (i + 1)
+    return count > ceiling
+
+
+def _require_report_rows(k: int) -> None:
+    """ContractError when a report over 2k + 3 points would exceed ``MAX_REPORT_ROWS`` rows."""
+    if _exceeds_binomial(2 * k + 3, k + 1, MAX_REPORT_ROWS):
+        raise ContractError(
+            f"k={k}: a report has C(2k + 3, k + 1) rows, more than the ceiling of "
+            f"{MAX_REPORT_ROWS:,} (k <= 9)"
+        )
 
 
 def combinations_colex(items: Sequence[int], size: int) -> Iterator[IndexSubset]:

@@ -6,11 +6,12 @@ provided: points on the moment curve t -> (t, t^2, ..., t^d), explicit point
 lists, and rejection-sampled random integer configurations.
 
 General position means no d+1 points lie in a common (d-1)-hyperplane.  For
-n = d+3 points it is certified from the Gale dual: two fraction-free integer
-eliminations give two affine dependences spanning all of them, and a
-(d+1)-subset is dependent exactly when the 2x2 cross product of the two at
-the labels outside it is zero, so C(n, 2) integer products decide every
-subset.  Other shapes check every (d+1)x(d+1) homogenized determinant.
+n = d+3 points ``_gale_pair`` alone decides it, from the Gale dual: two
+fraction-free integer eliminations give two affine dependences spanning all
+of them, and a (d+1)-subset is dependent exactly when the 2x2 cross product
+of the two at the labels outside it is zero, so C(n, 2) integer products
+decide every subset and name the first dependent one, with no determinant.
+Other shapes scan every (d+1)x(d+1) homogenized determinant.
 
 Random sampling PRNG (documented for cross-language reproduction): the value
 for coordinate slot c is drawn from its own splitmix64 output stream
@@ -36,7 +37,8 @@ from itertools import combinations, islice
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ContractError, SamplingError
+from .combinatorics import _exceeds_binomial
+from .errors import ContractError, DegeneracyError, SamplingError
 from .ratmat import Matrix, det, format_rational, integer_kernel, parse_rational
 
 Point = tuple[Fraction, ...]
@@ -152,6 +154,21 @@ def _curve_coordinates(t: Fraction) -> Iterator[Fraction]:
 def find_degenerate_subset(config: Configuration) -> tuple[int, ...] | None:
     """First (d+1)-subset of labels lying in a common hyperplane, or None.
 
+    First in ``itertools.combinations`` order.  For n = d + 3 the subset is
+    the one ``_gale_pair`` names; other shapes run ``_degenerate_subset_scan``.
+    """
+    if config.n != config.dimension + 3:
+        return _degenerate_subset_scan(config)
+    try:
+        _gale_pair(config)
+    except DegeneracyError as exc:
+        return exc.labels
+    return None
+
+
+def _degenerate_subset_scan(config: Configuration) -> tuple[int, ...] | None:
+    """``find_degenerate_subset`` by C(n, d+1) determinants, for any shape.
+
     Affine dependence of points p_1..p_{d+1} is the vanishing of the
     homogenized determinant with rows (p_i, 1).
     """
@@ -168,7 +185,7 @@ def find_degenerate_subset(config: Configuration) -> tuple[int, ...] | None:
 _GalePair = tuple[list[list[int]], tuple[int, ...], tuple[int, ...]]
 
 
-def _gale_pair(config: Configuration) -> _GalePair | None:
+def _gale_pair(config: Configuration) -> _GalePair:
     """Integer homogeneous columns and two affine dependences spanning all of them.
 
     For n = d + 3 points.  Column i is (p_i, 1) scaled by the positive lcm
@@ -176,10 +193,14 @@ def _gale_pair(config: Configuration) -> _GalePair | None:
     kernel is the space of affine dependences (the Gale dual) with
     coefficient i divided by s_i, which keeps every sign.  ``a`` omits label
     n and ``b`` omits label n - 1, each from one ``integer_kernel``
-    elimination; both are padded with a zero at the omitted label.  When
-    both eliminations succeed the kernel is exactly 2-dimensional and
-    a, b span it.  Returns None when an elimination is singular: both pivot
-    on the columns of labels 1..d+1, so those points are affinely dependent.
+    elimination, padded with a zero at the omitted label.
+
+    Outside general position this raises DegeneracyError naming the scan's
+    first dependent (d+1)-subset: labels 1..d+1, on which both eliminations
+    pivot, when one is singular; otherwise a, b span the kernel and
+    [n] \\ {i, j} is dependent iff a_i·b_j - a_j·b_i = 0, so the first such
+    (i, j) in reverse lexicographic order, the ``combinations`` order of
+    the complements, names it.
     """
     columns = []
     for point in config.points:
@@ -189,26 +210,15 @@ def _gale_pair(config: Configuration) -> _GalePair | None:
     a = integer_kernel([row[:-1] for row in rows])
     b = integer_kernel([row[:-2] + row[-1:] for row in rows])
     if a is None or b is None:
-        return None
-    return columns, a + (0,), b[:-1] + (0,) + b[-1:]
-
-
-def _in_general_position(config: Configuration) -> bool:
-    """``find_degenerate_subset(config) is None``, from the Gale pair when n = d + 3.
-
-    Every affine dependence is x·a + y·b, so a (d+1)-subset S is affinely
-    dependent exactly when a nonzero one vanishes at both labels i, j
-    outside S, which is when the cross product a_i·b_j - a_j·b_i is zero.  A
-    singular elimination already shows labels 1..d+1 dependent.  Other
-    shapes run the scan.
-    """
-    if config.n != config.dimension + 3:
-        return find_degenerate_subset(config) is None
-    pair = _gale_pair(config)
-    if pair is None:
-        return False
-    _, a, b = pair
-    return all(ai * bj != aj * bi for (ai, bi), (aj, bj) in combinations(zip(a, b), 2))
+        degenerate = tuple(range(1, config.dimension + 2))
+    else:
+        a, b = a + (0,), b[:-1] + (0,) + b[-1:]
+        pairs = reversed(list(combinations(range(config.n), 2)))
+        zero = next(((i, j) for i, j in pairs if a[i] * b[j] == a[j] * b[i]), None)
+        if zero is None:
+            return columns, a, b
+        degenerate = tuple(label for label in config.labels if label - 1 not in zero)
+    raise DegeneracyError(f"points {degenerate} lie in a common hyperplane", labels=degenerate)
 
 
 def is_general_position(config: Configuration) -> bool:
@@ -220,7 +230,7 @@ def is_general_position(config: Configuration) -> bool:
             stacklevel=2,
         )
         return True
-    return _in_general_position(config)
+    return find_degenerate_subset(config) is None
 
 
 def _mix64(z: int) -> int:
@@ -255,35 +265,8 @@ def _attempt_points(n: int, d: int, seed: int, bound: int, attempt: int) -> Iter
         yield tuple(Fraction(_coordinate_draw(seed, base + i * d + j, bound)) for j in range(d))
 
 
-def _exceeds_binomial(n: int, r: int, ceiling: int) -> bool:
-    """True iff C(n, r) > ceiling, for 0 <= r <= n.
-
-    C(n, i) grows with i up to r = min(r, n - r), so the product is built
-    term by term and stops once it passes the ceiling: a huge n or r never
-    forms a huge binomial.
-    """
-    count = 1
-    for i in range(min(r, n - r)):
-        if count > ceiling:
-            return True
-        count = count * (n - i) // (i + 1)
-    return count > ceiling
-
-
-def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Configuration:
-    """Deterministic rejection sampler for general-position integer configurations.
-
-    Coordinates are uniform integers in [-bound, bound]; whole configurations
-    are redrawn until general position holds.  Identical (n, d, seed, bound)
-    always produce identical output.  Each attempt is certified by
-    ``_in_general_position``: two integer eliminations and C(n, 2) cross
-    products when n = d + 3, every (d+1)x(d+1) determinant otherwise.  A
-    bound outside [1, 2^63 - 1] raises ContractError, and so does a shape
-    with more than ``_MAX_GP_SUBSETS`` (10,000) (d+1)-subsets, C(n, d + 1),
-    to certify per attempt; both are checked before any point is drawn.
-    Small bounds may exhaust the ``_MAX_ATTEMPTS`` budget, which raises
-    SamplingError.
-    """
+def _check_sampling(n: int, d: int, bound: int) -> None:
+    """The sampler's argument checks, made before any point is drawn."""
     if n < d + 1:
         raise ContractError(f"need n >= d + 1 points, got n={n}, d={d}")
     _check_bound(bound)
@@ -292,13 +275,30 @@ def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Config
             f"n={n}, d={d}: the general-position check covers C(n, d + 1) subsets "
             f"per sampling attempt, more than the sampler's ceiling of {_MAX_GP_SUBSETS:,}"
         )
+
+
+def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Configuration:
+    """Deterministic rejection sampler for general-position integer configurations.
+
+    Coordinates are uniform integers in [-bound, bound]; whole configurations
+    are redrawn until general position holds.  Identical (n, d, seed, bound)
+    always produce identical output.  Each attempt is certified by
+    ``find_degenerate_subset``: two integer eliminations and C(n, 2) cross
+    products when n = d + 3, every (d+1)x(d+1) determinant otherwise.  A
+    bound outside [1, 2^63 - 1] raises ContractError, and so does a shape
+    with more than ``_MAX_GP_SUBSETS`` (10,000) (d+1)-subsets, C(n, d + 1),
+    to certify per attempt; ``_check_sampling`` checks both before any point
+    is drawn.  Small bounds may exhaust the ``_MAX_ATTEMPTS`` budget, which
+    raises SamplingError.
+    """
+    _check_sampling(n, d, bound)
     for attempt in range(_MAX_ATTEMPTS):
         config = Configuration(
             dimension=d,
             points=tuple(_attempt_points(n, d, seed, bound, attempt)),
             provenance=RandomSample(seed=seed, bound=bound, attempts=attempt + 1),
         )
-        if _in_general_position(config):
+        if find_degenerate_subset(config) is None:
             return config
     raise SamplingError(
         f"no general-position configuration with n={n}, d={d}, bound={bound} "

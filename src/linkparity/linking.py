@@ -14,8 +14,10 @@ Matoušek, *Lectures on Discrete Geometry*, 2002, §5.6).  The affine
 dependences of all n points form a 2-dimensional space, their Gale dual, so
 two of them span it: the dependence of [n] \\ {v} is the 2×2 cross product
 of that pair taken at v.  Two fraction-free integer eliminations
-(``configuration._gale_pair``) therefore give every face hit of every I and
-certify general position; every query below reads that table.
+(``configuration._gale_pair``) therefore give every face hit of every I.
+That pair also certifies general position, or raises DegeneracyError naming
+the first dependent (d+1)-subset, so this module holds no general-position
+code; every query below reads the table.
 
 Verification campaigns:
 
@@ -49,21 +51,22 @@ from typing import Iterable, Iterator
 
 from .combinatorics import (
     IndexSubset,
+    _require_report_rows,
     alternating_count_bruteforce,
     check_subset,
     combinations_colex,
 )
+# find_degenerate_subset and intersect_complementary are not called here;
+# perfbench's span tracer wraps them under this module's name
 from .configuration import (
     Configuration,
     Point,
     _GalePair,
     _gale_pair,
-    find_degenerate_subset,
+    find_degenerate_subset,  # noqa: F401
     moment_curve,
 )
-from .errors import ContractError, DegeneracyError
-# intersect_complementary is not called here; perfbench's span tracer wraps
-# it under this module's name
+from .errors import ContractError
 from .intersection import IntersectionResult, intersect_complementary  # noqa: F401
 from .ratmat import format_rational
 
@@ -170,37 +173,16 @@ def _require_linking_shape(d: int, n: int) -> int:
     return d // 2
 
 
-def _degeneracy(config: Configuration) -> DegeneracyError:
-    """The error for a general-position failure, naming ``find_degenerate_subset``'s subset.
-
-    Called only after a singular elimination in ``_gale`` or a zero cross
-    product in ``_radon_table``.  Either one means some d + 1 of the points are
-    affinely dependent, so the scan always finds a subset to name.
-    """
-    degenerate = find_degenerate_subset(config)
-    return DegeneracyError(f"points {degenerate} lie in a common hyperplane", labels=degenerate)
-
-
-def _gale(config: Configuration) -> _GalePair:
-    """``_gale_pair(config)``, or DegeneracyError when an elimination is singular."""
-    pair = _gale_pair(config)
-    if pair is None:
-        raise _degeneracy(config)
-    return pair
-
-
 def _radon_table(config: Configuration, gale: _GalePair) -> dict[IndexSubset, tuple[FaceHit, ...]]:
     """Face hits of every (k+1)-subset that has any, from two dependences.
 
-    ``gale`` is ``_gale(config)``: the homogeneous columns, each scaled by a
-    positive integer, and two integer dependences a, b spanning the
-    2-dimensional Gale dual.  For each label v the integer cross product
-    c = a_v·b - b_v·a is the dependence of [n] \\ {v}, up to scale.  Its
-    sign split is that set's Radon partition, and c_i = 0 for some i != v
-    exactly when the d + 1 points [n] \\ {v, i} are affinely dependent.
-    Each Radon point is the first ``Fraction`` formed.  Each subset's hits
-    are in the colex order of their faces.  A zero c_i raises
-    DegeneracyError with ``find_degenerate_subset``'s subset.
+    ``gale`` is ``_gale_pair(config)``: the homogeneous columns, each scaled
+    by a positive integer, and two integer dependences a, b spanning the
+    2-dimensional Gale dual, certified in general position.  For each label
+    v the integer cross product c = a_v·b - b_v·a is the dependence of
+    [n] \\ {v}, up to scale, zero only at v; its sign split is that set's
+    Radon partition.  Each Radon point is the first ``Fraction`` formed.
+    Each subset's hits are in the colex order of their faces.
     """
     k = config.dimension // 2
     labels = tuple(config.labels)
@@ -208,9 +190,6 @@ def _radon_table(config: Configuration, gale: _GalePair) -> dict[IndexSubset, tu
     found: dict[IndexSubset, list[FaceHit]] = {}
     for av, bv in zip(a, b):
         gamma = [av * bi - bv * ai for ai, bi in zip(a, b)]
-        # gamma vanishes at v; any other zero is a dependent (d+1)-subset
-        if gamma.count(0) > 1:
-            raise _degeneracy(config)
         positive = tuple(v for v, g in zip(labels, gamma) if g > 0)
         negative = tuple(v for v, g in zip(labels, gamma) if g < 0)
         # 2k + 2 nonzero coefficients
@@ -268,7 +247,7 @@ def boundary_intersection_count(config: Configuration, subset: Iterable[int]) ->
     canon = check_subset(subset, config.n, name="I")
     if len(canon) != k + 1:
         raise ContractError(f"|I| must be k + 1 = {k + 1}, got {len(canon)}")
-    hits = _radon_table(config, _gale(config)).get(canon, ())
+    hits = _radon_table(config, _gale_pair(config)).get(canon, ())
     assert len({hit.point for hit in hits}) == len(hits), \
         "coincident face hits indicate a general-position violation"
     return len(hits)
@@ -283,11 +262,13 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     """Enumerate every (k+1)-subset, count the linked ones, and check evenness.
 
     Raises DegeneracyError (with the offending subset) when the configuration
-    is not in general position.  ``workers`` is accepted and ignored: the
-    whole report costs two integer eliminations and is computed serially.
+    is not in general position, and ContractError for a report of more than
+    ``MAX_REPORT_ROWS`` rows (k > 9).  ``workers`` is accepted and ignored:
+    the whole report costs two integer eliminations and is computed serially.
     """
     k = _require_linking_shape(config.dimension, config.n)
-    table = _radon_table(config, _gale(config))
+    _require_report_rows(k)
+    table = _radon_table(config, _gale_pair(config))
     rows = []
     for subset in combinations_colex(tuple(config.labels), k + 1):
         hits = table.get(subset, ())
@@ -317,9 +298,11 @@ def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
     combinatorially for every (k+1)-subset I, and requires n1 = n3 = n4, all
     even, and zero linked subsets.  Any violation is recorded as a failure
     (it would falsify the implementation, not the statement being checked).
+    A k above 9 raises ContractError before any point is built.
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
+    _require_report_rows(k)
     config = moment_curve(2 * k + 3, 2 * k)
     report = total_linked_parity(config, workers=workers)
 
@@ -353,7 +336,7 @@ def intersecting_pairs(
     the first step when general position fails.
     """
     _require_linking_shape(config.dimension, config.n)
-    gale = _gale(config)
+    gale = _gale_pair(config)
     table = _radon_table(config, gale)
     for first in sorted(table, key=lambda subset: subset[::-1]):
         for hit in table[first]:

@@ -41,9 +41,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(token)
 
 
-def format_rational(value: Fraction) -> str:
-    """Render as ``p/q``, or plain ``p`` when the denominator is 1."""
-    return str(Fraction(value))
+def format_rational(value: Fraction | int) -> str:
+    """Render as ``p/q``, or plain ``p`` when the denominator is 1.
+
+    ``value`` is a ``Fraction`` or an ``int``, whose ``str`` is already that
+    form, so it is not converted.
+    """
+    return str(value)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkparity import cli, configuration
+from linkparity import cli, configuration, linking
 from linkparity.cli import main
 from linkparity.configuration import (
     moment_curve,
@@ -301,6 +301,65 @@ def test_sampler_refuses_shapes_past_its_determinant_ceiling(argv, tmp_path, mon
     assert main(argv) == 64
     assert "more than the sampler's ceiling of 10,000" in capsys.readouterr().err
     assert not (tmp_path / "never.pts").exists()
+
+
+class _Reached(Exception):
+    pass
+
+
+def _stop_report_work(monkeypatch, error):
+    """Make the first step of each command's report work raise ``error``."""
+    def stop(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(linking, "moment_curve", stop)
+    monkeypatch.setattr(linking, "_gale_pair", stop)
+    monkeypatch.setattr(configuration, "_attempt_points", stop)
+    monkeypatch.setattr(cli, "combinations_colex", stop)
+    monkeypatch.setattr(cli, "alternating_count_closed_form", stop)
+
+
+_PAST_THE_ROW_CEILING = AssertionError("work started on a report past the row ceiling")
+
+
+@pytest.mark.parametrize("argv", [
+    # C(23, 11) = 1,352,078 rows
+    ["verify", "-k", "10"],
+    ["verify", "-k", "15", "--json", "never.json"],
+    ["verify", "-k", str(_HUGE)],
+    ["alternation", "--k", "10"],
+    ["alternation", "--k", "15"],
+    ["alternation", "--k", str(_HUGE)],
+    # the sampler admits C(33, 31) = 528 subsets; the report has C(33, 16)
+    ["parity", "--random", "33", "30"],
+    ["parity", "--random", "23", "20", "--json", "never.json"],
+    ["parity", "--input", "k10.pts"],
+])
+def test_reports_past_the_row_ceiling_exit_64_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    _stop_report_work(monkeypatch, _PAST_THE_ROW_CEILING)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k10.pts").write_text(
+        "20 23\n" + "".join(f"{i}" + " 0" * 19 + "\n" for i in range(23))
+    )
+    assert main(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: k=")
+    assert err.endswith(": a report has C(2k + 3, k + 1) rows, "
+                        "more than the ceiling of 352,716 (k <= 9)\n")
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-k", "9"],
+    ["alternation", "--k", "9"],
+    ["parity", "--random", "21", "18"],
+])
+def test_the_row_ceiling_admits_k9(argv, monkeypatch):
+    # C(21, 10) = 352,716 rows: the work starts, and is stopped here
+    _stop_report_work(monkeypatch, _Reached())
+    with pytest.raises(_Reached):
+        main(argv)
 
 
 @pytest.mark.parametrize("n, d, complaint", [

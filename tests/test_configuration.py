@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkparity.cli import main
+from linkparity.combinatorics import _exceeds_binomial
 from linkparity.configuration import (
     Configuration,
     Explicit,
@@ -16,7 +17,7 @@ from linkparity.configuration import (
     RandomSample,
     _PHI64,
     _attempt_points,
-    _exceeds_binomial,
+    _degenerate_subset_scan,
     _gale_pair,
     explicit_configuration,
     find_degenerate_subset,
@@ -26,7 +27,7 @@ from linkparity.configuration import (
     sample_random_configuration,
     write_points_text,
 )
-from linkparity.errors import ContractError, SamplingError
+from linkparity.errors import ContractError, DegeneracyError, SamplingError
 
 
 def test_moment_curve_default_parameters():
@@ -72,7 +73,7 @@ def test_collinear_points_detected():
     assert find_degenerate_subset(config) == (1, 2, 3)
 
 
-@pytest.mark.parametrize("n, d", [(5, 2), (7, 4), (9, 6)])
+@pytest.mark.parametrize("n, d", [(4, 1), (5, 2), (6, 3), (7, 4), (8, 5), (9, 6)])
 def test_gale_general_position_equals_the_scan(n, d):
     # attempt 0 of each seed, degenerate or not; small bounds make most
     # attempts degenerate
@@ -83,8 +84,9 @@ def test_gale_general_position_equals_the_scan(n, d):
                 points=tuple(_attempt_points(n, d, seed, bound, 0)),
                 provenance=RandomSample(seed=seed, bound=bound, attempts=1),
             )
-            expected = find_degenerate_subset(config) is None
-            assert is_general_position(config) == expected, (bound, seed)
+            expected = _degenerate_subset_scan(config)
+            assert find_degenerate_subset(config) == expected, (bound, seed)
+            assert is_general_position(config) == (expected is None), (bound, seed)
 
 
 def test_gale_general_position_with_dependent_leading_points():
@@ -93,9 +95,12 @@ def test_gale_general_position_with_dependent_leading_points():
         (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
         (1, 1, 1, 0), (0, 0, 0, 1), (3, 1, 4, 1),
     ])
-    assert _gale_pair(config) is None
+    with pytest.raises(DegeneracyError) as info:
+        _gale_pair(config)
+    assert info.value.labels == (1, 2, 3, 4, 5)
+    assert str(info.value) == "points (1, 2, 3, 4, 5) lie in a common hyperplane"
     assert not is_general_position(config)
-    assert find_degenerate_subset(config) == (1, 2, 3, 4, 5)
+    assert find_degenerate_subset(config) == _degenerate_subset_scan(config) == (1, 2, 3, 4, 5)
 
 
 def test_general_position_permutation_invariant():

@@ -12,9 +12,12 @@ from linkparity.combinatorics import (
     combinations_colex,
     enumerate_disjoint_pairs,
 )
+from linkparity import configuration
 from linkparity.configuration import (
+    _degenerate_subset_scan,
     explicit_configuration,
     find_degenerate_subset,
+    is_general_position,
     moment_curve,
     sample_random_configuration,
 )
@@ -254,7 +257,8 @@ def _linking_queries(subset):
 @settings(max_examples=200, deadline=None)
 def test_entry_points_name_the_scanned_degenerate_subset(case):
     config, subset = case
-    degenerate = find_degenerate_subset(config)
+    degenerate = _degenerate_subset_scan(config)
+    assert find_degenerate_subset(config) == degenerate
     for query in _linking_queries(subset):
         if degenerate is None:
             query(config)
@@ -276,15 +280,36 @@ _DEGENERATE_CASES = (
 )
 
 
+def _assert_every_query_names(config, degenerate):
+    k = config.dimension // 2
+    for query in _linking_queries(tuple(range(1, k + 2))):
+        with pytest.raises(DegeneracyError) as info:
+            query(config)
+        assert info.value.labels == degenerate, config.points
+
+
 def test_degenerate_subset_does_not_depend_on_the_query():
     for points, degenerate in _DEGENERATE_CASES:
         config = explicit_configuration(points)
+        assert _degenerate_subset_scan(config) == degenerate
+        _assert_every_query_names(config, degenerate)
+
+
+def test_degenerate_subsets_are_named_without_determinants(monkeypatch):
+    # for n = d + 3 the Gale pair decides general position and names the
+    # subset, so neither the sampler nor any query reaches the scan
+    def no_det(*args):
+        raise AssertionError("determinant computed for n = d + 3 points")
+
+    monkeypatch.setattr(configuration, "det", no_det)
+    for points, degenerate in _DEGENERATE_CASES:
+        config = explicit_configuration(points)
         assert find_degenerate_subset(config) == degenerate
-        k = config.dimension // 2
-        for query in _linking_queries(tuple(range(1, k + 2))):
-            with pytest.raises(DegeneracyError) as info:
-                query(config)
-            assert info.value.labels == degenerate, points
+        assert not is_general_position(config)
+        _assert_every_query_names(config, degenerate)
+    # bound 3 makes many attempts degenerate
+    for seed in range(5):
+        total_linked_parity(sample_random_configuration(7, 4, seed=seed, bound=3))
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -175,6 +175,7 @@ def test_parse_plain_integer_and_signs():
     assert parse_rational("+4/8") == Fraction(1, 2)
     assert format_rational(Fraction(4, 1)) == "4"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
+    assert format_rational(-12) == "-12"
 
 
 @pytest.mark.parametrize(
