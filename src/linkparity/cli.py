@@ -28,8 +28,8 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 
@@ -256,32 +256,30 @@ def _breakdown_row(subset, n) -> tuple[list, bool]:
 def cmd_alternation(args) -> int:
     if (args.k is None) == (args.subset is None):
         raise ContractError("exactly one of --k or --subset is required")
-    rows = []
-    all_ok = True
     if args.k is not None:
         if args.k < 1:
             raise ContractError(f"--k must be >= 1, got {args.k}")
         _require_report_rows(args.k)
         n = 2 * args.k + 3
-        for subset in combinations_colex(tuple(range(1, n + 1)), args.k + 1):
-            row, ok = _breakdown_row(subset, n)
-            rows.append(row)
-            all_ok = all_ok and ok
+        # made one at a time as they are written
+        rows = (
+            _breakdown_row(subset, n)
+            for subset in combinations_colex(tuple(range(1, n + 1)), args.k + 1)
+        )
     else:
         if args.n is None:
             raise ContractError("--subset requires --n")
-        row, all_ok = _breakdown_row(_parse_labels(args.subset), args.n)
-        rows.append(row)
+        # made before anything is written, since a bad subset is refused here
+        rows = (_breakdown_row(_parse_labels(args.subset), args.n),)
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["I", "case", "block_sizes", "count"])
-    writer.writerows(rows)
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii", newline="") as handle:
-            handle.write(buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
+    all_ok = True
+    with (open(args.csv, "w", encoding="ascii", newline="") if args.csv
+          else nullcontext(sys.stdout)) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["I", "case", "block_sizes", "count"])
+        for row, ok in rows:
+            writer.writerow(row)
+            all_ok = all_ok and ok
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 

@@ -8,10 +8,12 @@ lists, and rejection-sampled random integer configurations.
 General position means no d+1 points lie in a common (d-1)-hyperplane.  For
 n = d+3 points ``_gale_pair`` alone decides it, from the Gale dual: two
 fraction-free integer eliminations give two affine dependences spanning all
-of them, and a (d+1)-subset is dependent exactly when the 2x2 cross product
-of the two at the labels outside it is zero, so C(n, 2) integer products
-decide every subset and name the first dependent one, with no determinant.
-Other shapes scan every (d+1)x(d+1) homogenized determinant.
+of them, and their 2x2 cross products at each label v give the n
+dependences of [n] \\ {v}.  A (d+1)-subset is dependent exactly when the
+dependence of one label outside it is zero at the other, so these integers
+decide every subset and name the first dependent one, with no determinant;
+the linking code reads its Radon partitions from the same rows.  Other
+shapes scan every (d+1)x(d+1) homogenized determinant.
 
 Random sampling PRNG (documented for cross-language reproduction): the value
 for coordinate slot c is drawn from its own splitmix64 output stream
@@ -50,7 +52,7 @@ _MAX_BOUND = (1 << 63) - 1
 _MAX_ATTEMPTS = 1000
 # Each sampler attempt certifies general position over C(n, d + 1) subsets:
 # one determinant each (about 0.6 s for 10,000 of them at d = 4), or, for
-# n = d + 3, one cross product each, since C(d + 3, d + 1) = C(d + 3, 2).  A
+# n = d + 3, one cross-product entry each, since C(d + 3, d + 1) = C(d + 3, 2).  A
 # shape with more is refused before the first draw.
 _MAX_GP_SUBSETS = 10_000
 
@@ -181,26 +183,24 @@ def _degenerate_subset_scan(config: Configuration) -> tuple[int, ...] | None:
     return None
 
 
-# integer homogeneous columns and two affine dependences spanning all others
-_GalePair = tuple[list[list[int]], tuple[int, ...], tuple[int, ...]]
-
-
-def _gale_pair(config: Configuration) -> _GalePair:
-    """Integer homogeneous columns and two affine dependences spanning all of them.
+def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer homogeneous columns, and the affine dependence of each n - 1 of them.
 
     For n = d + 3 points.  Column i is (p_i, 1) scaled by the positive lcm
     s_i of p_i's denominators, so the (d+1)×n matrix is integer and its
     kernel is the space of affine dependences (the Gale dual) with
-    coefficient i divided by s_i, which keeps every sign.  ``a`` omits label
-    n and ``b`` omits label n - 1, each from one ``integer_kernel``
-    elimination, padded with a zero at the omitted label.
+    coefficient i divided by s_i, which keeps every sign.  Two
+    ``integer_kernel`` eliminations span that 2-dimensional space: ``a``
+    omits label n and ``b`` label n - 1, each padded with a zero at the
+    omitted label.  Row v - 1 of the returned dependences is the cross
+    product a_v·b - b_v·a, the dependence of [n] \\ {v}, zero at v.
 
     Outside general position this raises DegeneracyError naming the scan's
     first dependent (d+1)-subset: labels 1..d+1, on which both eliminations
     pivot, when one is singular; otherwise a, b span the kernel and
-    [n] \\ {i, j} is dependent iff a_i·b_j - a_j·b_i = 0, so the first such
-    (i, j) in reverse lexicographic order, the ``combinations`` order of
-    the complements, names it.
+    [n] \\ {u, v} is dependent iff row u - 1 is zero at v too, so the first
+    such pair (u, v) in reverse lexicographic order, the ``combinations``
+    order of the complements, names it.  Certified rows are zero only at v.
     """
     columns = []
     for point in config.points:
@@ -213,10 +213,11 @@ def _gale_pair(config: Configuration) -> _GalePair:
         degenerate = tuple(range(1, config.dimension + 2))
     else:
         a, b = a + (0,), b[:-1] + (0,) + b[-1:]
+        dependences = [[av * bi - bv * ai for ai, bi in zip(a, b)] for av, bv in zip(a, b)]
         pairs = reversed(list(combinations(range(config.n), 2)))
-        zero = next(((i, j) for i, j in pairs if a[i] * b[j] == a[j] * b[i]), None)
+        zero = next(((i, j) for i, j in pairs if dependences[i][j] == 0), None)
         if zero is None:
-            return columns, a, b
+            return columns, dependences
         degenerate = tuple(label for label in config.labels if label - 1 not in zero)
     raise DegeneracyError(f"points {degenerate} lie in a common hyperplane", labels=degenerate)
 
@@ -283,7 +284,7 @@ def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Config
     Coordinates are uniform integers in [-bound, bound]; whole configurations
     are redrawn until general position holds.  Identical (n, d, seed, bound)
     always produce identical output.  Each attempt is certified by
-    ``find_degenerate_subset``: two integer eliminations and C(n, 2) cross
+    ``find_degenerate_subset``: two integer eliminations and n rows of cross
     products when n = d + 3, every (d+1)x(d+1) determinant otherwise.  A
     bound outside [1, 2^63 - 1] raises ContractError, and so does a shape
     with more than ``_MAX_GP_SUBSETS`` (10,000) (d+1)-subsets, C(n, d + 1),

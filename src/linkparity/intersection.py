@@ -8,10 +8,12 @@ solves the square system formed by the homogenized coordinates plus a unit
 normalization of the last coefficient; that system is singular precisely
 when d + 1 of the points are affinely dependent, so singularity (or a zero
 coefficient) certifies a general position violation and is never silently
-absorbed.  Note the naive formulation {sum lambda_i p_i = sum mu_j q_j,
-sum lambda_i = 1, sum mu_j = 1} would go singular already when the two
-affine hulls are merely parallel, which happens for honest general-position
-inputs; the dependence formulation does not.
+absorbed.  It is the per-pair reference for ``linking``'s table, which
+reads every pair of n = d + 3 points from one Gale pair.  Note the naive
+formulation {sum lambda_i p_i = sum mu_j q_j, sum lambda_i = 1,
+sum mu_j = 1} would go singular already when the two affine hulls are
+merely parallel, which happens for honest general-position inputs; the
+dependence formulation does not.
 
 On success the witness is exactly the unique solution of the naive system:
 strictly positive barycentric coordinates over both vertex sets and the
@@ -65,42 +67,6 @@ def _disjoint_subsets(config_n: int, first: Iterable[int], second: Iterable[int]
     return fs, ss
 
 
-def affine_dependence(config: Configuration, labels: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """The affine dependence of d + 2 labeled points, scaled so its last entry is 1.
-
-    Solves sum_c g_c x_c = 0, sum_c g_c = 0, g_last = 1 through the
-    module-level ``solve``.  Raises DegeneracyError when the system is
-    singular or a coefficient is zero: either way some d + 1 of the points
-    are affinely dependent.
-    """
-    d = config.dimension
-    points = [config.point(label) for label in labels]
-    total = len(labels)
-    zero, one = Fraction(0), Fraction(1)
-    rows = [[p[axis] for p in points] for axis in range(d)]
-    rows.append([one] * total)
-    rows.append([zero] * (total - 1) + [one])
-    rhs = [zero] * (d + 1) + [one]
-
-    result = solve(Matrix.from_rows(rows), rhs)
-    if result.is_singular:
-        raise DegeneracyError(
-            f"points {labels[:-1]} are affinely dependent: "
-            "not in general position",
-            labels=labels[:-1],
-        )
-    gamma = result.solution
-    assert gamma is not None
-    for idx, g in enumerate(gamma):
-        if g == 0:
-            others = labels[:idx] + labels[idx + 1:]
-            raise DegeneracyError(
-                f"points {others} are affinely dependent: not in general position",
-                labels=others,
-            )
-    return gamma
-
-
 def intersect_complementary(
     config: Configuration,
     first: Iterable[int],
@@ -121,7 +87,21 @@ def intersect_complementary(
     labels = fs + ss
     points = [config.point(label) for label in labels]
     m = len(fs)
-    gamma = affine_dependence(config, labels)
+    # the affine dependence: sum_c g_c x_c = 0, sum_c g_c = 0, g_last = 1
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[p[axis] for p in points] for axis in range(d)]
+    rows.append([one] * (d + 2))
+    rows.append([zero] * (d + 1) + [one])
+    gamma = solve(Matrix.from_rows(rows), [zero] * (d + 1) + [one]).solution
+    # a singular system or a zero coefficient: the other d + 1 points are
+    # affinely dependent
+    if gamma is None or 0 in gamma:
+        skip = d + 1 if gamma is None else gamma.index(0)
+        others = labels[:skip] + labels[skip + 1:]
+        raise DegeneracyError(
+            f"points {others} are affinely dependent: not in general position",
+            labels=others,
+        )
 
     # no coefficient is zero, so the hulls meet iff gamma[:m] has one sign and
     # gamma[m:] the other; one sign on gamma[:m] also makes its sum nonzero

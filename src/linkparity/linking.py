@@ -13,11 +13,11 @@ points: the sign split of their unique affine dependence (Radon's theorem;
 Matoušek, *Lectures on Discrete Geometry*, 2002, §5.6).  The affine
 dependences of all n points form a 2-dimensional space, their Gale dual, so
 two of them span it: the dependence of [n] \\ {v} is the 2×2 cross product
-of that pair taken at v.  Two fraction-free integer eliminations
-(``configuration._gale_pair``) therefore give every face hit of every I.
-That pair also certifies general position, or raises DegeneracyError naming
-the first dependent (d+1)-subset, so this module holds no general-position
-code; every query below reads the table.
+of that pair taken at v.  ``configuration._gale_pair`` hands out these n
+integer dependences, from two fraction-free eliminations, after certifying
+general position with them (or raising DegeneracyError naming the first
+dependent (d+1)-subset), so this module holds no general-position code and
+forms no cross product; every query below reads the table they give.
 
 Verification campaigns:
 
@@ -32,9 +32,10 @@ Verification campaigns:
 * ``find_intersecting_pair`` exhibits two disjoint (k+1)-subsets with
   intersecting hulls, which must exist for any d+3 general-position points
   in even dimension d.  It and ``intersecting_pairs`` read which pairs meet
-  from the table and build each pair's barycentric witness from the same two
-  dependences, with no further solve; ``intersect_complementary`` is the
-  per-pair oracle the tests compare them with.
+  from the table; each hit keeps its partition's integer weights, and its
+  barycentric witness is formed from them only for a pair yielded, with no
+  solve.  ``intersect_complementary`` is the per-pair oracle the tests
+  compare them with.
 
 Reports are computed serially; the ``workers`` arguments are accepted and
 ignored.  Reports serialize to JSON with a stable key order and carry no
@@ -61,7 +62,6 @@ from .combinatorics import (
 from .configuration import (
     Configuration,
     Point,
-    _GalePair,
     _gale_pair,
     find_degenerate_subset,  # noqa: F401
     moment_curve,
@@ -73,10 +73,29 @@ from .ratmat import format_rational
 
 @dataclass(frozen=True)
 class FaceHit:
-    """One face of the complementary simplex met by conv(I), with the point."""
+    """One face of the complementary simplex met by conv(I), with the point.
+
+    ``weights`` holds, at index i - 1, the integer affine dependence
+    coefficient of label i on the Radon partition {I, face}: positive on one
+    side, negative on the other, zero at the one label outside both.
+    """
 
     face: IndexSubset
     point: Point
+    weights: tuple[int, ...]
+
+    def witness(self, subset: IndexSubset) -> IntersectionResult:
+        """The barycentric witness of conv(subset) ∩ conv(face), ``subset`` being I.
+
+        Each side's coordinates are its weights over their sum:
+        ``intersect_complementary(config, subset, face)``'s, with no solve.
+        """
+        total = sum(self.weights[label - 1] for label in subset)
+        return IntersectionResult(
+            point=self.point,
+            coeffs_first=tuple(Fraction(self.weights[label - 1], total) for label in subset),
+            coeffs_second=tuple(Fraction(-self.weights[label - 1], total) for label in self.face),
+        )
 
 
 @dataclass(frozen=True)
@@ -173,67 +192,40 @@ def _require_linking_shape(d: int, n: int) -> int:
     return d // 2
 
 
-def _radon_table(config: Configuration, gale: _GalePair) -> dict[IndexSubset, tuple[FaceHit, ...]]:
-    """Face hits of every (k+1)-subset that has any, from two dependences.
+def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]]:
+    """Face hits of every (k+1)-subset that has any, from ``_gale_pair``'s rows.
 
-    ``gale`` is ``_gale_pair(config)``: the homogeneous columns, each scaled
-    by a positive integer, and two integer dependences a, b spanning the
-    2-dimensional Gale dual, certified in general position.  For each label
-    v the integer cross product c = a_v·b - b_v·a is the dependence of
-    [n] \\ {v}, up to scale, zero only at v; its sign split is that set's
-    Radon partition.  Each Radon point is the first ``Fraction`` formed.
-    Each subset's hits are in the colex order of their faces.
+    ``_gale_pair`` certifies general position and gives the homogeneous
+    columns, each scaled by a positive integer s_i, and for each label v the
+    integer dependence c of [n] \\ {v}, zero only at v; its sign split is
+    that set's Radon partition.  w_i = c_i·s_i is the same dependence of the
+    points themselves, kept as each hit's ``weights``.  Each Radon point is
+    the first ``Fraction`` formed.  Each subset's hits are in the colex
+    order of their faces.
     """
     k = config.dimension // 2
     labels = tuple(config.labels)
-    columns, a, b = gale
+    columns, dependences = _gale_pair(config)
     found: dict[IndexSubset, list[FaceHit]] = {}
-    for av, bv in zip(a, b):
-        gamma = [av * bi - bv * ai for ai, bi in zip(a, b)]
-        positive = tuple(v for v, g in zip(labels, gamma) if g > 0)
-        negative = tuple(v for v, g in zip(labels, gamma) if g < 0)
+    for dependence in dependences:
+        positive = tuple(v for v, c in zip(labels, dependence) if c > 0)
+        negative = tuple(v for v, c in zip(labels, dependence) if c < 0)
         # 2k + 2 nonzero coefficients
         if len(positive) != k + 1:
             continue
-        weighted = [(g, column) for g, column in zip(gamma, columns) if g > 0]
-        total = sum(g * column[-1] for g, column in weighted)
+        weights = tuple(c * column[-1] for c, column in zip(dependence, columns))
+        weighted = [(c, column) for c, column in zip(dependence, columns) if c > 0]
+        total = sum(w for w in weights if w > 0)
         point = tuple(
-            Fraction(sum(g * column[axis] for g, column in weighted), total)
+            Fraction(sum(c * column[axis] for c, column in weighted), total)
             for axis in range(config.dimension)
         )
-        found.setdefault(positive, []).append(FaceHit(face=negative, point=point))
-        found.setdefault(negative, []).append(FaceHit(face=positive, point=point))
+        found.setdefault(positive, []).append(FaceHit(negative, point, weights))
+        found.setdefault(negative, []).append(FaceHit(positive, point, weights))
     return {
         subset: tuple(sorted(hits, key=lambda hit: hit.face[::-1]))
         for subset, hits in found.items()
     }
-
-
-def _witness(
-    gale: _GalePair, first: IndexSubset, second: IndexSubset, point: Point
-) -> IntersectionResult:
-    """The barycentric witness of a pair the table found meeting at ``point``.
-
-    ``first`` and ``second`` cover every label but v, so their dependence
-    is c = a_v·b - b_v·a.  With s_i the positive scale of column i,
-    g_i = c_i·s_i is that affine dependence of the points themselves, and the
-    coordinates are g_i / Σ_first g on ``first`` and -g_j / Σ_first g on
-    ``second``: ``intersect_complementary``'s, with no solve.
-    """
-    columns, a, b = gale
-    n = len(columns)
-    v = n * (n + 1) // 2 - sum(first) - sum(second)
-    av, bv = a[v - 1], b[v - 1]
-    weight = {
-        label: (av * b[label - 1] - bv * a[label - 1]) * columns[label - 1][-1]
-        for label in first + second
-    }
-    total = sum(weight[label] for label in first)
-    return IntersectionResult(
-        point=point,
-        coeffs_first=tuple(Fraction(weight[label], total) for label in first),
-        coeffs_second=tuple(Fraction(-weight[label], total) for label in second),
-    )
 
 
 def boundary_intersection_count(config: Configuration, subset: Iterable[int]) -> int:
@@ -247,7 +239,7 @@ def boundary_intersection_count(config: Configuration, subset: Iterable[int]) ->
     canon = check_subset(subset, config.n, name="I")
     if len(canon) != k + 1:
         raise ContractError(f"|I| must be k + 1 = {k + 1}, got {len(canon)}")
-    hits = _radon_table(config, _gale_pair(config)).get(canon, ())
+    hits = _radon_table(config).get(canon, ())
     assert len({hit.point for hit in hits}) == len(hits), \
         "coincident face hits indicate a general-position violation"
     return len(hits)
@@ -268,7 +260,7 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     """
     k = _require_linking_shape(config.dimension, config.n)
     _require_report_rows(k)
-    table = _radon_table(config, _gale_pair(config))
+    table = _radon_table(config)
     rows = []
     for subset in combinations_colex(tuple(config.labels), k + 1):
         hits = table.get(subset, ())
@@ -331,17 +323,16 @@ def intersecting_pairs(
     Pairs come in ``enumerate_disjoint_pairs`` order: ``first`` holds the
     smaller minimum and walks the table's subsets in colex order, and its
     partners follow in the colex order of the table's hits.  Each pair's
-    witness comes from the same two dependences as the table, equal field
-    by field to ``intersect_complementary``'s.  Raises DegeneracyError on
-    the first step when general position fails.
+    witness is its hit's ``witness``, equal field by field to
+    ``intersect_complementary``'s.  Raises DegeneracyError on the first
+    step when general position fails.
     """
     _require_linking_shape(config.dimension, config.n)
-    gale = _gale_pair(config)
-    table = _radon_table(config, gale)
+    table = _radon_table(config)
     for first in sorted(table, key=lambda subset: subset[::-1]):
         for hit in table[first]:
             if hit.face[0] > first[0]:
-                yield first, hit.face, _witness(gale, first, hit.face, hit.point)
+                yield first, hit.face, hit.witness(first)
 
 
 def find_intersecting_pair(

@@ -10,6 +10,7 @@ floating point is used anywhere.
 ``integer_kernel`` stays in the integers throughout: for an m×(m+1) integer
 matrix it runs the same elimination and then a fraction-free back
 substitution, giving the kernel as an integer vector with no ``Fraction``.
+``solve`` is that kernel of [a | -b], divided by its last entry.
 
 All values are immutable and all functions are pure.
 """
@@ -167,28 +168,22 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> SolveResult:
     """Solve ``a @ x = b`` exactly for square ``a``.
 
     Returns a unique solution when ``det(a) != 0`` and singular otherwise.
-    Row operations are fraction-free; back substitution runs over rationals.
+    Each row of [a | -b] is cleared of denominators, a positive scale that
+    keeps its kernel, so ``integer_kernel`` finds an integer (y, t) with
+    a·y = t·b and t != 0 exactly when ``a`` is regular; then x = y / t, one
+    ``Fraction`` per entry.
     """
     if not a.is_square:
         raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
     if len(b) != a.rows:
         raise DimensionError(f"right-hand side length {len(b)} != {a.rows} rows")
-    n = a.rows
-    if n == 0:
-        return SolveResult(())
-    aug = []
-    for i in range(n):
-        int_row, _ = _clear_row_denominators(tuple(a.row(i)) + (Fraction(b[i]),))
-        aug.append(int_row)
-    if _bareiss_eliminate(aug, n + 1) is None:
+    kernel = integer_kernel([
+        _clear_row_denominators(a.row(i) + (-Fraction(b[i]),))[0] for i in range(a.rows)
+    ])
+    if kernel is None:
         return SolveResult(None)
-    solution: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * solution[j]
-        solution[i] = acc / aug[i][i]
-    return SolveResult(tuple(solution))
+    *scaled, t = kernel
+    return SolveResult(tuple(Fraction(x, t) for x in scaled))
 
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:

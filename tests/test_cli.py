@@ -203,10 +203,23 @@ def test_alternation_csv_file(tmp_path):
     assert len(rows) == 11
 
 
-def test_alternation_bad_sizes(capsys):
-    assert main(["alternation", "--subset", "1,2,3", "--n", "5"]) == 64
-    assert main(["alternation", "--subset", "1,3"]) == 64
-    assert main(["alternation"]) == 64
+def test_alternation_bad_sizes(tmp_path, capsys):
+    # rows are written as they are made, so a refusal must come before the
+    # header: nothing on stdout and no file
+    out = tmp_path / "table.csv"
+    for argv in (
+        ["--subset", "1,2,3", "--n", "5"],
+        ["--subset", "1,9", "--n", "5"],
+        ["--subset", "1,x", "--n", "5"],
+        ["--subset", "1,3"],
+        ["--k", "0"],
+        ["--k", "10"],
+        [],
+    ):
+        for csv_args in ([], ["--csv", str(out)]):
+            assert main(["alternation", *argv, *csv_args]) == 64, argv
+            assert capsys.readouterr().out == "", argv
+            assert not out.exists(), argv
 
 
 def test_witness_separator(capsys):

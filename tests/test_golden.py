@@ -5,7 +5,8 @@ moved to integer arithmetic, and those for k = 5 and 6 from the code that
 still wrote JSON through ``json.dumps(indent=2)``, so any change in a sign,
 a Radon point or the JSON layout of these reports shows up here.  The
 rational cases exercise points with denominators other than 1, which the
-CLI runs never produce.
+CLI runs never produce.  The alternation digest was taken from the code that
+built the whole CSV in memory before writing it, and covers csv's \\r\\n.
 """
 
 import hashlib
@@ -32,6 +33,7 @@ VERIFY_DIGESTS = {
 }
 PARITY_RANDOM_DIGEST = "fa34c4d465180490b081a6ea2699d55ea5a8974bb6f14d9c2efaf7da1ab97deb"
 RATIONAL_CASES_DIGEST = "c61c9b1deb80f108b7591d000f7ed0d08afa5ef0483e2d03a7f78e61ca7c33fa"
+ALTERNATION_K5_DIGEST = "82856978c75b3db874163ab41a982a2eda61c7f1cd65c099e41a4702795521ea"
 
 
 def _sha256(data: bytes) -> str:
@@ -49,6 +51,14 @@ def test_parity_random_report_digest(tmp_path):
     out = tmp_path / "parity.json"
     assert main(["parity", "--random", "7", "4", "--trials", "20", "--json", str(out)]) == 0
     assert _sha256(out.read_bytes()) == PARITY_RANDOM_DIGEST
+
+
+def test_alternation_table_digest(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert main(["alternation", "--k", "5", "--csv", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == ALTERNATION_K5_DIGEST
+    assert main(["alternation", "--k", "5"]) == 0
+    assert _sha256(capsys.readouterr().out.encode("ascii")) == ALTERNATION_K5_DIGEST
 
 
 def _rational_cases_text() -> str:

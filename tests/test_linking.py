@@ -213,11 +213,20 @@ def _witness_cases():
                 yield sample_random_configuration(n, d, seed=seed, bound=bound)
     for k in range(1, 5):
         yield moment_curve(2 * k + 3, 2 * k)
+    yield from _rational_cases()
 
 
 def test_witnesses_equal_the_per_pair_solve():
+    # intersecting_pairs yields each pair once, the side with the smaller
+    # minimum first; the report's hits hold both orientations
     for config in _witness_cases():
-        for first, second, result in intersecting_pairs(config):
+        triples = [
+            (row.subset, hit.face, hit.witness(row.subset))
+            for row in total_linked_parity(config).per_subset
+            for hit in row.hits
+        ]
+        assert set(intersecting_pairs(config)) <= set(triples)
+        for first, second, result in triples:
             expected = intersect_complementary(config, first, second)
             case = (config.provenance.describe(), first, second)
             assert result.point == expected.point, case

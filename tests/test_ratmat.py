@@ -79,22 +79,28 @@ def test_solve_dimension_mismatch():
         solve(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]), [Fraction(1), Fraction(2)])
 
 
+def random_rational_matrix(rng, n):
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)] for _ in range(n)]
+
+
 def test_solve_then_substitute_is_exact():
-    rng = random.Random(99)
-    solved = 0
-    while solved < 80:
-        n = rng.randint(1, 6)
-        rows = random_int_matrix(rng, n)
-        b = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(n)]
-        m = Matrix.from_rows(rows)
-        result = solve(m, b)
-        if result.is_singular:
-            assert det(m) == 0
-            continue
-        x = result.solution
-        for i in range(n):
-            assert sum(m[i, j] * x[j] for j in range(n)) == b[i]
-        solved += 1
+    # rational entries make solve clear row denominators of [a | -b]
+    for draw in (random_int_matrix, random_rational_matrix):
+        rng = random.Random(99)
+        solved = 0
+        while solved < 80:
+            n = rng.randint(1, 6)
+            rows = draw(rng, n)
+            b = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(n)]
+            m = Matrix.from_rows(rows)
+            result = solve(m, b)
+            if result.is_singular:
+                assert det(m) == 0
+                continue
+            x = result.solution
+            for i in range(n):
+                assert sum(m[i, j] * x[j] for j in range(n)) == b[i]
+            solved += 1
 
 
 def test_det_zero_iff_solve_singular():
