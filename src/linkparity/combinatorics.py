@@ -100,12 +100,26 @@ def combinations_colex(items: Sequence[int], size: int) -> Iterator[IndexSubset]
 
     ``items`` must be sorted ascending.  Colex compares the largest differing
     element, so every subset with maximum m precedes every subset with a
-    larger maximum.  Read backwards, colex order is the lexicographic order of
-    the subsets written largest first, which ``itertools.combinations`` gives
-    in reverse when it runs over the items from largest to smallest.
+    larger maximum.  Knuth's colex successor (TAOCP 7.2.1.3, Algorithm L)
+    makes each subset from the one before on an index list ending in the
+    sentinel ``len(items)``: raise the lowest index that can rise without
+    meeting the next and reset those below it, so only that list is held.
     """
-    descending = list(itertools.combinations(tuple(items)[::-1], size))
-    return (subset[::-1] for subset in reversed(descending))
+    if size < 0:
+        raise ValueError(f"subset size must be >= 0, got {size}")
+    items = tuple(items)
+    if size > len(items):
+        return
+    indices = list(range(size)) + [len(items)]
+    while True:
+        yield tuple(map(items.__getitem__, indices[:size]))
+        j = 0
+        while j < size and indices[j] + 1 == indices[j + 1]:
+            indices[j] = j
+            j += 1
+        if j == size:
+            return
+        indices[j] += 1
 
 
 def enumerate_disjoint_pairs(n: int, s: int) -> Iterator[tuple[IndexSubset, IndexSubset]]:

@@ -6,8 +6,8 @@ provided: points on the moment curve t -> (t, t^2, ..., t^d), explicit point
 lists, and rejection-sampled random integer configurations.
 
 General position means no d+1 points lie in a common (d-1)-hyperplane.  For
-n = d+3 points ``_gale_pair`` alone decides it, from the Gale dual: two
-fraction-free integer eliminations give two affine dependences spanning all
+n = d+3 points ``_gale_pair`` alone decides it, from the Gale dual: one
+fraction-free integer elimination gives two affine dependences spanning all
 of them, and their 2x2 cross products at each label v give the n
 dependences of [n] \\ {v}.  A (d+1)-subset is dependent exactly when the
 dependence of one label outside it is zero at the other, so these integers
@@ -189,15 +189,14 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
     For n = d + 3 points.  Column i is (p_i, 1) scaled by the positive lcm
     s_i of p_i's denominators, so the (d+1)×n matrix is integer and its
     kernel is the space of affine dependences (the Gale dual) with
-    coefficient i divided by s_i, which keeps every sign.  Two
-    ``integer_kernel`` eliminations span that 2-dimensional space: ``a``
-    omits label n and ``b`` label n - 1, each padded with a zero at the
-    omitted label.  Row v - 1 of the returned dependences is the cross
-    product a_v·b - b_v·a, the dependence of [n] \\ {v}, zero at v.
+    coefficient i divided by s_i, which keeps every sign.  One
+    ``integer_kernel`` elimination gives a basis a, b of that 2-dimensional
+    space.  Row v - 1 of the returned dependences is the cross product
+    a_v·b - b_v·a, the dependence of [n] \\ {v}, zero at v.
 
     Outside general position this raises DegeneracyError naming the scan's
-    first dependent (d+1)-subset: labels 1..d+1, on which both eliminations
-    pivot, when one is singular; otherwise a, b span the kernel and
+    first dependent (d+1)-subset: labels 1..d+1, on which the elimination
+    pivots, when it is singular; otherwise a, b span the kernel and
     [n] \\ {u, v} is dependent iff row u - 1 is zero at v too, so the first
     such pair (u, v) in reverse lexicographic order, the ``combinations``
     order of the complements, names it.  Certified rows are zero only at v.
@@ -206,16 +205,17 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
     for point in config.points:
         scale = lcm(*(x.denominator for x in point))
         columns.append([x.numerator * (scale // x.denominator) for x in point] + [scale])
-    rows = list(zip(*columns))
-    a = integer_kernel([row[:-1] for row in rows])
-    b = integer_kernel([row[:-2] + row[-1:] for row in rows])
-    if a is None or b is None:
+    basis = integer_kernel(list(zip(*columns)))
+    if basis is None:
         degenerate = tuple(range(1, config.dimension + 2))
     else:
-        a, b = a + (0,), b[:-1] + (0,) + b[-1:]
+        a, b = basis
         dependences = [[av * bi - bv * ai for ai, bi in zip(a, b)] for av, bv in zip(a, b)]
-        pairs = reversed(list(combinations(range(config.n), 2)))
-        zero = next(((i, j) for i, j in pairs if dependences[i][j] == 0), None)
+        n = config.n
+        zero = next((
+            (i, j) for i in range(n - 2, -1, -1) for j in range(n - 1, i, -1)
+            if dependences[i][j] == 0
+        ), None)
         if zero is None:
             return columns, dependences
         degenerate = tuple(label for label in config.labels if label - 1 not in zero)
@@ -284,7 +284,7 @@ def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Config
     Coordinates are uniform integers in [-bound, bound]; whole configurations
     are redrawn until general position holds.  Identical (n, d, seed, bound)
     always produce identical output.  Each attempt is certified by
-    ``find_degenerate_subset``: two integer eliminations and n rows of cross
+    ``find_degenerate_subset``: one integer elimination and n rows of cross
     products when n = d + 3, every (d+1)x(d+1) determinant otherwise.  A
     bound outside [1, 2^63 - 1] raises ContractError, and so does a shape
     with more than ``_MAX_GP_SUBSETS`` (10,000) (d+1)-subsets, C(n, d + 1),

@@ -14,7 +14,7 @@ Matoušek, *Lectures on Discrete Geometry*, 2002, §5.6).  The affine
 dependences of all n points form a 2-dimensional space, their Gale dual, so
 two of them span it: the dependence of [n] \\ {v} is the 2×2 cross product
 of that pair taken at v.  ``configuration._gale_pair`` hands out these n
-integer dependences, from two fraction-free eliminations, after certifying
+integer dependences, from one fraction-free elimination, after certifying
 general position with them (or raising DegeneracyError naming the first
 dependent (d+1)-subset), so this module holds no general-position code and
 forms no cross product; every query below reads the table they give.
@@ -256,7 +256,7 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     Raises DegeneracyError (with the offending subset) when the configuration
     is not in general position, and ContractError for a report of more than
     ``MAX_REPORT_ROWS`` rows (k > 9).  ``workers`` is accepted and ignored:
-    the whole report costs two integer eliminations and is computed serially.
+    the whole report costs one integer elimination and is computed serially.
     """
     k = _require_linking_shape(config.dimension, config.n)
     _require_report_rows(k)

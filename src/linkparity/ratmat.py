@@ -7,10 +7,11 @@ over Python integers, so intermediate entries stay bounded by minors of the
 input instead of blowing up the way naive fraction elimination does.  No
 floating point is used anywhere.
 
-``integer_kernel`` stays in the integers throughout: for an m×(m+1) integer
-matrix it runs the same elimination and then a fraction-free back
-substitution, giving the kernel as an integer vector with no ``Fraction``.
-``solve`` is that kernel of [a | -b], divided by its last entry.
+``integer_kernel`` stays in the integers throughout: for an m×(m+r) integer
+matrix it runs the same elimination once and then one fraction-free back
+substitution per trailing column, giving a kernel basis of integer vectors
+with no ``Fraction``.  ``solve`` is the single kernel vector of [a | -b],
+divided by its last entry.
 
 All values are immutable and all functions are pure.
 """
@@ -171,43 +172,51 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> SolveResult:
     Each row of [a | -b] is cleared of denominators, a positive scale that
     keeps its kernel, so ``integer_kernel`` finds an integer (y, t) with
     a·y = t·b and t != 0 exactly when ``a`` is regular; then x = y / t, one
-    ``Fraction`` per entry.
+    ``Fraction`` per entry.  A 0×0 system has the empty solution.
     """
     if not a.is_square:
         raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
     if len(b) != a.rows:
         raise DimensionError(f"right-hand side length {len(b)} != {a.rows} rows")
-    kernel = integer_kernel([
+    if a.rows == 0:
+        return SolveResult(())
+    basis = integer_kernel([
         _clear_row_denominators(a.row(i) + (-Fraction(b[i]),))[0] for i in range(a.rows)
     ])
-    if kernel is None:
+    if basis is None:
         return SolveResult(None)
-    *scaled, t = kernel
+    *scaled, t = basis[0]
     return SolveResult(tuple(Fraction(x, t) for x in scaled))
 
 
-def integer_kernel(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    """An integer vector spanning the kernel of an m×(m+1) integer matrix.
+def integer_kernel(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...] | None:
+    """A basis of the kernel of an m×(m+r) integer matrix, m, r >= 1.
 
     Returns None when the leading m×m block is singular.  Otherwise the
-    kernel is one-dimensional and the result is its vector whose last entry
-    is the leading block's determinant up to sign, which makes every entry
-    an integer (Cramer's rule).  Bareiss elimination is followed by a
-    fraction-free back substitution in which every division is exact, so no
-    ``Fraction`` is formed.
+    kernel is r-dimensional, and basis vector f is zero at every trailing
+    column but m + f, where it holds the leading block's determinant up to
+    sign, which makes every entry an integer (Cramer's rule on the leading
+    block and column m + f).  One Bareiss elimination is followed by one
+    fraction-free back substitution per trailing column, in which every
+    division is exact, so no ``Fraction`` is formed.
     """
     m = len(rows)
-    if any(len(row) != m + 1 for row in rows):
-        raise DimensionError(f"integer_kernel needs an m×(m+1) matrix, m={m}")
+    width = len(rows[0]) if rows else 0
+    if m == 0 or width <= m or any(len(row) != width for row in rows):
+        raise DimensionError(f"integer_kernel needs an m×(m+r) matrix, m, r >= 1; got {m} rows")
     upper = [list(row) for row in rows]
-    if _bareiss_eliminate(upper, m + 1) is None:
+    if _bareiss_eliminate(upper, width) is None:
         return None
-    x = [0] * (m + 1)
-    x[m] = upper[m - 1][m - 1] if m else 1
-    for i in range(m - 1, -1, -1):
-        row = upper[i]
-        acc = 0
-        for j in range(i + 1, m + 1):
-            acc += row[j] * x[j]
-        x[i] = -acc // row[i]
-    return tuple(x)
+    scale = upper[m - 1][m - 1]
+    basis = []
+    for column in range(m, width):
+        x = [0] * width
+        x[column] = scale
+        for i in range(m - 1, -1, -1):
+            row = upper[i]
+            acc = row[column] * scale
+            for j in range(i + 1, m):
+                acc += row[j] * x[j]
+            x[i] = -acc // row[i]
+        basis.append(tuple(x))
+    return tuple(basis)

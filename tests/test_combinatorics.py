@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,18 @@ def test_combinations_colex_order():
             for size in range(length + 2):
                 expected = sorted(itertools.combinations(items, size), key=lambda c: c[::-1])
                 assert list(combinations_colex(items, size)) == expected, (items, size)
+
+
+def test_combinations_colex_is_lazy():
+    # all C(21, 10) = 352,716 subsets held at once take about 43 MB
+    tracemalloc.start()
+    try:
+        first = next(combinations_colex(tuple(range(1, 22)), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == tuple(range(1, 11))
+    assert peak < 1_000_000
 
 
 def test_check_subset_validation():

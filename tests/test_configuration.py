@@ -28,6 +28,8 @@ from linkparity.configuration import (
     write_points_text,
 )
 from linkparity.errors import ContractError, DegeneracyError, SamplingError
+from linkparity.ratmat import integer_kernel
+from test_linking import _rational_cases
 
 
 def test_moment_curve_default_parameters():
@@ -89,8 +91,66 @@ def test_gale_general_position_equals_the_scan(n, d):
             assert is_general_position(config) == (expected is None), (bound, seed)
 
 
+def _two_elimination_gale_pair(config):
+    """``_gale_pair`` built as it once was, the reference: two m×(m+1)
+    ``integer_kernel`` eliminations on the leading block, ``a`` without the
+    column of label n and ``b`` without that of label n - 1, each padded
+    with a zero at the label it omits."""
+    columns = []
+    for point in config.points:
+        scale = math.lcm(*(x.denominator for x in point))
+        columns.append([x.numerator * (scale // x.denominator) for x in point] + [scale])
+    rows = list(zip(*columns))
+    a = integer_kernel([row[:-1] for row in rows])
+    b = integer_kernel([row[:-2] + row[-1:] for row in rows])
+    if a is None or b is None:
+        degenerate = tuple(range(1, config.dimension + 2))
+    else:
+        (a,), (b,) = a, b
+        a, b = a + (0,), b[:-1] + (0,) + b[-1:]
+        dependences = [[av * bi - bv * ai for ai, bi in zip(a, b)] for av, bv in zip(a, b)]
+        pairs = reversed(list(itertools.combinations(range(config.n), 2)))
+        zero = next(((i, j) for i, j in pairs if dependences[i][j] == 0), None)
+        if zero is None:
+            return columns, dependences
+        degenerate = tuple(label for label in config.labels if label - 1 not in zero)
+    raise DegeneracyError(f"points {degenerate} lie in a common hyperplane", labels=degenerate)
+
+
+def _gale_reference_cases():
+    # attempt 0 of each seed, degenerate or not
+    for n, d in ((5, 2), (7, 4), (9, 6)):
+        for bound in (1, 3, 1000):
+            for seed in range(100):
+                yield Configuration(
+                    dimension=d,
+                    points=tuple(_attempt_points(n, d, seed, bound, 0)),
+                    provenance=RandomSample(seed=seed, bound=bound, attempts=1),
+                )
+    yield from _rational_cases()
+    for k in range(1, 6):
+        yield moment_curve(2 * k + 3, 2 * k)
+
+
+def test_gale_pair_equals_the_two_elimination_reference():
+    degenerate = 0
+    for config in _gale_reference_cases():
+        case = (config.dimension, config.provenance.describe())
+        try:
+            expected = _two_elimination_gale_pair(config)
+        except DegeneracyError as reference:
+            degenerate += 1
+            with pytest.raises(DegeneracyError) as info:
+                _gale_pair(config)
+            assert info.value.labels == reference.labels, case
+            assert str(info.value) == str(reference), case
+        else:
+            assert _gale_pair(config) == expected, case
+    assert degenerate > 0  # the bound-1 attempts reach the degenerate branch
+
+
 def test_gale_general_position_with_dependent_leading_points():
-    # points 1..5 lie in x_4 = 0, so both eliminations are singular
+    # points 1..5 lie in x_4 = 0, so the elimination is singular
     config = explicit_configuration([
         (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
         (1, 1, 1, 0), (0, 0, 0, 1), (3, 1, 4, 1),

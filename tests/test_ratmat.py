@@ -59,6 +59,7 @@ def test_solve_identity():
     b = [Fraction(3), Fraction(-1), Fraction(7, 2)]
     result = solve(Matrix.identity(3), b)
     assert result.solution == tuple(b)
+    assert solve(Matrix.identity(0), []).solution == ()
 
 
 def test_solve_diagonal():
@@ -127,41 +128,59 @@ def test_matrix_ragged_rows_rejected():
 
 @st.composite
 def _kernel_matrices(draw):
-    """m×(m+1) integer matrices, m <= 7; a third have a repeated leading
-    column and a third a repeated row, so the leading block is singular."""
+    """m×(m+r) integer matrices, m <= 7, r <= 3; a third have a repeated
+    leading column and a third a repeated row, so the leading block is
+    singular."""
     m = draw(st.integers(1, 7))
-    row = st.lists(st.integers(-3, 3), min_size=m + 1, max_size=m + 1)
+    r = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=m + r, max_size=m + r)
     rows = draw(st.lists(row, min_size=m, max_size=m))
     shape = draw(st.sampled_from(["random", "column", "row"]))
     if m > 1 and shape != "random":
         src, dst = draw(st.permutations(range(m)))[:2]
         if shape == "column":
-            for r in rows:
-                r[dst] = r[src]
+            for each in rows:
+                each[dst] = each[src]
         else:
             rows[dst] = rows[src][:]
     return rows
 
 
 @given(_kernel_matrices())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_integer_kernel_matches_cramer_oracle(rows):
     m = len(rows)
-    x = integer_kernel(rows)
+    trailing = range(m, len(rows[0]))
+    basis = integer_kernel(rows)
     if cofactor_det([r[:m] for r in rows]) == 0:
-        assert x is None
+        assert basis is None
         return
-    assert x is not None and all(type(v) is int for v in x)
-    assert all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
-    # the Cramer vector: signed maximal minors, nonzero at m here
-    cramer = [(-1) ** i * cofactor_det([r[:i] + r[i + 1:] for r in rows]) for i in range(m + 1)]
-    assert all(xi * cramer[m] == x[m] * ci for xi, ci in zip(x, cramer))
-    assert x[m] != 0
+    assert basis is not None and len(basis) == len(trailing)
+    for column, x in zip(trailing, basis):
+        assert all(type(v) is int for v in x)
+        assert all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
+        assert x[column] != 0
+        assert all(x[other] == 0 for other in trailing if other != column)
+        # the Cramer vector of [leading block | this column]: signed maximal
+        # minors, nonzero at m here
+        block = [r[:m] + [r[column]] for r in rows]
+        cramer = [
+            (-1) ** i * cofactor_det([r[:i] + r[i + 1:] for r in block]) for i in range(m + 1)
+        ]
+        own = x[:m] + (x[column],)
+        assert all(xi * cramer[m] == own[m] * ci for xi, ci in zip(own, cramer))
 
 
 def test_integer_kernel_rejects_wrong_shape():
-    with pytest.raises(DimensionError):
-        integer_kernel([[1, 2], [3, 4]])
+    for rows in (
+        [],                         # no rows
+        [[1, 2], [3, 4]],           # m×m
+        [[1, 2], [3, 4], [5, 6]],   # narrower than square
+        [[1, 2, 3], [4, 5]],        # ragged
+        [[1, 2, 3], [4, 5, 6, 7]],  # ragged, the second row wider
+    ):
+        with pytest.raises(DimensionError):
+            integer_kernel(rows)
 
 
 rationals = st.fractions(
