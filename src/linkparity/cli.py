@@ -39,6 +39,7 @@ from .combinatorics import (
     alternates,
     alternating_count_bruteforce,
     alternating_count_closed_form,
+    alternating_counts,
     combinations_colex,
 )
 from .configuration import (
@@ -239,9 +240,8 @@ def cmd_parity(args) -> int:
 # ------------------------------- alternation --------------------------------
 
 
-def _breakdown_row(subset, n) -> tuple[list, bool]:
-    breakdown = alternating_count_closed_form(subset, n)
-    brute = alternating_count_bruteforce(subset, n)
+def _breakdown_row(subset, breakdown, brute) -> tuple[list, bool]:
+    """A CSV row for ``subset``, and whether the closed form agrees with ``brute``."""
     ok = breakdown.count == brute and brute % 2 == 0
     blocks = " ".join(str(b) for b in breakdown.block_sizes) if breakdown.block_sizes else ""
     row = [
@@ -261,16 +261,23 @@ def cmd_alternation(args) -> int:
             raise ContractError(f"--k must be >= 1, got {args.k}")
         _require_report_rows(args.k)
         n = 2 * args.k + 3
+        # every nonzero enumerated count at once, from the n unions I ∪ J
+        counts = alternating_counts(n, args.k + 1)
         # made one at a time as they are written
         rows = (
-            _breakdown_row(subset, n)
+            _breakdown_row(
+                subset, alternating_count_closed_form(subset, n), counts.get(subset, 0)
+            )
             for subset in combinations_colex(tuple(range(1, n + 1)), args.k + 1)
         )
     else:
         if args.n is None:
             raise ContractError("--subset requires --n")
-        # made before anything is written, since a bad subset is refused here
-        rows = (_breakdown_row(_parse_labels(args.subset), args.n),)
+        # made before anything is written, since a bad subset is refused here;
+        # the closed form refuses first, before any candidate is enumerated
+        subset = _parse_labels(args.subset)
+        breakdown = alternating_count_closed_form(subset, args.n)
+        rows = (_breakdown_row(subset, breakdown, alternating_count_bruteforce(subset, args.n)),)
 
     all_ok = True
     with (open(args.csv, "w", encoding="ascii", newline="") if args.csv

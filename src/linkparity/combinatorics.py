@@ -4,12 +4,17 @@ Label subsets are plain tuples of strictly increasing integers drawn from
 ``[n] = {1, ..., n}``.  The central quantity is, for a subset ``I`` of size
 k+1 in a universe of size 2k+3, the number of equal-size subsets of the
 complement that strictly alternate with ``I`` in the merged order; that count
-is always even, and a case analysis pins it to 0 or 2.
+is always even, and a case analysis pins it to 0 or 2.  Two independent
+counts check that analysis: ``alternating_count_bruteforce`` tests every
+candidate J of one I, and ``alternating_counts`` finds every alternating pair
+of a whole universe at once from its union, whose even and odd positions are
+the pair.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import lt
@@ -35,13 +40,15 @@ def check_subset(labels: Iterable[int], n: int | None = None, name: str = "subse
         raise ContractError(f"{name} is empty")
     if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
         raise ContractError(f"{name} must contain integers: {values!r}")
-    if len(set(values)) != len(values):
+    # one sort: repeats are equal neighbours, and the ends are the extremes
+    ordered = sorted(values)
+    if not all(map(lt, ordered, ordered[1:])):
         raise ContractError(f"{name} has repeated labels: {values!r}")
-    if min(values) < 1:
+    if ordered[0] < 1:
         raise ContractError(f"{name} labels must be >= 1: {values!r}")
-    if n is not None and max(values) > n:
-        raise ContractError(f"{name} label {max(values)} exceeds universe size {n}")
-    return tuple(sorted(values))
+    if n is not None and ordered[-1] > n:
+        raise ContractError(f"{name} label {ordered[-1]} exceeds universe size {n}")
+    return tuple(ordered)
 
 
 def alternates(p: Iterable[int], q: Iterable[int]) -> bool:
@@ -200,6 +207,34 @@ def alternating_count_bruteforce(i_labels: Iterable[int], n: int) -> int:
     return sum(
         1 for j in itertools.combinations(complement, len(subject))
         if _merged_order_alternates(subject, j)
+    )
+
+
+def alternating_counts(n: int, size: int) -> Counter[IndexSubset]:
+    """Alternating count of every ``size``-subset I of [n], by enumerating unions.
+
+    I and a disjoint J of the same size alternate exactly when I is the even
+    or the odd positions of the sorted union U = I ∪ J.  So each
+    ``2 * size``-subset U gives one alternating partner to each of its halves
+    ``U[0::2]`` and ``U[1::2]``, and each alternating pair (I, J) arises from
+    exactly one U, its union.  One pass over the C(n, 2 * size) unions
+    therefore finds every nonzero count; a subset missing from the table has
+    count 0, and the counts sum to 2 * C(n, 2 * size).  No case analysis is
+    used, so this stays an independent check of
+    ``alternating_count_closed_form``.  For n = 2k + 3 and size k + 1 there
+    are only n unions, against C(n, k + 1) subsets with k + 2 candidates each
+    for ``alternating_count_bruteforce``.
+    ``test_alternating_counts_match_bruteforce_and_oracle`` holds the table
+    equal to both that count and the tag-and-sort oracle for every n <= 11.
+    """
+    if size < 1:
+        raise ContractError(f"subset size must be >= 1, got {size}")
+    if 2 * size > n:
+        raise ContractError(f"two disjoint {size}-subsets do not fit in [{n}]")
+    return Counter(
+        half
+        for union in itertools.combinations(range(1, n + 1), 2 * size)
+        for half in (union[0::2], union[1::2])
     )
 
 

@@ -220,6 +220,44 @@ def test_alternation_bad_sizes(tmp_path, capsys):
             assert main(["alternation", *argv, *csv_args]) == 64, argv
             assert capsys.readouterr().out == "", argv
             assert not out.exists(), argv
+    # the closed form refuses before the brute force, whose own refusal
+    # would be "|I|=3 leaves no room for a disjoint equal-size subset in [5]"
+    assert main(["alternation", "--subset", "1,2,3", "--n", "5"]) == 64
+    assert capsys.readouterr().err == "error: |I| must be 2 for universe size 5, got 3\n"
+
+
+def test_alternation_closed_form_mismatch_exits_2_and_writes_every_row(tmp_path, monkeypatch):
+    out = tmp_path / "table.csv"
+    assert main(["alternation", "--k", "3", "--csv", str(out)]) == 0
+    row = "\n1 3 5 7,left_end_only,1 1 1 2,{}\n"
+    expected = out.read_text().replace(row.format(2), row.format(4))
+    assert expected != out.read_text()
+    closed_form = cli.alternating_count_closed_form
+
+    def miscounted(subset, n):
+        breakdown = closed_form(subset, n)
+        return replace(breakdown, count=4) if subset == (1, 3, 5, 7) else breakdown
+
+    monkeypatch.setattr(cli, "alternating_count_closed_form", miscounted)
+    assert main(["alternation", "--k", "3", "--csv", str(out)]) == 2
+    assert out.read_text() == expected
+
+
+def test_alternation_table_mismatch_exits_2_and_writes_every_row(tmp_path, monkeypatch):
+    out = tmp_path / "table.csv"
+    assert main(["alternation", "--k", "3", "--csv", str(out)]) == 0
+    expected = out.read_text()
+    counts_of = cli.alternating_counts
+
+    def miscounted(n, size):
+        counts = counts_of(n, size)
+        counts[(1, 2, 3, 4)] = 2  # all adjacent: no partner
+        return counts
+
+    monkeypatch.setattr(cli, "alternating_counts", miscounted)
+    assert main(["alternation", "--k", "3", "--csv", str(out)]) == 2
+    # the table is not printed: the row shows the closed form, as before
+    assert out.read_text() == expected
 
 
 def test_witness_separator(capsys):
@@ -330,6 +368,7 @@ def _stop_report_work(monkeypatch, error):
     monkeypatch.setattr(configuration, "_attempt_points", stop)
     monkeypatch.setattr(cli, "combinations_colex", stop)
     monkeypatch.setattr(cli, "alternating_count_closed_form", stop)
+    monkeypatch.setattr(cli, "alternating_counts", stop)
 
 
 _PAST_THE_ROW_CEILING = AssertionError("work started on a report past the row ceiling")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from linkparity.combinatorics import (
     alternates,
     alternating_count_bruteforce,
     alternating_count_closed_form,
+    alternating_counts,
     check_subset,
     combinations_colex,
     enumerate_disjoint_pairs,
@@ -107,16 +109,49 @@ def test_bruteforce_identifies_the_two_alternators():
     assert winners == [(1, 3, 5), (3, 5, 7)]
 
 
+def _oracle_count(subject, n):
+    """Alternating partners of ``subject`` in [n], by the tag-and-sort oracle."""
+    complement = [v for v in range(1, n + 1) if v not in subject]
+    return sum(
+        merged_order_alternates(subject, j)
+        for j in itertools.combinations(complement, len(subject))
+    )
+
+
 def test_bruteforce_matches_oracle_count():
     for n in range(2, 12):
         for size in range(1, n // 2 + 1):
             for subject in itertools.combinations(range(1, n + 1), size):
-                complement = [v for v in range(1, n + 1) if v not in subject]
-                expected = sum(
-                    merged_order_alternates(subject, j)
-                    for j in itertools.combinations(complement, size)
-                )
+                expected = _oracle_count(subject, n)
                 assert alternating_count_bruteforce(subject, n) == expected, (subject, n)
+
+
+def test_alternating_counts_match_bruteforce_and_oracle():
+    for n in range(2, 12):
+        for size in range(1, n // 2 + 1):
+            table = alternating_counts(n, size)
+            subjects = set(itertools.combinations(range(1, n + 1), size))
+            # zero counts are missing keys, never stored
+            assert set(table) <= subjects and 0 not in table.values(), (n, size)
+            assert sum(table.values()) == 2 * math.comb(n, 2 * size), (n, size)
+            for subject in subjects:
+                expected = _oracle_count(subject, n)
+                assert table.get(subject, 0) == expected, (subject, n)
+                assert alternating_count_bruteforce(subject, n) == expected, (subject, n)
+
+
+def test_alternating_counts_examples():
+    # the (k+1)-subsets of [2k+3] with no adjacent labels and not both ends
+    assert alternating_counts(5, 2) == {(1, 3): 2, (1, 4): 2, (2, 4): 2, (2, 5): 2, (3, 5): 2}
+    # outside that regime: one label of [4] alternates with each other label
+    assert alternating_counts(4, 1) == {(1,): 3, (2,): 3, (3,): 3, (4,): 3}
+
+
+def test_alternating_counts_contract_errors():
+    with pytest.raises(ContractError, match="subset size must be >= 1, got 0"):
+        alternating_counts(5, 0)
+    with pytest.raises(ContractError, match=re.escape("two disjoint 3-subsets do not fit in [5]")):
+        alternating_counts(5, 3)
 
 
 def test_bruteforce_oversized_subject_rejected():
@@ -257,3 +292,24 @@ def test_check_subset_validation():
         check_subset([0, 1], 5)
     with pytest.raises(ContractError):
         check_subset([1, 6], 5)
+
+
+@pytest.mark.parametrize("labels, n, message", [
+    ((), 5, "subset is empty"),
+    ((True,), 5, "subset must contain integers: (True,)"),
+    ((1, 2.0), 5, "subset must contain integers: (1, 2.0)"),
+    ((2, 1, 2), 5, "subset has repeated labels: (2, 1, 2)"),
+    ((3, 0), 5, "subset labels must be >= 1: (3, 0)"),
+    ((1, 6), 5, "subset label 6 exceeds universe size 5"),
+    ((9, 1, 7), 5, "subset label 9 exceeds universe size 5"),
+    # two faults at once: the first in this order is reported
+    (("a", "a"), 5, "subset must contain integers: ('a', 'a')"),
+    ((0, True), 5, "subset must contain integers: (0, True)"),
+    ((0, 0), 5, "subset has repeated labels: (0, 0)"),
+    ((9, 9), 5, "subset has repeated labels: (9, 9)"),
+    ((0, 9), 5, "subset labels must be >= 1: (0, 9)"),
+])
+def test_check_subset_messages(labels, n, message):
+    with pytest.raises(ContractError) as info:
+        check_subset(labels, n)
+    assert str(info.value) == message
