@@ -32,6 +32,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 from . import __version__
 from .combinatorics import (
@@ -169,7 +170,7 @@ def cmd_verify(args) -> int:
     report = result.report
     print(
         f"k={args.k}: n={report.n} points in R^{report.dimension}, "
-        f"{len(report.per_subset)} subsets, total linked = {report.total_linked}"
+        f"{comb(report.n, report.k + 1)} subsets, total linked = {report.total_linked}"
     )
     status = "PASS" if result.ok else "FAIL"
     print(f"all counts even and n1=n2=n3=n4: {status}")
@@ -225,7 +226,7 @@ def cmd_parity(args) -> int:
         ok = ok and even
         print(f"{name}: total linked = {total} ({'even' if even else 'ODD'})")
         # claim (b): some two disjoint (k+1)-subsets have intersecting hulls
-        if not any(row.n3 for row in report.per_subset):
+        if not report.hits:
             print(f"{name}: no intersecting disjoint pair", file=sys.stderr)
             ok = False
         if args.json:
@@ -356,15 +357,15 @@ def cmd_sample(args) -> int:
 def _svg_document(config: Configuration, linked: set) -> str:
     width = height = 640
     margin = 60.0
-    xs = [float(p[0]) for p in config.points]
-    ys = [float(p[1]) for p in config.points]
-    span_x = max(xs) - min(xs) or 1.0
-    span_y = max(ys) - min(ys) or 1.0
-    scale = min((width - 2 * margin) / span_x, (height - 2 * margin) / span_y)
+    xs = [p[0] for p in config.points]
+    ys = [p[1] for p in config.points]
+    # exact until the final pixel: a coordinate may lie beyond float range
+    scale = min(Fraction(width - 2 * margin) / (max(xs) - min(xs) or 1),
+                Fraction(height - 2 * margin) / (max(ys) - min(ys) or 1))
 
     def place(point):
-        x = margin + (float(point[0]) - min(xs)) * scale
-        y = height - margin - (float(point[1]) - min(ys)) * scale
+        x = margin + float((point[0] - min(xs)) * scale)
+        y = height - margin - float((point[1] - min(ys)) * scale)
         return x, y
 
     parts = [

@@ -5,10 +5,10 @@ Label subsets are plain tuples of strictly increasing integers drawn from
 k+1 in a universe of size 2k+3, the number of equal-size subsets of the
 complement that strictly alternate with ``I`` in the merged order; that count
 is always even, and a case analysis pins it to 0 or 2.  Two independent
-counts check that analysis: ``alternating_count_bruteforce`` tests every
-candidate J of one I, and ``alternating_counts`` finds every alternating pair
-of a whole universe at once from its union, whose even and odd positions are
-the pair.
+counts check that analysis: ``alternating_counts`` finds every alternating
+pair of a whole universe at once from its union, whose even and odd positions
+are the pair, and is the n4 of every linking report; the reference
+``alternating_count_bruteforce`` tests every candidate J of one I.
 """
 
 from __future__ import annotations

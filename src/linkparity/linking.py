@@ -21,14 +21,15 @@ forms no cross product; every query below reads the table they give.
 
 Verification campaigns:
 
-* ``total_linked_parity`` enumerates every I and checks the total number of
-  linked subsets is even (it is: the ordered double sum over disjoint (I, J)
-  counts every unordered pair twice).
+* ``total_linked_parity`` keeps the two supports of the counts, at most 2n
+  subsets each: the table, and n4 from ``alternating_counts``'s n unions.
+  Its linked total is even: the ordered double sum over disjoint (I, J)
+  counts every unordered pair twice.
 * ``verify_counterexample`` builds the moment-curve configuration on
   2k+3 integer parameters and checks that it has *no* linked pair at all,
-  cross-checking three counts for every I: distinct boundary points (n1),
-  faces hit (n2 = n3, faces being in bijection with subsets J), and subsets
-  alternating with I (n4).
+  cross-checking three counts on every subset of either support: distinct
+  boundary points (n1), faces hit (n2 = n3, faces being in bijection with
+  subsets J), and subsets alternating with I (n4).
 * ``find_intersecting_pair`` exhibits two disjoint (k+1)-subsets with
   intersecting hulls, which must exist for any d+3 general-position points
   in even dimension d.  It and ``intersecting_pairs`` read which pairs meet
@@ -46,19 +47,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
+# alternating_count_bruteforce, find_degenerate_subset and
+# intersect_complementary are not called here; perfbench's span tracer wraps
+# them under this module's name
 from .combinatorics import (
     IndexSubset,
     _require_report_rows,
-    alternating_count_bruteforce,
+    alternating_count_bruteforce,  # noqa: F401
+    alternating_counts,
     check_subset,
     combinations_colex,
 )
-# find_degenerate_subset and intersect_complementary are not called here;
-# perfbench's span tracer wraps them under this module's name
 from .configuration import (
     Configuration,
     Point,
@@ -130,17 +134,14 @@ class SubsetCounts:
     def even(self) -> bool:
         return self.n3 % 2 == 0
 
-    @property
-    def linked(self) -> bool:
-        return self.n3 % 2 == 1
-
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Outcome of a full linked-pair enumeration over one configuration.
+    """The two supports of one configuration's counts.
 
-    Only the rows are stored; the linked and single-point subsets, the
-    linked total and the parity verdict are derived from ``per_subset``.
+    ``hits`` is the Radon table, ``alternating`` the nonzero n4 counts; every
+    other (k+1)-subset has n1 = n3 = n4 = 0.  The derived facts read ``hits``
+    alone; ``per_subset``, the dense colex rows, is built once, on first use.
     """
 
     dimension: int
@@ -148,19 +149,30 @@ class LinkReport:
     k: int
     provenance: str
     points: tuple[Point, ...]
-    per_subset: tuple[SubsetCounts, ...]
+    hits: dict[IndexSubset, tuple[FaceHit, ...]]
+    alternating: dict[IndexSubset, int]
+
+    def row(self, subset: IndexSubset) -> SubsetCounts:
+        """The counts of one (k+1)-subset, zero off both supports."""
+        hits = self.hits.get(subset, ())
+        return SubsetCounts(subset, len({hit.point for hit in hits}),
+                            self.alternating.get(subset, 0), hits)
+
+    @cached_property
+    def per_subset(self) -> tuple[SubsetCounts, ...]:
+        return tuple(map(self.row, combinations_colex(range(1, self.n + 1), self.k + 1)))
 
     @property
     def linked_subsets(self) -> tuple[IndexSubset, ...]:
-        return tuple(row.subset for row in self.per_subset if row.linked)
+        return tuple(subset for subset, hits in self.hits.items() if len(hits) % 2)
 
     @property
     def single_point_subsets(self) -> tuple[IndexSubset, ...]:
-        return tuple(row.subset for row in self.per_subset if row.n1 == 1)
+        return tuple(subset for subset in self.hits if self.row(subset).n1 == 1)
 
     @property
     def total_linked(self) -> int:
-        return sum(row.linked for row in self.per_subset)
+        return len(self.linked_subsets)
 
     @property
     def parity_ok(self) -> bool:
@@ -200,8 +212,8 @@ def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]
     integer dependence c of [n] \\ {v}, zero only at v; its sign split is
     that set's Radon partition.  w_i = c_i·s_i is the same dependence of the
     points themselves, kept as each hit's ``weights``.  Each Radon point is
-    the first ``Fraction`` formed.  Each subset's hits are in the colex
-    order of their faces.
+    the first ``Fraction`` formed.  The subsets, and each subset's hits by
+    face, are in colex order.
     """
     k = config.dimension // 2
     labels = tuple(config.labels)
@@ -223,8 +235,8 @@ def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]
         found.setdefault(positive, []).append(FaceHit(negative, point, weights))
         found.setdefault(negative, []).append(FaceHit(positive, point, weights))
     return {
-        subset: tuple(sorted(hits, key=lambda hit: hit.face[::-1]))
-        for subset, hits in found.items()
+        subset: tuple(sorted(found[subset], key=lambda hit: hit.face[::-1]))
+        for subset in sorted(found, key=lambda subset: subset[::-1])
     }
 
 
@@ -251,44 +263,32 @@ def is_linked(config: Configuration, subset: Iterable[int]) -> bool:
 
 
 def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
-    """Enumerate every (k+1)-subset, count the linked ones, and check evenness.
+    """The report of a configuration: its Radon table and its alternating counts.
 
     Raises DegeneracyError (with the offending subset) when the configuration
     is not in general position, and ContractError for a report of more than
     ``MAX_REPORT_ROWS`` rows (k > 9).  ``workers`` is accepted and ignored:
-    the whole report costs one integer elimination and is computed serially.
+    the report costs one integer elimination and n unions, no enumeration.
     """
     k = _require_linking_shape(config.dimension, config.n)
     _require_report_rows(k)
-    table = _radon_table(config)
-    rows = []
-    for subset in combinations_colex(tuple(config.labels), k + 1):
-        hits = table.get(subset, ())
-        # no label of J can sit between two adjacent labels a, a + 1 of I,
-        # so no J alternates with such an I
-        adjacent = any(y - x == 1 for x, y in zip(subset, subset[1:]))
-        rows.append(SubsetCounts(
-            subset=subset,
-            n1=len({hit.point for hit in hits}),
-            n4=0 if adjacent else alternating_count_bruteforce(subset, config.n),
-            hits=hits,
-        ))
     return LinkReport(
         dimension=config.dimension,
         n=config.n,
         k=k,
         provenance=config.provenance.describe(),
         points=config.points,
-        per_subset=tuple(rows),
+        hits=_radon_table(config),
+        alternating=alternating_counts(config.n, k + 1),
     )
 
 
 def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
     """Check that the moment-curve configuration on 2k+3 points has no linked pair.
 
-    Certifies general position, computes n1/n3 geometrically and n4
-    combinatorially for every (k+1)-subset I, and requires n1 = n3 = n4, all
-    even, and zero linked subsets.  Any violation is recorded as a failure
+    Certifies general position and requires n1 = n3 = n4, all even, and zero
+    linked subsets, checking the subsets of either support in colex order:
+    every other row is all zeros.  Any violation is recorded as a failure
     (it would falsify the implementation, not the statement being checked).
     A k above 9 raises ContractError before any point is built.
     """
@@ -299,7 +299,8 @@ def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
     report = total_linked_parity(config, workers=workers)
 
     failures = []
-    for row in report.per_subset:
+    for subset in sorted(report.hits.keys() | report.alternating.keys(), key=lambda s: s[::-1]):
+        row = report.row(subset)
         if not row.consistent:
             failures.append(
                 f"count mismatch at I={row.subset}: "
@@ -321,16 +322,15 @@ def intersecting_pairs(
     """Every disjoint (k+1)-subset pair with intersecting hulls.
 
     Pairs come in ``enumerate_disjoint_pairs`` order: ``first`` holds the
-    smaller minimum and walks the table's subsets in colex order, and its
-    partners follow in the colex order of the table's hits.  Each pair's
+    smaller minimum, and it and its partners follow the table's colex
+    order.  Each pair's
     witness is its hit's ``witness``, equal field by field to
     ``intersect_complementary``'s.  Raises DegeneracyError on the first
     step when general position fails.
     """
     _require_linking_shape(config.dimension, config.n)
-    table = _radon_table(config)
-    for first in sorted(table, key=lambda subset: subset[::-1]):
-        for hit in table[first]:
+    for first, hits in _radon_table(config).items():
+        for hit in hits:
             if hit.face[0] > first[0]:
                 yield first, hit.face, hit.witness(first)
 
@@ -356,18 +356,14 @@ def _point_json(point: Point) -> list[str]:
 
 
 def _witnesses_json(report: LinkReport) -> list[dict]:
-    docs = []
-    for row in report.per_subset:
-        if not row.linked:
-            continue
-        docs.append({
-            "I": list(row.subset),
-            "faces": [
-                {"J": list(hit.face), "point": _point_json(hit.point)}
-                for hit in row.hits
-            ],
-        })
-    return docs
+    return [
+        {
+            "I": list(subset),
+            "faces": [{"J": list(hit.face), "point": _point_json(hit.point)} for hit in hits],
+        }
+        for subset, hits in report.hits.items()
+        if len(hits) % 2
+    ]
 
 
 def link_report_document(report: LinkReport, manifest: dict | None = None) -> dict:

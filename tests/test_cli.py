@@ -93,6 +93,32 @@ def test_verify_stdout_identical_across_reruns(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_verify_failures_are_the_dense_rows_failures(tmp_path, monkeypatch, capsys):
+    # random points in place of the moment curve make the cross checks fail;
+    # the sparse check must report what every dense row, in colex order, shows
+    sampled = sample_random_configuration(7, 4, seed=0, bound=1000)
+    monkeypatch.setattr(linking, "moment_curve", lambda *args: sampled)
+    out = tmp_path / "fail.json"
+    assert main(["verify", "-k", "2", "--json", str(out)]) == 2
+    rows = linking.verify_counterexample(2).cross_checks
+    expected = []
+    for row in rows:
+        if not row.consistent:
+            expected.append(f"count mismatch at I={row.subset}: "
+                            f"n1={row.n1} n2={row.n2} n3={row.n3} n4={row.n4}")
+        if row.n1 % 2:
+            expected.append(f"odd boundary count {row.n1} at I={row.subset}")
+    linked = tuple(row.subset for row in rows if row.n3 % 2)
+    if linked:
+        expected.append(f"{len(linked)} linked subsets: {linked}")
+    if len(linked) % 2:
+        expected.append("total linked count is odd")
+    assert len(expected) == 15
+    assert expected[0] == "count mismatch at I=(1, 2, 5): n1=2 n2=2 n3=2 n4=0"
+    assert json.loads(out.read_text())["failures"] == expected
+    assert capsys.readouterr().err.splitlines() == [f"  failure: {f}" for f in expected]
+
+
 def test_parity_random_trials(capsys):
     assert main(["parity", "--random", "5", "2", "--trials", "3", "--seed", "7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -116,9 +142,7 @@ def test_parity_without_an_intersecting_pair_exits_2(tmp_path, monkeypatch, caps
     real = cli.total_linked_parity
 
     def without_hits(config, workers=1):
-        report = real(config, workers=workers)
-        rows = tuple(replace(row, n1=0, hits=()) for row in report.per_subset)
-        return replace(report, per_subset=rows)
+        return replace(real(config, workers=workers), hits={})
 
     monkeypatch.setattr(cli, "total_linked_parity", without_hits)
     assert main(["parity", "--input", str(path)]) == 2
@@ -365,6 +389,7 @@ def _stop_report_work(monkeypatch, error):
 
     monkeypatch.setattr(linking, "moment_curve", stop)
     monkeypatch.setattr(linking, "_gale_pair", stop)
+    monkeypatch.setattr(linking, "alternating_counts", stop)
     monkeypatch.setattr(configuration, "_attempt_points", stop)
     monkeypatch.setattr(cli, "combinations_colex", stop)
     monkeypatch.setattr(cli, "alternating_count_closed_form", stop)
@@ -412,6 +437,18 @@ def test_the_row_ceiling_admits_k9(argv, monkeypatch):
     _stop_report_work(monkeypatch, _Reached())
     with pytest.raises(_Reached):
         main(argv)
+
+
+def test_verify_k9_builds_no_dense_row(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("enumerated every (k+1)-subset")
+
+    monkeypatch.setattr(linking, "combinations_colex", never)
+    assert main(["verify", "-k", "9"]) == 0
+    assert capsys.readouterr().out == (
+        "k=9: n=21 points in R^18, 352716 subsets, total linked = 0\n"
+        "all counts even and n1=n2=n3=n4: PASS\n"
+    )
 
 
 @pytest.mark.parametrize("n, d, complaint", [
@@ -463,6 +500,16 @@ def test_plot_from_file(tmp_path):
     out = tmp_path / "fig.svg"
     assert main(["plot", "--input", str(path), "--out", str(out)]) == 0
     assert out.read_text().startswith("<svg")
+
+
+def test_plot_coordinate_beyond_float_range(tmp_path):
+    path = tmp_path / "huge.pts"
+    path.write_text("2 5\n0 0\n1 0\n0 1\n2 1" + "0" * 400 + "\n3 7\n")
+    out = tmp_path / "fig.svg"
+    assert main(["plot", "--input", str(path), "--out", str(out)]) == 0
+    body = out.read_text()
+    assert body.count("<circle") == 5
+    assert "nan" not in body and "inf" not in body
 
 
 def test_plot_rejects_wrong_shape(tmp_path):

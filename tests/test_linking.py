@@ -12,7 +12,7 @@ from linkparity.combinatorics import (
     combinations_colex,
     enumerate_disjoint_pairs,
 )
-from linkparity import configuration
+from linkparity import configuration, linking
 from linkparity.configuration import (
     _degenerate_subset_scan,
     explicit_configuration,
@@ -241,6 +241,28 @@ def test_n4_equals_the_bruteforce_count(k):
         assert row.n4 == alternating_count_bruteforce(row.subset, report.n), row.subset
 
 
+def test_report_holds_the_supports_and_builds_its_rows_once(monkeypatch):
+    built = []
+    real = linking.combinations_colex
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    def never(*args):
+        raise AssertionError("n4 brute-forced for the report")
+
+    monkeypatch.setattr(linking, "combinations_colex", counted)
+    monkeypatch.setattr(linking, "alternating_count_bruteforce", never)
+    report = total_linked_parity(sample_random_configuration(9, 6, seed=2, bound=1000))
+    assert built == []
+    assert report.per_subset is report.per_subset
+    assert len(built) == 1
+    # the supports are the nonzero rows, the table's keys in colex order
+    assert list(report.hits) == [row.subset for row in report.per_subset if row.n3]
+    assert report.alternating == {row.subset: row.n4 for row in report.per_subset if row.n4}
+
+
 @st.composite
 def _small_configurations(draw):
     """(5,2) or (7,4) points with coordinates p/q, p in [-2, 2] and q in
@@ -346,7 +368,7 @@ def test_find_intersecting_pair_on_moment_curve():
     assert result.intersects
 
 
-def test_find_intersecting_pair_all_flag():
+def test_intersecting_pairs_on_moment_curve():
     config = moment_curve(5, 2)
     pairs = list(intersecting_pairs(config))
     assert ((1, 3), (2, 4)) == (pairs[0][0], pairs[0][1])
