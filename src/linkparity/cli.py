@@ -169,8 +169,8 @@ def cmd_verify(args) -> int:
     result = verify_counterexample(args.k, workers=workers)
     report = result.report
     print(
-        f"k={args.k}: n={report.n} points in R^{report.dimension}, "
-        f"{comb(report.n, report.k + 1)} subsets, total linked = {report.total_linked}"
+        f"k={args.k}: n={report.config.n} points in R^{report.config.dimension}, "
+        f"{comb(report.config.n, report.k + 1)} subsets, total linked = {report.total_linked}"
     )
     status = "PASS" if result.ok else "FAIL"
     print(f"all counts even and n1=n2=n3=n4: {status}")
@@ -221,10 +221,9 @@ def cmd_parity(args) -> int:
     ok = True
     for name, config in configs:
         report = total_linked_parity(config, workers=workers)
-        total = report.total_linked
-        even = total % 2 == 0
-        ok = ok and even
-        print(f"{name}: total linked = {total} ({'even' if even else 'ODD'})")
+        ok = ok and report.parity_ok
+        print(f"{name}: total linked = {report.total_linked} "
+              f"({'even' if report.parity_ok else 'ODD'})")
         # claim (b): some two disjoint (k+1)-subsets have intersecting hulls
         if not report.hits:
             print(f"{name}: no intersecting disjoint pair", file=sys.stderr)
@@ -258,6 +257,8 @@ def cmd_alternation(args) -> int:
     if (args.k is None) == (args.subset is None):
         raise ContractError("exactly one of --k or --subset is required")
     if args.k is not None:
+        if args.n is not None:
+            raise ContractError("--n is read only with --subset; --k uses n = 2k + 3")
         if args.k < 1:
             raise ContractError(f"--k must be >= 1, got {args.k}")
         _require_report_rows(args.k)

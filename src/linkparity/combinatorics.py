@@ -51,17 +51,25 @@ def check_subset(labels: Iterable[int], n: int | None = None, name: str = "subse
     return tuple(ordered)
 
 
+def check_disjoint(first: Iterable[int], second: Iterable[int], n: int | None = None,
+                   names: tuple[str, str] = ("P", "Q")) -> tuple[IndexSubset, IndexSubset]:
+    """Both subsets sorted, each checked by ``check_subset`` under its name, sharing no label."""
+    fs = check_subset(first, n, name=names[0])
+    ss = check_subset(second, n, name=names[1])
+    overlap = set(fs) & set(ss)
+    if overlap:
+        raise ContractError(f"subsets overlap: {sorted(overlap)}")
+    return fs, ss
+
+
 def alternates(p: Iterable[int], q: Iterable[int]) -> bool:
     """True iff the merged sorted sequence strictly alternates between the sets.
 
     The sets must be disjoint, nonempty, and of equal size.
     """
-    ps = check_subset(p, name="P")
-    qs = check_subset(q, name="Q")
+    ps, qs = check_disjoint(p, q)
     if len(ps) != len(qs):
         raise ContractError(f"sizes differ: {len(ps)} vs {len(qs)}")
-    if set(ps) & set(qs):
-        raise ContractError(f"subsets overlap: {sorted(set(ps) & set(qs))}")
     return _merged_order_alternates(ps, qs)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .combinatorics import alternates, check_subset
+from .combinatorics import _merged_order_alternates, check_disjoint
 from .configuration import Configuration, Point
 from .errors import ContractError, DegeneracyError
 from .ratmat import Matrix, solve
@@ -58,15 +58,6 @@ class IntersectionResult:
         return self.point is not None
 
 
-def _disjoint_subsets(config_n: int, first: Iterable[int], second: Iterable[int]):
-    fs = check_subset(first, config_n, name="first subset")
-    ss = check_subset(second, config_n, name="second subset")
-    overlap = set(fs) & set(ss)
-    if overlap:
-        raise ContractError(f"subsets overlap: {sorted(overlap)}")
-    return fs, ss
-
-
 def intersect_complementary(
     config: Configuration,
     first: Iterable[int],
@@ -78,7 +69,7 @@ def intersect_complementary(
     d + 1 of the involved points are affinely dependent, i.e. the points are
     not in general position.
     """
-    fs, ss = _disjoint_subsets(config.n, first, second)
+    fs, ss = check_disjoint(first, second, config.n, names=("first subset", "second subset"))
     d = config.dimension
     if len(fs) + len(ss) != d + 2:
         raise ContractError(
@@ -184,13 +175,10 @@ def separating_hyperplane_moment(
     params = tuple(Fraction(t) for t in parameters)
     if any(a >= b for a, b in zip(params, params[1:])):
         raise ContractError("parameters must be strictly increasing")
-    ps = check_subset(p_labels, len(params), name="P")
-    qs = check_subset(q_labels, len(params), name="Q")
-    if set(ps) & set(qs):
-        raise ContractError(f"subsets overlap: {sorted(set(ps) & set(qs))}")
+    ps, qs = check_disjoint(p_labels, q_labels, len(params))
     if len(ps) != d // 2 + 1 or len(qs) != d // 2 + 1:
         raise ContractError(f"|P| and |Q| must be d/2 + 1 = {d // 2 + 1}")
-    if alternates(ps, qs):
+    if _merged_order_alternates(ps, qs):
         raise ContractError("P and Q alternate: no separating hyperplane exists")
 
     merged = sorted(ps + qs)

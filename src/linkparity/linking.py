@@ -21,10 +21,10 @@ forms no cross product; every query below reads the table they give.
 
 Verification campaigns:
 
-* ``total_linked_parity`` keeps the two supports of the counts, at most 2n
-  subsets each: the table, and n4 from ``alternating_counts``'s n unions.
-  Its linked total is even: the ordered double sum over disjoint (I, J)
-  counts every unordered pair twice.
+* ``total_linked_parity`` keeps the configuration and the two supports of
+  its counts, at most 2n subsets each: the table, and n4 from
+  ``alternating_counts``'s n unions.  Its linked total is even: the ordered
+  double sum over disjoint (I, J) counts every unordered pair twice.
 * ``verify_counterexample`` builds the moment-curve configuration on
   2k+3 integer parameters and checks that it has *no* linked pair at all,
   cross-checking three counts on every subset of either support: distinct
@@ -135,32 +135,36 @@ class SubsetCounts:
         return self.n3 % 2 == 0
 
 
+def _distinct_points(hits: tuple[FaceHit, ...]) -> int:
+    """n1: the number of distinct boundary points among one subset's face hits."""
+    return len({hit.point for hit in hits})
+
+
 @dataclass(frozen=True)
 class LinkReport:
-    """The two supports of one configuration's counts.
+    """A configuration and the two supports of its counts.
 
     ``hits`` is the Radon table, ``alternating`` the nonzero n4 counts; every
     other (k+1)-subset has n1 = n3 = n4 = 0.  The derived facts read ``hits``
     alone; ``per_subset``, the dense colex rows, is built once, on first use.
     """
 
-    dimension: int
-    n: int
-    k: int
-    provenance: str
-    points: tuple[Point, ...]
+    config: Configuration
     hits: dict[IndexSubset, tuple[FaceHit, ...]]
     alternating: dict[IndexSubset, int]
+
+    @property
+    def k(self) -> int:
+        return self.config.dimension // 2
 
     def row(self, subset: IndexSubset) -> SubsetCounts:
         """The counts of one (k+1)-subset, zero off both supports."""
         hits = self.hits.get(subset, ())
-        return SubsetCounts(subset, len({hit.point for hit in hits}),
-                            self.alternating.get(subset, 0), hits)
+        return SubsetCounts(subset, _distinct_points(hits), self.alternating.get(subset, 0), hits)
 
     @cached_property
     def per_subset(self) -> tuple[SubsetCounts, ...]:
-        return tuple(map(self.row, combinations_colex(range(1, self.n + 1), self.k + 1)))
+        return tuple(map(self.row, combinations_colex(self.config.labels, self.k + 1)))
 
     @property
     def linked_subsets(self) -> tuple[IndexSubset, ...]:
@@ -168,7 +172,7 @@ class LinkReport:
 
     @property
     def single_point_subsets(self) -> tuple[IndexSubset, ...]:
-        return tuple(subset for subset in self.hits if self.row(subset).n1 == 1)
+        return tuple(subset for subset, hits in self.hits.items() if _distinct_points(hits) == 1)
 
     @property
     def total_linked(self) -> int:
@@ -245,20 +249,25 @@ def boundary_intersection_count(config: Configuration, subset: Iterable[int]) ->
 
     Sums [conv(I) ∩ conv(J) != empty] over the (k+1)-subsets J of the
     complement; each face contributes at most one point, and distinct faces
-    hit distinct points under general position (asserted).
+    hit distinct points under general position (asserted).  Each call builds
+    the whole Radon table, one elimination: for many subsets, read
+    ``total_linked_parity(config).row(I)`` instead.
     """
     k = _require_linking_shape(config.dimension, config.n)
     canon = check_subset(subset, config.n, name="I")
     if len(canon) != k + 1:
         raise ContractError(f"|I| must be k + 1 = {k + 1}, got {len(canon)}")
     hits = _radon_table(config).get(canon, ())
-    assert len({hit.point for hit in hits}) == len(hits), \
+    assert _distinct_points(hits) == len(hits), \
         "coincident face hits indicate a general-position violation"
     return len(hits)
 
 
 def is_linked(config: Configuration, subset: Iterable[int]) -> bool:
-    """True iff conv(I) meets the complementary simplex boundary oddly often."""
+    """True iff conv(I) meets the complementary simplex boundary oddly often.
+
+    Each call builds the whole Radon table; see ``boundary_intersection_count``.
+    """
     return boundary_intersection_count(config, subset) % 2 == 1
 
 
@@ -273,11 +282,7 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     k = _require_linking_shape(config.dimension, config.n)
     _require_report_rows(k)
     return LinkReport(
-        dimension=config.dimension,
-        n=config.n,
-        k=k,
-        provenance=config.provenance.describe(),
-        points=config.points,
+        config=config,
         hits=_radon_table(config),
         alternating=alternating_counts(config.n, k + 1),
     )
@@ -311,7 +316,7 @@ def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
     total = report.total_linked
     if total != 0:
         failures.append(f"{total} linked subsets: {report.linked_subsets}")
-    if total % 2 != 0:
+    if not report.parity_ok:
         failures.append("total linked count is odd")
     return CounterexampleReport(report=report, failures=tuple(failures))
 
@@ -366,19 +371,19 @@ def _witnesses_json(report: LinkReport) -> list[dict]:
     ]
 
 
-def link_report_document(report: LinkReport, manifest: dict | None = None) -> dict:
+def link_report_document(report: LinkReport) -> dict:
     """Assemble the serializable report document.
 
     Key order is fixed; elapsed time and timestamps are deliberately absent
     so that identical inputs give byte-identical documents.
     """
-    total = report.total_linked
-    doc = {
+    config = report.config
+    return {
         "config": {
-            "dimension": report.dimension,
-            "n": report.n,
-            "provenance": report.provenance,
-            "points": [_point_json(p) for p in report.points],
+            "dimension": config.dimension,
+            "n": config.n,
+            "provenance": config.provenance.describe(),
+            "points": [_point_json(p) for p in config.points],
         },
         "k": report.k,
         "per_subset": [
@@ -393,14 +398,11 @@ def link_report_document(report: LinkReport, manifest: dict | None = None) -> di
         ],
         "linked_pairs": [list(s) for s in report.linked_subsets],
         "single_point_subsets": [list(s) for s in report.single_point_subsets],
-        "total": total,
-        "parity_ok": total % 2 == 0,
+        "total": report.total_linked,
+        "parity_ok": report.parity_ok,
         "witnesses": _witnesses_json(report),
         "failures": [],
     }
-    if manifest is not None:
-        doc["manifest"] = manifest
-    return doc
 
 
 def counterexample_document(result: CounterexampleReport, manifest: dict | None = None) -> dict:

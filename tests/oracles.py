@@ -59,3 +59,22 @@ def merged_order_alternates(ps, qs):
     strictly alternates: tag each label with its side, sort, scan."""
     merged = sorted([(v, 0) for v in ps] + [(v, 1) for v in qs])
     return all(merged[i][1] != merged[i + 1][1] for i in range(len(merged) - 1))
+
+
+def moment_curve_radon_faces(k):
+    """The face table of the moment curve in R^{2k} at t_i = i, with no elimination.
+
+    Any 2k + 2 points on the moment curve have one Radon partition: the even
+    and the odd positions of their labels in increasing order (Gale's
+    evenness condition; Ziegler, *Lectures on Polytopes*, Thm 0.7).  So for
+    each label v of [2k + 3] the other labels split into two (k+1)-subsets,
+    and each is a face met by the other.  Returns {I: sorted list of faces}.
+    """
+    n = 2 * k + 3
+    table = {}
+    for v in range(1, n + 1):
+        rest = [label for label in range(1, n + 1) if label != v]
+        first, second = tuple(rest[0::2]), tuple(rest[1::2])
+        table.setdefault(first, []).append(second)
+        table.setdefault(second, []).append(first)
+    return {subset: sorted(faces) for subset, faces in table.items()}

@@ -1,6 +1,7 @@
 """CLI exit codes, report files, and determinism contracts."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -128,11 +129,14 @@ def test_parity_random_trials(capsys):
 
 def test_parity_reads_point_file(tmp_path, capsys):
     path = tmp_path / "m52.pts"
+    out = tmp_path / "parity.json"
     save_points(moment_curve(5, 2), path)
-    assert main(["parity", "--input", str(path)]) == 0
+    assert main(["parity", "--input", str(path), "--json", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.out == f"{path}: total linked = 0 (even)\n"
     assert captured.err == ""
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert json.loads(out.read_text())["manifest"]["input_hashes"] == {str(path): digest}
 
 
 def test_parity_without_an_intersecting_pair_exits_2(tmp_path, monkeypatch, capsys):
@@ -191,6 +195,11 @@ def test_parity_requires_exactly_one_source(degenerate_file):
     assert main(["parity", "--input", degenerate_file, "--random", "5", "2"]) == 64
 
 
+def test_parity_trials_below_one_is_usage_error(capsys):
+    assert main(["parity", "--random", "7", "4", "--trials", "0"]) == 64
+    assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
+
+
 def test_parity_json_report(tmp_path):
     out = tmp_path / "parity.json"
     assert main([
@@ -238,6 +247,7 @@ def test_alternation_bad_sizes(tmp_path, capsys):
         ["--subset", "1,3"],
         ["--k", "0"],
         ["--k", "10"],
+        ["--k", "3", "--n", "99"],
         [],
     ):
         for csv_args in ([], ["--csv", str(out)]):
@@ -248,6 +258,8 @@ def test_alternation_bad_sizes(tmp_path, capsys):
     # would be "|I|=3 leaves no room for a disjoint equal-size subset in [5]"
     assert main(["alternation", "--subset", "1,2,3", "--n", "5"]) == 64
     assert capsys.readouterr().err == "error: |I| must be 2 for universe size 5, got 3\n"
+    assert main(["alternation", "--k", "3", "--n", "99"]) == 64
+    assert capsys.readouterr().err == "error: --n is read only with --subset; --k uses n = 2k + 3\n"
 
 
 def test_alternation_closed_form_mismatch_exits_2_and_writes_every_row(tmp_path, monkeypatch):
@@ -332,6 +344,7 @@ def test_witness_custom_parameters(capsys):
     ["--P", "1,2", "--Q", "3,4", "--d", "2", "--params", ",,"],
     ["--P", "1,2", "--Q", "3,4", "--d", "2", "--params", "1,2,3,\u0664"],
     ["--P", "1,2", "--Q", "3,4", "--d", "2", "--params", "1,2,3"],
+    ["--P", "1,2", "--Q", "3,4", "--d", "2", "--params", "4,3,2,1"],
     ["--P", "1,2", "--Q", "3,4", "--d", "3"],
     ["--P", "1,3", "--Q", "2,4", "--d", "3"],
     ["--P", "1,2", "--Q", "3,4", "--d", "0"],

@@ -207,7 +207,9 @@ def test_sampler_is_reproducible():
 
 
 def test_sampler_first_point_matches_documented_generator():
-    # independent splitmix64 evaluation of coordinate slot 0, trial 0
+    # independent splitmix64 evaluation of every coordinate slot, rejection
+    # included: at bound 2^62 the limit is 2^63 + 1, so about half the draws
+    # are rejected
     mask = (1 << 64) - 1
 
     def mix(z):
@@ -216,14 +218,23 @@ def test_sampler_first_point_matches_documented_generator():
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         return z ^ (z >> 31)
 
-    stream = mix((0 + 1 * _PHI64) & mask)
-    value = mix((stream + 1 * _PHI64) & mask)
-    span = 201
-    assert value < (1 << 64) - ((1 << 64) % span)
-    expected = value % span - 100
-
-    config = sample_random_configuration(5, 2, seed=0, bound=100)
-    assert config.points[0][0] == expected
+    n, d, seed = 5, 2, 0
+    for bound in (100, 2**62):
+        span = 2 * bound + 1
+        limit = (1 << 64) - ((1 << 64) % span)
+        config = sample_random_configuration(n, d, seed=seed, bound=bound)
+        attempt = config.provenance.attempts - 1
+        rejected = 0
+        for i, point in enumerate(config.points):
+            for j, coordinate in enumerate(point):
+                c = (attempt * n + i) * d + j
+                stream = mix((seed + (c + 1) * _PHI64) & mask)
+                r = 0
+                while (value := mix((stream + (r + 1) * _PHI64) & mask)) >= limit:
+                    r += 1
+                rejected += r > 0
+                assert coordinate == value % span - bound, (bound, i, j)
+        assert (rejected > 0) == (bound == 2**62), bound
 
 
 def test_sampler_output_is_general_position():

@@ -130,6 +130,8 @@ def test_separator_rejects_bad_sizes_and_overlap():
         separating_hyperplane_moment((1,), (2,), params_upto(2), 2)
     with pytest.raises(ContractError):
         separating_hyperplane_moment((1, 2), (3, 4), params_upto(4), 3)
+    with pytest.raises(ContractError, match="strictly increasing"):
+        separating_hyperplane_moment((1, 2), (3, 4), params_upto(4)[::-1], 2)
 
 
 def test_separator_with_rational_parameters():

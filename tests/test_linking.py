@@ -34,7 +34,7 @@ from linkparity.linking import (
     total_linked_parity,
     verify_counterexample,
 )
-from oracles import planar_boundary_crossings
+from oracles import moment_curve_radon_faces, planar_boundary_crossings
 
 
 def test_boundary_counts_on_planar_moment_curve():
@@ -238,7 +238,18 @@ def test_witnesses_equal_the_per_pair_solve():
 def test_n4_equals_the_bruteforce_count(k):
     report = total_linked_parity(moment_curve(2 * k + 3, 2 * k))
     for row in report.per_subset:
-        assert row.n4 == alternating_count_bruteforce(row.subset, report.n), row.subset
+        assert row.n4 == alternating_count_bruteforce(row.subset, report.config.n), row.subset
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_moment_curve_table_matches_the_evenness_oracle(k):
+    report = total_linked_parity(moment_curve(2 * k + 3, 2 * k))
+    faces = {subset: sorted(hit.face for hit in hits) for subset, hits in report.hits.items()}
+    assert faces == moment_curve_radon_faces(k)
+    assert report.hits.keys() == report.alternating.keys()
+    for subset in report.hits:
+        row = report.row(subset)
+        assert row.n3 == row.n4 == 2, subset
 
 
 def test_report_holds_the_supports_and_builds_its_rows_once(monkeypatch):

@@ -25,6 +25,7 @@ def random_int_matrix(rng, n, lo=-9, hi=9):
 
 def test_det_identity():
     assert det(Matrix.identity(3)) == 1
+    assert det(Matrix(0, 0, ())) == 1
 
 
 def test_det_2x2_hand():
