@@ -21,6 +21,8 @@ return 0 or 2 and raise everything else.
 Reports are computed serially: ``--workers`` (default 1) is validated, must
 be at least 1, and is otherwise ignored.  Output contains no timestamps or
 worker counts, so identical inputs give byte-identical reports and stdout.
+A ``--json`` report is written to a temporary sibling of its path, a row at
+a time, and moved into place at the end, so a failed run leaves no file.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -53,13 +56,17 @@ from .configuration import (
 )
 from .errors import ContractError, DegeneracyError, SamplingError
 from .intersection import intersect_complementary, separating_hyperplane_moment
+# counterexample_document and dumps_canonical are not called here;
+# perfbench's span tracer wraps them under this module's name
 from .linking import (
     _require_linking_shape,
-    counterexample_document,
-    dumps_canonical,
-    link_report_document,
+    counterexample_document,  # noqa: F401
+    counterexample_sections,
+    dumps_canonical,  # noqa: F401
+    link_report_sections,
     total_linked_parity,
     verify_counterexample,
+    write_canonical,
 )
 from .ratmat import format_rational, parse_rational
 
@@ -99,6 +106,24 @@ def _load(path: str) -> Configuration:
         return load_points(path)
     except (OSError, ValueError) as exc:
         raise ContractError(f"cannot read point set {path}: {exc}") from exc
+
+
+@contextmanager
+def _replacing(path: str):
+    """A text handle whose file replaces ``path`` only if the block completes.
+
+    The text goes to a temporary sibling of ``path``, which is moved over it
+    at the end and deleted on any exception, so a failed run leaves no file.
+    """
+    temporary = f"{path}.tmp{os.getpid()}"
+    handle = open(temporary, "x", encoding="ascii")
+    try:
+        with handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
 def _resolve_workers(value: int) -> int:
@@ -177,9 +202,8 @@ def cmd_verify(args) -> int:
     for failure in result.failures:
         print(f"  failure: {failure}", file=sys.stderr)
     if args.json:
-        document = counterexample_document(result, manifest=manifest)
-        with open(args.json, "w", encoding="ascii") as handle:
-            handle.write(dumps_canonical(document))
+        with _replacing(args.json) as handle:
+            write_canonical(handle, counterexample_sections(result, manifest=manifest))
         print(f"report written to {args.json}")
     return EXIT_OK if result.ok else EXIT_VERIFY_FAIL
 
@@ -210,30 +234,41 @@ def cmd_parity(args) -> int:
             {"n": n, "d": d, "trials": args.trials, "seed": args.seed, "bound": args.bound},
             seeds=seeds,
         )
-        # sampled one trial at a time, and the manifest's seed list is built
-        # only for --json, so memory does not grow with --trials
+        # sampled one trial at a time; the manifest's seed list is built only
+        # for --json
         configs = (
             (f"seed={seed}", sample_random_configuration(n, d, seed, args.bound))
             for seed in seeds
         )
 
-    documents = []
     ok = True
-    for name, config in configs:
-        report = total_linked_parity(config, workers=workers)
-        ok = ok and report.parity_ok
-        print(f"{name}: total linked = {report.total_linked} "
-              f"({'even' if report.parity_ok else 'ODD'})")
-        # claim (b): some two disjoint (k+1)-subsets have intersecting hulls
-        if not report.hits:
-            print(f"{name}: no intersecting disjoint pair", file=sys.stderr)
-            ok = False
-        if args.json:
-            documents.append(link_report_document(report))
+
+    def reports():
+        nonlocal ok
+        for name, config in configs:
+            report = total_linked_parity(config, workers=workers)
+            ok = ok and report.parity_ok
+            print(f"{name}: total linked = {report.total_linked} "
+                  f"({'even' if report.parity_ok else 'ODD'})")
+            # claim (b): some two disjoint (k+1)-subsets have intersecting hulls
+            if not report.hits:
+                print(f"{name}: no intersecting disjoint pair", file=sys.stderr)
+                ok = False
+            yield report
+
     if args.json:
-        payload = {"command": "parity", "reports": documents, "manifest": manifest()}
-        with open(args.json, "w", encoding="ascii") as handle:
-            handle.write(dumps_canonical(payload))
+        # each report is written as it is computed and then dropped, so
+        # memory does not grow with --trials; a failed trial leaves no file
+        payload = {
+            "command": "parity",
+            "reports": map(link_report_sections, reports()),
+            "manifest": manifest(),
+        }
+        with _replacing(args.json) as handle:
+            write_canonical(handle, payload)
+    else:
+        for _ in reports():
+            pass
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -136,13 +136,19 @@ def moment_curve(n: int, d: int, parameters: Sequence[Fraction] | None = None) -
     if parameters is None:
         params = tuple(Fraction(i) for i in range(1, n + 1))
     else:
-        params = tuple(Fraction(t) for t in parameters)
+        params = check_curve_parameters(parameters)
         if len(params) != n:
             raise ContractError(f"expected {n} parameters, got {len(params)}")
-        if any(a >= b for a, b in zip(params, params[1:])):
-            raise ContractError("parameters must be strictly increasing")
     points = tuple(tuple(islice(_curve_coordinates(t), d)) for t in params)
     return Configuration(dimension=d, points=points, provenance=MomentCurve(params))
+
+
+def check_curve_parameters(parameters: Iterable) -> tuple[Fraction, ...]:
+    """The moment-curve parameters as ``Fraction``s; ContractError unless strictly increasing."""
+    params = tuple(Fraction(t) for t in parameters)
+    if any(a >= b for a, b in zip(params, params[1:])):
+        raise ContractError("moment-curve parameters must be strictly increasing")
+    return params
 
 
 def _curve_coordinates(t: Fraction) -> Iterator[Fraction]:
@@ -355,8 +361,7 @@ def _check_moment_curve(points: Sequence[Point], params: tuple[Fraction, ...]) -
         raise ValueError(
             f"moment-curve provenance has {len(params)} parameters for {len(points)} points"
         )
-    if any(a >= b for a, b in zip(params, params[1:])):
-        raise ValueError("moment-curve parameters must be strictly increasing")
+    check_curve_parameters(params)
     for label, (point, t) in enumerate(zip(points, params), start=1):
         if not all(x == y for x, y in zip(point, _curve_coordinates(t))):
             raise ValueError(

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .combinatorics import _merged_order_alternates, check_disjoint
-from .configuration import Configuration, Point
+from .configuration import Configuration, Point, check_curve_parameters
 from .errors import ContractError, DegeneracyError
 from .ratmat import Matrix, solve
 
@@ -172,9 +172,7 @@ def separating_hyperplane_moment(
     """
     if d < 2 or d % 2 != 0:
         raise ContractError(f"dimension must be even and >= 2, got {d}")
-    params = tuple(Fraction(t) for t in parameters)
-    if any(a >= b for a, b in zip(params, params[1:])):
-        raise ContractError("parameters must be strictly increasing")
+    params = check_curve_parameters(parameters)
     ps, qs = check_disjoint(p_labels, q_labels, len(params))
     if len(ps) != d // 2 + 1 or len(qs) != d // 2 + 1:
         raise ContractError(f"|P| and |Q| must be d/2 + 1 = {d // 2 + 1}")

@@ -41,6 +41,9 @@ Verification campaigns:
 Reports are computed serially; the ``workers`` arguments are accepted and
 ignored.  Reports serialize to JSON with a stable key order and carry no
 timestamps or worker counts, so reruns produce byte-identical files.
+``link_report_document`` and ``counterexample_document`` build the whole
+document; ``write_canonical`` writes the same text with the dense sections
+a row at a time, in memory that does not grow with the row count.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 # alternating_count_bruteforce, find_degenerate_subset and
 # intersect_complementary are not called here; perfbench's span tracer wraps
@@ -371,11 +374,35 @@ def _witnesses_json(report: LinkReport) -> list[dict]:
     ]
 
 
-def link_report_document(report: LinkReport) -> dict:
-    """Assemble the serializable report document.
+@dataclass(frozen=True)
+class DenseSection:
+    """A report section with one row per (k+1)-subset I, in colex order.
 
-    Key order is fixed; elapsed time and timestamps are deliberately absent
-    so that identical inputs give byte-identical documents.
+    Each row is its subset ``"I"`` followed by ``fields``, attributes of the
+    subset's ``SubsetCounts`` in key order.  ``rows`` builds the rows as
+    dicts; ``write_canonical`` writes the same rows a row at a time.
+    """
+
+    report: LinkReport
+    fields: tuple[str, ...]
+
+    def rows(self) -> list[dict]:
+        return [
+            {"I": list(row.subset), **{name: getattr(row, name) for name in self.fields}}
+            for row in self.report.per_subset
+        ]
+
+
+PER_SUBSET_FIELDS = ("n1", "n3", "n4", "even")
+CROSS_CHECK_FIELDS = ("n1", "n2", "n3", "n4", "consistent")
+
+
+def link_report_sections(report: LinkReport) -> dict:
+    """The report document with its dense section as a ``DenseSection``.
+
+    This is the one home of the document's section order.  Key order is
+    fixed; elapsed time and timestamps are deliberately absent so that
+    identical inputs give byte-identical documents.
     """
     config = report.config
     return {
@@ -386,16 +413,7 @@ def link_report_document(report: LinkReport) -> dict:
             "points": [_point_json(p) for p in config.points],
         },
         "k": report.k,
-        "per_subset": [
-            {
-                "I": list(row.subset),
-                "n1": row.n1,
-                "n3": row.n3,
-                "n4": row.n4,
-                "even": row.even,
-            }
-            for row in report.per_subset
-        ],
+        "per_subset": DenseSection(report, PER_SUBSET_FIELDS),
         "linked_pairs": [list(s) for s in report.linked_subsets],
         "single_point_subsets": [list(s) for s in report.single_point_subsets],
         "total": report.total_linked,
@@ -405,24 +423,31 @@ def link_report_document(report: LinkReport) -> dict:
     }
 
 
-def counterexample_document(result: CounterexampleReport, manifest: dict | None = None) -> dict:
-    """The report document with the failures filled in and the cross checks appended."""
-    doc = link_report_document(result.report)
-    doc["failures"] = list(result.failures)
-    doc["cross_checks"] = [
-        {
-            "I": list(row.subset),
-            "n1": row.n1,
-            "n2": row.n2,
-            "n3": row.n3,
-            "n4": row.n4,
-            "consistent": row.consistent,
-        }
-        for row in result.cross_checks
-    ]
+def counterexample_sections(result: CounterexampleReport, manifest: dict | None = None) -> dict:
+    """The report's sections with the failures filled in and the cross checks appended."""
+    sections = link_report_sections(result.report)
+    sections["failures"] = list(result.failures)
+    sections["cross_checks"] = DenseSection(result.report, CROSS_CHECK_FIELDS)
     if manifest is not None:
-        doc["manifest"] = manifest
-    return doc
+        sections["manifest"] = manifest
+    return sections
+
+
+def _expanded(sections: dict) -> dict:
+    return {
+        key: value.rows() if isinstance(value, DenseSection) else value
+        for key, value in sections.items()
+    }
+
+
+def link_report_document(report: LinkReport) -> dict:
+    """The serializable report document: ``link_report_sections`` with every row built."""
+    return _expanded(link_report_sections(report))
+
+
+def counterexample_document(result: CounterexampleReport, manifest: dict | None = None) -> dict:
+    """The serializable verify document: ``counterexample_sections`` with every row built."""
+    return _expanded(counterexample_sections(result, manifest))
 
 
 def dumps_canonical(document: dict) -> str:
@@ -504,3 +529,78 @@ def _table(rows: list, pad: str) -> list[str] | None:
         else:
             columns.append([_encode(item, inner) for item in column])
     return [template % fields for fields in zip(*columns)]
+
+
+def write_canonical(handle: TextIO, document: dict) -> None:
+    """Write ``document``'s canonical text to ``handle`` a piece at a time.
+
+    ``document`` may hold, besides what ``dumps_canonical`` accepts, an
+    iterator, written as a list one item at a time, and a ``DenseSection``,
+    written a row at a time.  The text is ``dumps_canonical`` of the
+    document with each of them expanded to its list.
+    """
+    handle.writelines(_pieces(document, ""))
+    handle.write("\n")
+
+
+def _pieces(value, pad: str) -> Iterator[str]:
+    """``_encode(value, pad)``'s text in pieces, expanding iterators and dense sections."""
+    if isinstance(value, DenseSection):
+        yield from _dense_rows(value, pad)
+        return
+    if isinstance(value, dict) and value:
+        brackets = "{}"
+        entries = ((f"{_key(key)}: ", item) for key, item in value.items())
+    elif isinstance(value, Iterator):
+        brackets = "[]"
+        entries = (("", item) for item in value)
+    else:
+        yield _encode(value, pad)
+        return
+    inner = pad + "  "
+    separator = brackets[0] + "\n" + inner
+    for prefix, item in entries:
+        yield separator + prefix
+        yield from _pieces(item, inner)
+        separator = ",\n" + inner
+    # the separator is still the opening one only after an empty iterator
+    yield brackets if separator[0] == brackets[0] else "\n" + pad + brackets[1]
+
+
+def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
+    """The section's list as ``_table`` lays it out, 256 rows a piece.
+
+    A subset off both supports has all-zero counts, so its row is one
+    precomputed template with only the subset's labels filled in; only the
+    subsets on a support build their ``SubsetCounts``.
+    """
+    report = section.report
+    row_pad = pad + "  "
+    field_pad = row_pad + "  "
+    template = _block(
+        (f"{_key('I')}: {_block(('%s',), field_pad, '[]')}",
+         *(f"{_key(name)}: %s" for name in section.fields)),
+        row_pad, "{}",
+    )
+
+    def values(row: SubsetCounts) -> tuple[str, ...]:
+        return tuple(_encode(getattr(row, name), field_pad) for name in section.fields)
+
+    # any subset off both supports gives the zero row; the empty one is such a subset
+    zero_template = template % ("%s", *values(report.row(())))
+    label_separator = ",\n" + field_pad + "  "
+    label_text = {label: str(label) for label in report.config.labels}.__getitem__
+    support = report.hits.keys() | report.alternating.keys()
+
+    def row_text(subset: IndexSubset) -> str:
+        labels = label_separator.join(map(label_text, subset))
+        if subset not in support:
+            return zero_template % labels
+        return template % (labels, *values(report.row(subset)))
+
+    subsets = combinations_colex(report.config.labels, report.k + 1)
+    separator, opening = ",\n" + row_pad, "[\n" + row_pad
+    for chunk in iter(lambda: tuple(islice(subsets, 256)), ()):
+        yield opening + separator.join(map(row_text, chunk))
+        opening = separator
+    yield "[]" if opening[0] == "[" else "\n" + pad + "]"

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,13 @@ from linkparity.configuration import (
     moment_curve,
     sample_random_configuration,
     save_points,
+)
+from linkparity.errors import SamplingError
+from linkparity.linking import (
+    counterexample_document,
+    dumps_canonical,
+    link_report_document,
+    total_linked_parity,
 )
 
 
@@ -92,6 +100,42 @@ def test_verify_stdout_identical_across_reruns(capsys):
     first = capsys.readouterr().out
     assert main(["verify", "-k", "1"]) == 0
     assert capsys.readouterr().out == first
+
+
+def _verify_reference(k: int) -> str:
+    """The verify report as the documents built in memory serialize it."""
+    manifest = cli._manifest("verify", {"k": k})
+    return dumps_canonical(counterexample_document(linking.verify_counterexample(k), manifest))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_verify_report_file_equals_the_built_document(k, tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "-k", str(k), "--json", str(out)]) == 0
+    assert out.read_text() == _verify_reference(k)
+
+
+def test_failing_verify_report_file_equals_the_built_document(tmp_path, monkeypatch):
+    sampled = sample_random_configuration(7, 4, seed=0, bound=1000)
+    monkeypatch.setattr(linking, "moment_curve", lambda *args: sampled)
+    out = tmp_path / "fail.json"
+    assert main(["verify", "-k", "2", "--json", str(out)]) == 2
+    expected = _verify_reference(2)
+    doc = json.loads(expected)
+    assert doc["failures"] and doc["witnesses"]
+    assert out.read_text() == expected
+
+
+def test_verify_report_is_written_in_constant_memory(tmp_path, capsys):
+    # C(17, 8) = 24,310 rows a section; building the whole document in
+    # memory first peaked at about 42 MB (Python 3.11)
+    tracemalloc.start()
+    try:
+        assert main(["verify", "-k", "7", "--json", str(tmp_path / "v7.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_verify_failures_are_the_dense_rows_failures(tmp_path, monkeypatch, capsys):
@@ -211,6 +255,46 @@ def test_parity_json_report(tmp_path):
     assert len(doc["reports"]) == 2
     assert doc["manifest"]["seeds"] == [0, 1]
     assert all(report["parity_ok"] for report in doc["reports"])
+
+
+def _parity_reference(configs, manifest) -> str:
+    """The parity payload as the documents built in memory serialize it."""
+    reports = [link_report_document(total_linked_parity(config)) for config in configs]
+    return dumps_canonical({"command": "parity", "reports": reports, "manifest": manifest})
+
+
+@pytest.mark.parametrize("n, d", [(5, 2), (7, 4), (9, 6)])
+def test_parity_random_report_file_equals_the_built_documents(n, d, tmp_path):
+    out = tmp_path / "parity.json"
+    assert main(["parity", "--random", str(n), str(d), "--trials", "3", "--json", str(out)]) == 0
+    manifest = cli._manifest(
+        "parity", {"n": n, "d": d, "trials": 3, "seed": 0, "bound": 1000}, seeds=range(3)
+    )
+    configs = [sample_random_configuration(n, d, seed, 1000) for seed in range(3)]
+    assert out.read_text() == _parity_reference(configs, manifest)
+
+
+def test_parity_input_report_file_equals_the_built_document(tmp_path):
+    path, out = tmp_path / "m96.pts", tmp_path / "parity.json"
+    save_points(moment_curve(9, 6), path)
+    assert main(["parity", "--input", str(path), "--json", str(out)]) == 0
+    manifest = cli._manifest("parity", {"input": str(path)}, inputs=[str(path)])
+    assert out.read_text() == _parity_reference([moment_curve(9, 6)], manifest)
+
+
+def test_parity_failed_trial_leaves_no_file(tmp_path, monkeypatch, capsys):
+    real = cli.sample_random_configuration
+
+    def fail_second(n, d, seed, bound):
+        if seed == 1:
+            raise SamplingError("no general-position draw")
+        return real(n, d, seed, bound)
+
+    monkeypatch.setattr(cli, "sample_random_configuration", fail_second)
+    out = tmp_path / "parity.json"
+    assert main(["parity", "--random", "7", "4", "--trials", "3", "--json", str(out)]) == 3
+    assert capsys.readouterr().err == "sampling failed: no general-position draw\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_alternation_table_k2(capsys):

@@ -1,5 +1,6 @@
 """Linking counts, parity reports, counterexample verification, existence."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -26,13 +27,16 @@ from linkparity.intersection import intersect_complementary
 from linkparity.linking import (
     boundary_intersection_count,
     counterexample_document,
+    counterexample_sections,
     dumps_canonical,
     find_intersecting_pair,
     intersecting_pairs,
     is_linked,
     link_report_document,
+    link_report_sections,
     total_linked_parity,
     verify_counterexample,
+    write_canonical,
 )
 from oracles import moment_curve_radon_faces, planar_boundary_crossings
 
@@ -481,6 +485,44 @@ _DOCUMENTS = st.recursive(
 )
 
 
+def _written(document) -> str:
+    buffer = io.StringIO()
+    write_canonical(buffer, document)
+    return buffer.getvalue()
+
+
+def _lists_as_iterators(value):
+    if isinstance(value, list):
+        return iter([_lists_as_iterators(item) for item in value])
+    if isinstance(value, dict):
+        return {key: _lists_as_iterators(item) for key, item in value.items()}
+    return value
+
+
+@given(_DOCUMENTS)
+@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
+@example({"empty": [], "nested": [[], {}, [{"I": [1]}]]})
+@settings(max_examples=300, deadline=None)
+def test_write_canonical_equals_dumps_canonical(document):
+    expected = dumps_canonical(document)
+    assert _written(document) == expected
+    # an iterator is written as the list it yields
+    assert _written(_lists_as_iterators(document)) == expected
+
+
+def test_streamed_sections_equal_the_built_documents():
+    for config in _rational_cases():
+        report = total_linked_parity(config)
+        assert _written(link_report_sections(report)) == dumps_canonical(
+            link_report_document(report)
+        )
+    result = verify_counterexample(3)
+    for manifest in (None, {"command": "verify"}):
+        assert _written(counterexample_sections(result, manifest)) == dumps_canonical(
+            counterexample_document(result, manifest)
+        )
+
+
 @given(_DOCUMENTS)
 @example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
 @example([{"%": 1, "x%sy": True, "%(a)s": None}])
@@ -506,3 +548,5 @@ def test_dumps_canonical_equals_json_indent_2(document):
 def test_dumps_canonical_rejects_values_outside_json_documents(document):
     with pytest.raises(TypeError):
         dumps_canonical(document)
+    with pytest.raises(TypeError):
+        _written(document)
