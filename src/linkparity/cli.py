@@ -21,8 +21,9 @@ return 0 or 2 and raise everything else.
 Reports are computed serially: ``--workers`` (default 1) is validated, must
 be at least 1, and is otherwise ignored.  Output contains no timestamps or
 worker counts, so identical inputs give byte-identical reports and stdout.
-A ``--json`` report is written to a temporary sibling of its path, a row at
-a time, and moved into place at the end, so a failed run leaves no file.
+A ``--json`` report is written a row at a time to a temporary sibling of the
+file its path names and moved into place at the end, so a failed run leaves
+no file; a path naming a device or FIFO is written directly.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import argparse
 import csv
 import hashlib
 import os
+import stat
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
@@ -112,15 +114,32 @@ def _load(path: str) -> Configuration:
 def _replacing(path: str):
     """A text handle whose file replaces ``path`` only if the block completes.
 
-    The text goes to a temporary sibling of ``path``, which is moved over it
-    at the end and deleted on any exception, so a failed run leaves no file.
+    When ``path`` is missing or names a regular file (through any symlinks),
+    the text goes to a temporary sibling of that file, which takes an old
+    file's mode, is moved over it at the end and is deleted on any
+    exception, so a failed run leaves no file and an old one untouched.  Any
+    other existing ``path`` (``/dev/null``, a FIFO) is opened and written
+    directly.
     """
-    temporary = f"{path}.tmp{os.getpid()}"
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="ascii") as handle:
+            yield handle
+        return
+    if mode is not None:
+        open(target, "a").close()  # an old file must be writable, as for open(path, "w")
+    temporary = f"{target}.tmp{os.getpid()}"
     handle = open(temporary, "x", encoding="ascii")
     try:
         with handle:
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
             yield handle
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except BaseException:
         os.remove(temporary)
         raise

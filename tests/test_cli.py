@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -295,6 +296,41 @@ def test_parity_failed_trial_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert main(["parity", "--random", "7", "4", "--trials", "3", "--json", str(out)]) == 3
     assert capsys.readouterr().err == "sampling failed: no general-position draw\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_parity_run_leaves_an_old_report_untouched(tmp_path, monkeypatch, capsys):
+    def fail(n, d, seed, bound):
+        raise SamplingError("no general-position draw")
+
+    monkeypatch.setattr(cli, "sample_random_configuration", fail)
+    out = tmp_path / "parity.json"
+    out.write_text("old\n")
+    assert main(["parity", "--random", "7", "4", "--json", str(out)]) == 3
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_report_through_a_symlink_replaces_its_target(tmp_path):
+    target, link = tmp_path / "report.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert main(["verify", "-k", "1", "--json", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == _verify_reference(1)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "report.json"]
+
+
+def test_report_to_a_device_is_written_directly(monkeypatch):
+    # moving a regular file over os.devnull would replace the device node
+    def refuse(source, destination):
+        raise AssertionError(f"os.replace({source!r}, {destination!r})")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["verify", "-k", "1", "--json", os.devnull]) == 0
+    assert main(["parity", "--random", "5", "2", "--json", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_alternation_table_k2(capsys):
