@@ -21,9 +21,10 @@ return 0 or 2 and raise everything else.
 Reports are computed serially: ``--workers`` (default 1) is validated, must
 be at least 1, and is otherwise ignored.  Output contains no timestamps or
 worker counts, so identical inputs give byte-identical reports and stdout.
-A ``--json`` report is written a row at a time to a temporary sibling of the
-file its path names and moved into place at the end, so a failed run leaves
-no file; a path naming a device or FIFO is written directly.
+A ``--json`` report or an ``alternation --csv`` table is written a row at a
+time to a temporary sibling of the file its path names and moved into place
+at the end, so a failed run leaves no file and an old file untouched; a path
+naming a device or FIFO is written directly.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ import stat
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import comb
 
 from . import __version__
 from .combinatorics import (
+    AlternationCase,
+    _closed_form,
     _require_report_rows,
     alternates,
     alternating_count_bruteforce,
@@ -119,7 +122,8 @@ def _replacing(path: str):
     file's mode, is moved over it at the end and is deleted on any
     exception, so a failed run leaves no file and an old one untouched.  Any
     other existing ``path`` (``/dev/null``, a FIFO) is opened and written
-    directly.
+    directly.  Either way newlines are written untranslated
+    (``newline=""``), as ``csv`` needs.
     """
     target = os.path.realpath(path)
     try:
@@ -127,13 +131,13 @@ def _replacing(path: str):
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="ascii") as handle:
+        with open(path, "w", encoding="ascii", newline="") as handle:
             yield handle
         return
     if mode is not None:
         open(target, "a").close()  # an old file must be writable, as for open(path, "w")
     temporary = f"{target}.tmp{os.getpid()}"
-    handle = open(temporary, "x", encoding="ascii")
+    handle = open(temporary, "x", encoding="ascii", newline="")
     try:
         with handle:
             if mode is not None:
@@ -157,7 +161,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="linkparity", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -294,17 +300,19 @@ def cmd_parity(args) -> int:
 # ------------------------------- alternation --------------------------------
 
 
-def _breakdown_row(subset, breakdown, brute) -> tuple[list, bool]:
+_CASE_TEXT = {case: case.value for case in AlternationCase}
+
+
+def _breakdown_row(subset, breakdown, brute) -> tuple[tuple, bool]:
     """A CSV row for ``subset``, and whether the closed form agrees with ``brute``."""
-    ok = breakdown.count == brute and brute % 2 == 0
-    blocks = " ".join(str(b) for b in breakdown.block_sizes) if breakdown.block_sizes else ""
-    row = [
-        " ".join(str(v) for v in subset),
-        breakdown.case_tag.value,
-        blocks,
+    blocks = breakdown.block_sizes
+    row = (
+        " ".join(map(str, subset)),
+        _CASE_TEXT[breakdown.case_tag],
+        " ".join(map(str, blocks)) if blocks else "",
         breakdown.count,
-    ]
-    return row, ok
+    )
+    return row, breakdown.count == brute and brute % 2 == 0
 
 
 def cmd_alternation(args) -> int:
@@ -319,11 +327,10 @@ def cmd_alternation(args) -> int:
         n = 2 * args.k + 3
         # every nonzero enumerated count at once, from the n unions I ∪ J
         counts = alternating_counts(n, args.k + 1)
-        # made one at a time as they are written
+        # made one at a time as they are written; each colex subset is sorted
+        # and of size k + 1 in [2k + 3], so it is classified without re-validation
         rows = (
-            _breakdown_row(
-                subset, alternating_count_closed_form(subset, n), counts.get(subset, 0)
-            )
+            _breakdown_row(subset, _closed_form(subset, n), counts.get(subset, 0))
             for subset in combinations_colex(tuple(range(1, n + 1)), args.k + 1)
         )
     else:
@@ -336,8 +343,7 @@ def cmd_alternation(args) -> int:
         rows = (_breakdown_row(subset, breakdown, alternating_count_bruteforce(subset, args.n)),)
 
     all_ok = True
-    with (open(args.csv, "w", encoding="ascii", newline="") if args.csv
-          else nullcontext(sys.stdout)) as handle:
+    with _replacing(args.csv) if args.csv else nullcontext(sys.stdout) as handle:
         writer = csv.writer(handle)
         writer.writerow(["I", "case", "block_sizes", "count"])
         for row, ok in rows:

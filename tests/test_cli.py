@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import stat
@@ -23,7 +24,7 @@ from linkparity.configuration import (
     sample_random_configuration,
     save_points,
 )
-from linkparity.errors import SamplingError
+from linkparity.errors import ContractError, SamplingError
 from linkparity.linking import (
     counterexample_document,
     dumps_canonical,
@@ -330,6 +331,7 @@ def test_report_to_a_device_is_written_directly(monkeypatch):
     monkeypatch.setattr(os, "replace", refuse)
     assert main(["verify", "-k", "1", "--json", os.devnull]) == 0
     assert main(["parity", "--random", "5", "2", "--json", os.devnull]) == 0
+    assert main(["alternation", "--k", "1", "--csv", os.devnull]) == 0
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
@@ -388,15 +390,52 @@ def test_alternation_closed_form_mismatch_exits_2_and_writes_every_row(tmp_path,
     row = "\n1 3 5 7,left_end_only,1 1 1 2,{}\n"
     expected = out.read_text().replace(row.format(2), row.format(4))
     assert expected != out.read_text()
-    closed_form = cli.alternating_count_closed_form
+    closed_form = cli._closed_form
 
     def miscounted(subset, n):
         breakdown = closed_form(subset, n)
         return replace(breakdown, count=4) if subset == (1, 3, 5, 7) else breakdown
 
-    monkeypatch.setattr(cli, "alternating_count_closed_form", miscounted)
+    monkeypatch.setattr(cli, "_closed_form", miscounted)
     assert main(["alternation", "--k", "3", "--csv", str(out)]) == 2
     assert out.read_text() == expected
+
+
+def test_alternation_subset_closed_form_mismatch_exits_2(monkeypatch, capsys):
+    # --subset classifies user input through the validating closed form
+    closed_form = cli.alternating_count_closed_form
+
+    def miscounted(subset, n):
+        return replace(closed_form(subset, n), count=4)
+
+    monkeypatch.setattr(cli, "alternating_count_closed_form", miscounted)
+    assert main(["alternation", "--subset", "1,3,5,7", "--n", "9"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "I,case,block_sizes,count", "1 3 5 7,left_end_only,1 1 1 2,4",
+    ]
+
+
+@pytest.mark.parametrize("old", [None, "old table\n"])
+def test_failed_alternation_table_leaves_no_file(old, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "table.csv"
+    if old is not None:
+        out.write_text(old)
+    closed_form = cli._closed_form
+    rows = itertools.count(1)  # C(9, 4) = 126 rows at k = 3
+
+    def fail_at_row_30(subset, n):
+        if next(rows) == 30:
+            raise ContractError("stopped at row 30")
+        return closed_form(subset, n)
+
+    monkeypatch.setattr(cli, "_closed_form", fail_at_row_30)
+    assert main(["alternation", "--k", "3", "--csv", str(out)]) == 64
+    assert capsys.readouterr().err == "error: stopped at row 30\n"
+    if old is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == old
 
 
 def test_alternation_table_mismatch_exits_2_and_writes_every_row(tmp_path, monkeypatch):
@@ -526,6 +565,7 @@ def _stop_report_work(monkeypatch, error):
     monkeypatch.setattr(configuration, "_attempt_points", stop)
     monkeypatch.setattr(cli, "combinations_colex", stop)
     monkeypatch.setattr(cli, "alternating_count_closed_form", stop)
+    monkeypatch.setattr(cli, "_closed_form", stop)
     monkeypatch.setattr(cli, "alternating_counts", stop)
 
 

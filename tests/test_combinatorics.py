@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from linkparity.combinatorics import (
     AlternationCase,
+    _closed_form,
     _merged_order_alternates,
     alternates,
     alternating_count_bruteforce,
@@ -212,6 +213,18 @@ def test_closed_form_matches_bruteforce_small_k():
         for subject in itertools.combinations(range(1, n + 1), k + 1):
             breakdown = alternating_count_closed_form(subject, n)
             assert breakdown.count == alternating_count_bruteforce(subject, n), subject
+
+
+def test_private_closed_form_matches_the_validating_one():
+    # the unvalidated classifier of each generated alternation row
+    for k in range(1, 7):
+        n = 2 * k + 3
+        for subject in combinations_colex(range(1, n + 1), k + 1):
+            breakdown = _closed_form(subject, n)
+            # equal count, case_tag and block_sizes
+            assert breakdown == alternating_count_closed_form(subject, n), subject
+            if k <= 4:
+                assert breakdown.count == _oracle_count(subject, n), subject
 
 
 def test_closed_form_counts_are_even_small_k():
