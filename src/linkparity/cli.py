@@ -176,9 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_parity = sub.add_parser("parity", help="linked-count parity check")
     p_parity.add_argument("--input", metavar="PATH", help="point-set file")
     p_parity.add_argument("--random", nargs=2, type=int, metavar=("N", "D"))
-    p_parity.add_argument("--trials", type=int, default=1)
-    p_parity.add_argument("--seed", type=int, default=0)
-    p_parity.add_argument("--bound", type=int, default=1000)
+    # None when absent, so that --input can refuse them; --random reads 1, 0, 1000
+    p_parity.add_argument("--trials", type=int)
+    p_parity.add_argument("--seed", type=int)
+    p_parity.add_argument("--bound", type=int)
     p_parity.add_argument("--json", metavar="PATH")
     p_parity.add_argument("--workers", type=int, default=1)
 
@@ -241,28 +242,33 @@ def cmd_parity(args) -> int:
         raise ContractError("exactly one of --input or --random is required")
     workers = _resolve_workers(args.workers)
     if args.input is not None:
+        if (args.trials, args.seed, args.bound) != (None, None, None):
+            raise ContractError("--trials, --seed and --bound are read only with --random")
         manifest = partial(_manifest, "parity", {"input": args.input}, inputs=[args.input])
         configs = [(args.input, _load(args.input))]
     else:
         n, d = args.random
-        if args.trials < 1:
-            raise ContractError(f"--trials must be >= 1, got {args.trials}")
+        trials = 1 if args.trials is None else args.trials
+        first_seed = 0 if args.seed is None else args.seed
+        bound = 1000 if args.bound is None else args.bound
+        if trials < 1:
+            raise ContractError(f"--trials must be >= 1, got {trials}")
         # a wrong shape, a shape the sampler refuses or an oversized report
         # is rejected before any attempt is drawn and certified
         k = _require_linking_shape(d, n)
-        _check_sampling(n, d, args.bound)
+        _check_sampling(n, d, bound)
         _require_report_rows(k)
-        seeds = range(args.seed, args.seed + args.trials)
+        seeds = range(first_seed, first_seed + trials)
         manifest = partial(
             _manifest,
             "parity",
-            {"n": n, "d": d, "trials": args.trials, "seed": args.seed, "bound": args.bound},
+            {"n": n, "d": d, "trials": trials, "seed": first_seed, "bound": bound},
             seeds=seeds,
         )
         # sampled one trial at a time; the manifest's seed list is built only
         # for --json
         configs = (
-            (f"seed={seed}", sample_random_configuration(n, d, seed, args.bound))
+            (f"seed={seed}", sample_random_configuration(n, d, seed, bound))
             for seed in seeds
         )
 
@@ -276,7 +282,7 @@ def cmd_parity(args) -> int:
             print(f"{name}: total linked = {report.total_linked} "
                   f"({'even' if report.parity_ok else 'ODD'})")
             # claim (b): some two disjoint (k+1)-subsets have intersecting hulls
-            if not report.hits:
+            if not any(row.n3 for row in report.support.values()):
                 print(f"{name}: no intersecting disjoint pair", file=sys.stderr)
                 ok = False
             yield report

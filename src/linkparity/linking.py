@@ -21,13 +21,14 @@ forms no cross product; every query below reads the table they give.
 
 Verification campaigns:
 
-* ``total_linked_parity`` keeps the configuration and the two supports of
-  its counts, at most 2n subsets each: the table, and n4 from
-  ``alternating_counts``'s n unions.  Its linked total is even: the ordered
+* ``total_linked_parity`` keeps the configuration and its support: the
+  counts of every subset with a face hit (a key of the table) or an
+  alternating partner (from ``alternating_counts``'s n unions), at most 2n
+  subsets, each row built once.  Its linked total is even: the ordered
   double sum over disjoint (I, J) counts every unordered pair twice.
 * ``verify_counterexample`` builds the moment-curve configuration on
   2k+3 integer parameters and checks that it has *no* linked pair at all,
-  cross-checking three counts on every subset of either support: distinct
+  cross-checking three counts on every row of the support: distinct
   boundary points (n1), faces hit (n2 = n3, faces being in bijection with
   subsets J), and subsets alternating with I (n4).
 * ``find_intersecting_pair`` exhibits two disjoint (k+1)-subsets with
@@ -42,8 +43,10 @@ Reports are computed serially; the ``workers`` arguments are accepted and
 ignored.  Reports serialize to JSON with a stable key order and carry no
 timestamps or worker counts, so reruns produce byte-identical files.
 ``link_report_document`` and ``counterexample_document`` build the whole
-document; ``write_canonical`` writes the same text with the dense sections
-a row at a time, in memory that does not grow with the row count.
+document.  ``dumps_canonical`` and ``write_canonical`` run one encoder,
+``_pieces``; ``write_canonical`` writes its pieces as they are made, the
+dense sections a row at a time, in memory that does not grow with the row
+count.
 """
 
 from __future__ import annotations
@@ -145,25 +148,25 @@ def _distinct_points(hits: tuple[FaceHit, ...]) -> int:
 
 @dataclass(frozen=True)
 class LinkReport:
-    """A configuration and the two supports of its counts.
+    """A configuration and the nonzero rows of its counts.
 
-    ``hits`` is the Radon table, ``alternating`` the nonzero n4 counts; every
-    other (k+1)-subset has n1 = n3 = n4 = 0.  The derived facts read ``hits``
-    alone; ``per_subset``, the dense colex rows, is built once, on first use.
+    ``support`` maps each (k+1)-subset with a face hit or an alternating
+    partner to its ``SubsetCounts``, in colex order; every other subset has
+    n1 = n3 = n4 = 0.  Each row is built once, by ``total_linked_parity``,
+    and every derived fact reads these rows.  ``per_subset``, the dense
+    colex rows, is built once, on first use.
     """
 
     config: Configuration
-    hits: dict[IndexSubset, tuple[FaceHit, ...]]
-    alternating: dict[IndexSubset, int]
+    support: dict[IndexSubset, SubsetCounts]
 
     @property
     def k(self) -> int:
         return self.config.dimension // 2
 
     def row(self, subset: IndexSubset) -> SubsetCounts:
-        """The counts of one (k+1)-subset, zero off both supports."""
-        hits = self.hits.get(subset, ())
-        return SubsetCounts(subset, _distinct_points(hits), self.alternating.get(subset, 0), hits)
+        """The counts of one (k+1)-subset: its support row, or all zeros."""
+        return self.support.get(subset) or SubsetCounts(subset, 0, 0, ())
 
     @cached_property
     def per_subset(self) -> tuple[SubsetCounts, ...]:
@@ -171,11 +174,11 @@ class LinkReport:
 
     @property
     def linked_subsets(self) -> tuple[IndexSubset, ...]:
-        return tuple(subset for subset, hits in self.hits.items() if len(hits) % 2)
+        return tuple(subset for subset, row in self.support.items() if row.n3 % 2)
 
     @property
     def single_point_subsets(self) -> tuple[IndexSubset, ...]:
-        return tuple(subset for subset, hits in self.hits.items() if _distinct_points(hits) == 1)
+        return tuple(subset for subset, row in self.support.items() if row.n1 == 1)
 
     @property
     def total_linked(self) -> int:
@@ -275,8 +278,10 @@ def is_linked(config: Configuration, subset: Iterable[int]) -> bool:
 
 
 def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
-    """The report of a configuration: its Radon table and its alternating counts.
+    """The report of a configuration: the counts of every subset on its support.
 
+    The support is the union of the Radon table's keys and the nonzero
+    alternating counts, formed here alone; each row's n1 is counted once.
     Raises DegeneracyError (with the offending subset) when the configuration
     is not in general position, and ContractError for a report of more than
     ``MAX_REPORT_ROWS`` rows (k > 9).  ``workers`` is accepted and ignored:
@@ -284,18 +289,20 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     """
     k = _require_linking_shape(config.dimension, config.n)
     _require_report_rows(k)
-    return LinkReport(
-        config=config,
-        hits=_radon_table(config),
-        alternating=alternating_counts(config.n, k + 1),
-    )
+    table = _radon_table(config)
+    alternating = alternating_counts(config.n, k + 1)
+    support = {}
+    for subset in sorted(table.keys() | alternating.keys(), key=lambda s: s[::-1]):
+        hits = table.get(subset, ())
+        support[subset] = SubsetCounts(subset, _distinct_points(hits), alternating[subset], hits)
+    return LinkReport(config=config, support=support)
 
 
 def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
     """Check that the moment-curve configuration on 2k+3 points has no linked pair.
 
     Certifies general position and requires n1 = n3 = n4, all even, and zero
-    linked subsets, checking the subsets of either support in colex order:
+    linked subsets, checking the report's support rows in colex order:
     every other row is all zeros.  Any violation is recorded as a failure
     (it would falsify the implementation, not the statement being checked).
     A k above 9 raises ContractError before any point is built.
@@ -307,8 +314,7 @@ def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
     report = total_linked_parity(config, workers=workers)
 
     failures = []
-    for subset in sorted(report.hits.keys() | report.alternating.keys(), key=lambda s: s[::-1]):
-        row = report.row(subset)
+    for row in report.support.values():
         if not row.consistent:
             failures.append(
                 f"count mismatch at I={row.subset}: "
@@ -367,10 +373,10 @@ def _witnesses_json(report: LinkReport) -> list[dict]:
     return [
         {
             "I": list(subset),
-            "faces": [{"J": list(hit.face), "point": _point_json(hit.point)} for hit in hits],
+            "faces": [{"J": list(hit.face), "point": _point_json(hit.point)} for hit in row.hits],
         }
-        for subset, hits in report.hits.items()
-        if len(hits) % 2
+        for subset, row in report.support.items()
+        if row.n3 % 2
     ]
 
 
@@ -463,36 +469,77 @@ def dumps_canonical(document: dict) -> str:
 
     The text is exactly ``json.dumps(document, indent=2, ensure_ascii=True)``
     plus a final newline.  Only dicts with ``str`` keys, lists, ``str``,
-    ``int``, ``bool`` and ``None`` are accepted; any other value or key type
-    (a ``float``, a ``tuple``, a ``set``, an ``int`` key) raises TypeError.
+    ``int``, ``bool`` and ``None`` are accepted, and the iterators and
+    ``DenseSection``s that ``write_canonical`` expands; any other value or
+    key type (a ``float``, a ``tuple``, a ``set``, an ``int`` key) raises
+    TypeError.
     """
-    return _encode(document, "") + "\n"
+    return "".join(_pieces(document, "")) + "\n"
 
 
-_BOOLS = {True: "true", False: "false"}
+def write_canonical(handle: TextIO, document: dict) -> None:
+    """Write ``dumps_canonical(document)``'s text to ``handle`` a piece at a time.
+
+    An iterator in ``document`` is written as a list one item at a time, and
+    a ``DenseSection`` a row at a time, so memory does not grow with their
+    length.
+    """
+    handle.writelines(_pieces(document, ""))
+    handle.write("\n")
 
 
-def _encode(value, pad: str) -> str:
-    """``value`` as ``json.dumps(indent=2)`` writes it on a line indented by ``pad``."""
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _scalar(value) -> str | None:
+    """The JSON text of a string, None, bool or int; None for any other value."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return _BOOLS[value]
+    # identity, not equality: 1 == True, yet 1 is written as a number
+    if value is None or value is True or value is False:
+        return _LITERALS[value]
     if isinstance(value, int):
         return int.__repr__(value)
+    return None
+
+
+def _pieces(value, pad: str) -> Iterator[str]:
+    """``value`` as ``json.dumps(indent=2)`` writes it on a line indented by ``pad``, in pieces.
+
+    Iterators are written as lists and dense sections a row at a time; a
+    non-empty list of same-keyed dicts (``_table``) or of scalars is one piece.
+    """
+    text = _scalar(value)
+    if text is not None:
+        yield text
+    elif isinstance(value, DenseSection):
+        yield from _dense_rows(value, pad)
+    elif isinstance(value, list) and (items := _table(value, pad + "  ") or _scalars(value)):
+        yield _block(items, pad, "[]")
+    elif isinstance(value, dict):
+        yield from _entries(((f"{_key(key)}: ", item) for key, item in value.items()), pad, "{}")
+    elif isinstance(value, (list, Iterator)):
+        yield from _entries((("", item) for item in value), pad, "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _entries(entries: Iterable[tuple[str, object]], pad: str, brackets: str) -> Iterator[str]:
+    """A container's (prefix, value) entries, one a line indented by ``pad`` plus two spaces."""
     inner = pad + "  "
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        return _block(_table(value, inner) or [_encode(item, inner) for item in value], pad, "[]")
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return _block((f"{_key(key)}: {_encode(item, inner)}" for key, item in value.items()),
-                      pad, "{}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    separator = brackets[0] + "\n" + inner
+    for prefix, item in entries:
+        yield separator + prefix
+        yield from _pieces(item, inner)
+        separator = ",\n" + inner
+    # the separator is still the opening one only after an empty container
+    yield brackets if separator[0] == brackets[0] else "\n" + pad + brackets[1]
+
+
+def _scalars(values: list) -> list[str] | None:
+    """The texts of a list of strings, Nones, bools and ints, or None if not one."""
+    texts = list(map(_scalar, values))
+    return None if None in texts else texts
 
 
 def _block(items: Iterable[str], pad: str, brackets: str) -> str:
@@ -511,7 +558,7 @@ def _table(rows: list, pad: str) -> list[str] | None:
     """The rows of a list of same-keyed dicts, each indented by ``pad``, or None if not one.
 
     The rows share one ``%`` template; whole columns of ints, bools and int
-    lists are formatted at once, any other column value recursively.
+    lists are formatted at once, any other column value by ``_pieces``.
     """
     if set(map(type, rows)) != {dict} or not rows[0]:
         return None
@@ -528,68 +575,32 @@ def _table(rows: list, pad: str) -> list[str] | None:
         if kinds == {int}:
             columns.append(map(int.__repr__, column))
         elif kinds == {bool}:
-            columns.append(map(_BOOLS.__getitem__, column))
+            columns.append(map(_LITERALS.__getitem__, column))
         elif kinds == {list} and set(map(type, chain.from_iterable(column))) <= {int}:
             columns.append([
                 _block(map(int.__repr__, items), inner, "[]") if items else "[]"
                 for items in column
             ])
         else:
-            columns.append([_encode(item, inner) for item in column])
+            columns.append(["".join(_pieces(item, inner)) for item in column])
     return [template % fields for fields in zip(*columns)]
-
-
-def write_canonical(handle: TextIO, document: dict) -> None:
-    """Write ``document``'s canonical text to ``handle`` a piece at a time.
-
-    ``document`` may hold, besides what ``dumps_canonical`` accepts, an
-    iterator, written as a list one item at a time, and a ``DenseSection``,
-    written a row at a time.  The text is ``dumps_canonical`` of the
-    document with each of them expanded to its list.
-    """
-    handle.writelines(_pieces(document, ""))
-    handle.write("\n")
-
-
-def _pieces(value, pad: str) -> Iterator[str]:
-    """``_encode(value, pad)``'s text in pieces, expanding iterators and dense sections."""
-    if isinstance(value, DenseSection):
-        yield from _dense_rows(value, pad)
-        return
-    if isinstance(value, dict) and value:
-        brackets = "{}"
-        entries = ((f"{_key(key)}: ", item) for key, item in value.items())
-    elif isinstance(value, Iterator):
-        brackets = "[]"
-        entries = (("", item) for item in value)
-    else:
-        yield _encode(value, pad)
-        return
-    inner = pad + "  "
-    separator = brackets[0] + "\n" + inner
-    for prefix, item in entries:
-        yield separator + prefix
-        yield from _pieces(item, inner)
-        separator = ",\n" + inner
-    # the separator is still the opening one only after an empty iterator
-    yield brackets if separator[0] == brackets[0] else "\n" + pad + brackets[1]
 
 
 def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     """The section's list as ``_table`` lays it out, 256 rows a piece.
 
-    A subset off both supports has all-zero counts, so its row is one
+    A subset off the report's support has all-zero counts, so its row is one
     precomputed template with only the subset's labels filled in; only the
-    subsets on a support build their ``SubsetCounts`` and row.
+    support's ``SubsetCounts`` are made into rows.
     """
     report = section.report
     row_pad = pad + "  "
     field_pad = row_pad + "  "
 
     def values(row: dict) -> list[str]:
-        return [_encode(value, field_pad) for value in row.values()][1:]
+        return ["".join(_pieces(value, field_pad)) for value in row.values()][1:]
 
-    # any subset off both supports gives the zero row; the empty one is such a subset
+    # any subset off the support gives the zero row; the empty one is such a subset
     zero = section.row(report.row(()))
     template = _block(
         (f"{_key('I')}: {_block(('%s',), field_pad, '[]')}",
@@ -599,13 +610,14 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     zero_template = template % ("%s", *values(zero))
     label_separator = ",\n" + field_pad + "  "
     label_text = {label: str(label) for label in report.config.labels}.__getitem__
-    support = report.hits.keys() | report.alternating.keys()
+    support_row = report.support.get
 
     def row_text(subset: IndexSubset) -> str:
         labels = label_separator.join(map(label_text, subset))
-        if subset not in support:
+        row = support_row(subset)
+        if row is None:
             return zero_template % labels
-        return template % (labels, *values(section.row(report.row(subset))))
+        return template % (labels, *values(section.row(row)))
 
     # a section is never empty; 256 rows a piece wrote the verify report
     # 6-8% faster than a row a piece at k = 4, 8 and 9

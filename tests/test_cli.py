@@ -192,7 +192,11 @@ def test_parity_without_an_intersecting_pair_exits_2(tmp_path, monkeypatch, caps
     real = cli.total_linked_parity
 
     def without_hits(config, workers=1):
-        return replace(real(config, workers=workers), hits={})
+        report = real(config, workers=workers)
+        # the alternating counts stay: the claim reads the face hits alone
+        support = {subset: replace(row, n1=0, hits=()) for subset, row in report.support.items()}
+        assert support
+        return replace(report, support=support)
 
     monkeypatch.setattr(cli, "total_linked_parity", without_hits)
     assert main(["parity", "--input", str(path)]) == 2
@@ -239,6 +243,26 @@ def test_plot_degenerate_file_exits_3(degenerate_file, tmp_path, capsys):
 def test_parity_requires_exactly_one_source(degenerate_file):
     assert main(["parity"]) == 64
     assert main(["parity", "--input", degenerate_file, "--random", "5", "2"]) == 64
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "50", "--seed", "7", "--bound", "3"],
+    ["--trials", "1"],
+    ["--seed", "0"],
+    ["--bound", "1000"],
+])
+def test_parity_input_refuses_the_random_flags(flags, tmp_path, monkeypatch, capsys):
+    # even a flag at its --random default is refused, before the file is read
+    def never(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "_load", never)
+    out = tmp_path / "parity.json"
+    assert main(["parity", "--input", str(tmp_path / "m52.pts"), *flags, "--json", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trials, --seed and --bound are read only with --random\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parity_trials_below_one_is_usage_error(capsys):

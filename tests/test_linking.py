@@ -248,12 +248,13 @@ def test_n4_equals_the_bruteforce_count(k):
 @pytest.mark.parametrize("k", range(1, 10))
 def test_moment_curve_table_matches_the_evenness_oracle(k):
     report = total_linked_parity(moment_curve(2 * k + 3, 2 * k))
-    faces = {subset: sorted(hit.face for hit in hits) for subset, hits in report.hits.items()}
+    faces = {
+        subset: sorted(hit.face for hit in row.hits) for subset, row in report.support.items()
+    }
     assert faces == moment_curve_radon_faces(k)
-    assert report.hits.keys() == report.alternating.keys()
-    for subset in report.hits:
-        row = report.row(subset)
-        assert row.n3 == row.n4 == 2, subset
+    # the alternating support is the table's: no row has n4 without n3
+    for row in report.support.values():
+        assert row.n3 == row.n4 == 2, row.subset
 
 
 def test_report_holds_the_supports_and_builds_its_rows_once(monkeypatch):
@@ -267,15 +268,31 @@ def test_report_holds_the_supports_and_builds_its_rows_once(monkeypatch):
     def never(*args):
         raise AssertionError("n4 brute-forced for the report")
 
+    distinct = []
+    real_distinct = linking._distinct_points
+
+    def counted_distinct(hits):
+        distinct.append(hits)
+        return real_distinct(hits)
+
     monkeypatch.setattr(linking, "combinations_colex", counted)
     monkeypatch.setattr(linking, "alternating_count_bruteforce", never)
+    monkeypatch.setattr(linking, "_distinct_points", counted_distinct)
     report = total_linked_parity(sample_random_configuration(9, 6, seed=2, bound=1000))
     assert built == []
     assert report.per_subset is report.per_subset
     assert len(built) == 1
-    # the supports are the nonzero rows, the table's keys in colex order
-    assert list(report.hits) == [row.subset for row in report.per_subset if row.n3]
-    assert report.alternating == {row.subset: row.n4 for row in report.per_subset if row.n4}
+    # the support is the nonzero rows in colex order, each built once
+    assert list(report.support) == [
+        row.subset for row in report.per_subset if row.n1 or row.n3 or row.n4
+    ]
+    # some rows are on one support only, so the map is their union
+    assert any(row.n3 == 0 for row in report.support.values())
+    assert any(row.n4 == 0 for row in report.support.values())
+    for subset in report.support:
+        assert report.row(subset) is report.support[subset]
+    link_report_document(report)
+    assert len(distinct) == len(report.support)
 
 
 @st.composite
@@ -504,7 +521,9 @@ def _lists_as_iterators(value):
 @example({"empty": [], "nested": [[], {}, [{"I": [1]}]]})
 @settings(max_examples=300, deadline=None)
 def test_write_canonical_equals_dumps_canonical(document):
-    expected = dumps_canonical(document)
+    # dumps_canonical's text is json's; it shares write_canonical's
+    # generator, so json is the oracle here too
+    expected = json.dumps(document, indent=2, ensure_ascii=True) + "\n"
     assert _written(document) == expected
     # an iterator is written as the list it yields
     assert _written(_lists_as_iterators(document)) == expected
