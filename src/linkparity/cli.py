@@ -38,6 +38,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import cache, partial
+from itertools import count
 from math import comb
 
 from . import __version__
@@ -61,14 +62,13 @@ from .configuration import (
 )
 from .errors import ContractError, DegeneracyError, SamplingError
 from .intersection import intersect_complementary, separating_hyperplane_moment
-# counterexample_document and dumps_canonical are not called here;
-# perfbench's span tracer wraps them under this module's name
+# dumps_canonical is not called here; perfbench's span tracer wraps it under
+# this module's name
 from .linking import (
     _require_linking_shape,
-    counterexample_document,  # noqa: F401
-    counterexample_sections,
+    counterexample_document,
     dumps_canonical,  # noqa: F401
-    link_report_sections,
+    link_report_document,
     total_linked_parity,
     verify_counterexample,
     write_canonical,
@@ -118,8 +118,8 @@ def _replacing(path: str):
     """A text handle whose file replaces ``path`` only if the block completes.
 
     When ``path`` is missing or names a regular file (through any symlinks),
-    the text goes to a temporary sibling of that file, which takes an old
-    file's mode, is moved over it at the end and is deleted on any
+    the text goes to a new temporary sibling of that file, which takes an
+    old file's mode, is moved over it at the end and is deleted on any
     exception, so a failed run leaves no file and an old one untouched.  Any
     other existing ``path`` (``/dev/null``, a FIFO) is opened and written
     directly.  Either way newlines are written untranslated
@@ -136,8 +136,15 @@ def _replacing(path: str):
         return
     if mode is not None:
         open(target, "a").close()  # an old file must be writable, as for open(path, "w")
-    temporary = f"{target}.tmp{os.getpid()}"
-    handle = open(temporary, "x", encoding="ascii", newline="")
+    # a run killed mid-write leaves its temporary file behind, and a later
+    # run may get the same pid: such a file is passed over, not touched
+    temporary = stem = f"{target}.tmp{os.getpid()}"
+    for attempt in count(1):
+        try:
+            handle = open(temporary, "x", encoding="ascii", newline="")
+            break
+        except FileExistsError:
+            temporary = f"{stem}.{attempt}"
     try:
         with handle:
             if mode is not None:
@@ -229,7 +236,7 @@ def cmd_verify(args) -> int:
         print(f"  failure: {failure}", file=sys.stderr)
     if args.json:
         with _replacing(args.json) as handle:
-            write_canonical(handle, counterexample_sections(result, manifest=manifest))
+            write_canonical(handle, counterexample_document(result, manifest=manifest))
         print(f"report written to {args.json}")
     return EXIT_OK if result.ok else EXIT_VERIFY_FAIL
 
@@ -292,7 +299,7 @@ def cmd_parity(args) -> int:
         # memory does not grow with --trials; a failed trial leaves no file
         payload = {
             "command": "parity",
-            "reports": map(link_report_sections, reports()),
+            "reports": map(link_report_document, reports()),
             "manifest": manifest(),
         }
         with _replacing(args.json) as handle:

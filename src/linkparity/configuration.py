@@ -55,6 +55,9 @@ _MAX_ATTEMPTS = 1000
 # n = d + 3, one cross-product entry each, since C(d + 3, d + 1) = C(d + 3, 2).  A
 # shape with more is refused before the first draw.
 _MAX_GP_SUBSETS = 10_000
+# A point file is read up to this many bytes plus one, and refused if longer:
+# far above 21 points in R^18, and /dev/zero or a huge file cannot grow memory.
+_MAX_POINT_FILE_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -438,5 +441,9 @@ def save_points(config: Configuration, path) -> None:
 
 
 def load_points(path) -> Configuration:
-    with open(path, "r", encoding="ascii") as handle:
-        return read_points_text(handle.read())
+    """The configuration in an ASCII point file of at most 16 MiB; ValueError if longer."""
+    with open(path, "rb") as handle:
+        data = handle.read(_MAX_POINT_FILE_BYTES + 1)
+    if len(data) > _MAX_POINT_FILE_BYTES:
+        raise ValueError(f"point-set file is longer than {_MAX_POINT_FILE_BYTES} bytes")
+    return read_points_text(data.decode("ascii"))

@@ -42,11 +42,12 @@ Verification campaigns:
 Reports are computed serially; the ``workers`` arguments are accepted and
 ignored.  Reports serialize to JSON with a stable key order and carry no
 timestamps or worker counts, so reruns produce byte-identical files.
-``link_report_document`` and ``counterexample_document`` build the whole
-document.  ``dumps_canonical`` and ``write_canonical`` run one encoder,
-``_pieces``; ``write_canonical`` writes its pieces as they are made, the
-dense sections a row at a time, in memory that does not grow with the row
-count.
+``link_report_document`` and ``counterexample_document`` build the one form
+of a document: its dense sections, ``per_subset`` and ``cross_checks``, are
+``DenseSection``s, whose rows are made only as they are written.
+``dumps_canonical`` and ``write_canonical`` run one encoder, ``_pieces``;
+``write_canonical`` writes its pieces as they are made, the dense sections
+a row at a time, in memory that does not grow with the row count.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -385,15 +386,13 @@ class DenseSection:
     """A report section with one row per (k+1)-subset I, in colex order.
 
     ``row`` builds a subset's row from its ``SubsetCounts``: the subset
-    ``"I"`` first, then the counts, in key order.  ``rows`` builds every
-    row; ``write_canonical`` writes the same rows a row at a time.
+    ``"I"`` first, then the counts, in key order.  The rows are never held
+    together: ``dumps_canonical`` and ``write_canonical`` lay them out a row
+    at a time, and ``json.dumps`` raises TypeError on a section.
     """
 
     report: LinkReport
     row: Callable[[SubsetCounts], dict]
-
-    def rows(self) -> list[dict]:
-        return list(map(self.row, self.report.per_subset))
 
 
 def _per_subset_row(row: SubsetCounts) -> dict:
@@ -411,12 +410,13 @@ def _cross_check_row(row: SubsetCounts) -> dict:
     }
 
 
-def link_report_sections(report: LinkReport) -> dict:
-    """The report document with its dense section as a ``DenseSection``.
+def link_report_document(report: LinkReport) -> dict:
+    """The report document, its dense ``per_subset`` section a ``DenseSection``.
 
     This is the one home of the document's section order.  Key order is
     fixed; elapsed time and timestamps are deliberately absent so that
-    identical inputs give byte-identical documents.
+    identical inputs give byte-identical documents.  Serialize it with
+    ``dumps_canonical`` or ``write_canonical``.
     """
     config = report.config
     return {
@@ -437,42 +437,25 @@ def link_report_sections(report: LinkReport) -> dict:
     }
 
 
-def counterexample_sections(result: CounterexampleReport, manifest: dict | None = None) -> dict:
-    """The report's sections with the failures filled in and the cross checks appended."""
-    sections = link_report_sections(result.report)
-    sections["failures"] = list(result.failures)
-    sections["cross_checks"] = DenseSection(result.report, _cross_check_row)
-    if manifest is not None:
-        sections["manifest"] = manifest
-    return sections
-
-
-def _expanded(sections: dict) -> dict:
-    return {
-        key: value.rows() if isinstance(value, DenseSection) else value
-        for key, value in sections.items()
-    }
-
-
-def link_report_document(report: LinkReport) -> dict:
-    """The serializable report document: ``link_report_sections`` with every row built."""
-    return _expanded(link_report_sections(report))
-
-
 def counterexample_document(result: CounterexampleReport, manifest: dict | None = None) -> dict:
-    """The serializable verify document: ``counterexample_sections`` with every row built."""
-    return _expanded(counterexample_sections(result, manifest))
+    """The verify document: the report's, failures filled in, cross checks appended."""
+    document = link_report_document(result.report)
+    document["failures"] = list(result.failures)
+    document["cross_checks"] = DenseSection(result.report, _cross_check_row)
+    if manifest is not None:
+        document["manifest"] = manifest
+    return document
 
 
 def dumps_canonical(document: dict) -> str:
     """Serialize with a stable layout suitable for byte-for-byte comparison.
 
     The text is exactly ``json.dumps(document, indent=2, ensure_ascii=True)``
-    plus a final newline.  Only dicts with ``str`` keys, lists, ``str``,
-    ``int``, ``bool`` and ``None`` are accepted, and the iterators and
-    ``DenseSection``s that ``write_canonical`` expands; any other value or
-    key type (a ``float``, a ``tuple``, a ``set``, an ``int`` key) raises
-    TypeError.
+    plus a final newline, with each iterator written as the list it yields
+    and each ``DenseSection`` as the list of its rows.  Only dicts with
+    ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None`` are
+    accepted besides these; any other value or key type (a ``float``, a
+    ``tuple``, a ``set``, an ``int`` key) raises TypeError.
     """
     return "".join(_pieces(document, "")) + "\n"
 
@@ -507,14 +490,14 @@ def _pieces(value, pad: str) -> Iterator[str]:
     """``value`` as ``json.dumps(indent=2)`` writes it on a line indented by ``pad``, in pieces.
 
     Iterators are written as lists and dense sections a row at a time; a
-    non-empty list of same-keyed dicts (``_table``) or of scalars is one piece.
+    non-empty list of scalars is one piece.
     """
     text = _scalar(value)
     if text is not None:
         yield text
     elif isinstance(value, DenseSection):
         yield from _dense_rows(value, pad)
-    elif isinstance(value, list) and (items := _table(value, pad + "  ") or _scalars(value)):
+    elif isinstance(value, list) and (items := _scalars(value)):
         yield _block(items, pad, "[]")
     elif isinstance(value, dict):
         yield from _entries(((f"{_key(key)}: ", item) for key, item in value.items()), pad, "{}")
@@ -554,40 +537,8 @@ def _key(key) -> str:
     return encode_basestring_ascii(key)
 
 
-def _table(rows: list, pad: str) -> list[str] | None:
-    """The rows of a list of same-keyed dicts, each indented by ``pad``, or None if not one.
-
-    The rows share one ``%`` template; whole columns of ints, bools and int
-    lists are formatted at once, any other column value by ``_pieces``.
-    """
-    if set(map(type, rows)) != {dict} or not rows[0]:
-        return None
-    keys = list(rows[0])
-    # list(row) == keys compares order too, which comparing key views would not
-    if not all(map(keys.__eq__, map(list, rows))):
-        return None
-    template = _block((_key(key).replace("%", "%%") + ": %s" for key in keys), pad, "{}")
-    inner = pad + "  "
-    columns = []
-    for key in keys:
-        column = [row[key] for row in rows]
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            columns.append(map(int.__repr__, column))
-        elif kinds == {bool}:
-            columns.append(map(_LITERALS.__getitem__, column))
-        elif kinds == {list} and set(map(type, chain.from_iterable(column))) <= {int}:
-            columns.append([
-                _block(map(int.__repr__, items), inner, "[]") if items else "[]"
-                for items in column
-            ])
-        else:
-            columns.append(["".join(_pieces(item, inner)) for item in column])
-    return [template % fields for fields in zip(*columns)]
-
-
 def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
-    """The section's list as ``_table`` lays it out, 256 rows a piece.
+    """The section's list as ``json.dumps(indent=2)`` lays it out, 256 rows a piece.
 
     A subset off the report's support has all-zero counts, so its row is one
     precomputed template with only the subset's labels filled in; only the

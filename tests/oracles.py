@@ -1,11 +1,16 @@
 """Independent oracles for cross-checking the fast paths.
 
 Everything here is deliberately naive: cofactor expansion for determinants,
-orientation-sign tests for planar segment crossings, and a tag-and-sort
-alternation test.  These must stay free of the code they check.
+orientation-sign tests for planar segment crossings, a tag-and-sort
+alternation test, and ``json.dumps`` of a report document whose dense
+sections are expanded row by row.  These must stay free of the code they
+check.
 """
 
+import json
 from fractions import Fraction
+
+from linkparity.linking import DenseSection
 
 
 def cofactor_det(rows):
@@ -78,3 +83,23 @@ def moment_curve_radon_faces(k):
         table.setdefault(first, []).append(second)
         table.setdefault(second, []).append(first)
     return {subset: sorted(faces) for subset, faces in table.items()}
+
+
+def expanded(value):
+    """``value`` with each ``DenseSection`` replaced by the list of its rows.
+
+    The rows are ``section.row`` of each of ``report.per_subset``'s dense
+    colex rows, built one by one, with none of the serializer's templates.
+    """
+    if isinstance(value, DenseSection):
+        return [value.row(row) for row in value.report.per_subset]
+    if isinstance(value, dict):
+        return {key: expanded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [expanded(item) for item in value]
+    return value
+
+
+def json_text(document) -> str:
+    """The canonical text of a report document, by ``json.dumps`` of its expansion."""
+    return json.dumps(expanded(document), indent=2, ensure_ascii=True) + "\n"

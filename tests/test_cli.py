@@ -27,10 +27,10 @@ from linkparity.configuration import (
 from linkparity.errors import ContractError, SamplingError
 from linkparity.linking import (
     counterexample_document,
-    dumps_canonical,
     link_report_document,
     total_linked_parity,
 )
+from oracles import json_text
 
 
 @pytest.fixture
@@ -105,9 +105,9 @@ def test_verify_stdout_identical_across_reruns(capsys):
 
 
 def _verify_reference(k: int) -> str:
-    """The verify report as the documents built in memory serialize it."""
+    """The verify report as ``json.dumps`` writes its document, every row built."""
     manifest = cli._manifest("verify", {"k": k})
-    return dumps_canonical(counterexample_document(linking.verify_counterexample(k), manifest))
+    return json_text(counterexample_document(linking.verify_counterexample(k), manifest))
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -284,9 +284,9 @@ def test_parity_json_report(tmp_path):
 
 
 def _parity_reference(configs, manifest) -> str:
-    """The parity payload as the documents built in memory serialize it."""
+    """The parity payload as ``json.dumps`` writes its documents, every row built."""
     reports = [link_report_document(total_linked_parity(config)) for config in configs]
-    return dumps_canonical({"command": "parity", "reports": reports, "manifest": manifest})
+    return json_text({"command": "parity", "reports": reports, "manifest": manifest})
 
 
 @pytest.mark.parametrize("n, d", [(5, 2), (7, 4), (9, 6)])
@@ -345,6 +345,36 @@ def test_report_through_a_symlink_replaces_its_target(tmp_path):
     assert target.read_text() == _verify_reference(1)
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
     assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "report.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-k", "1", "--json"],
+    ["alternation", "--k", "1", "--csv"],
+])
+def test_a_stale_temporary_file_does_not_block_the_write(argv, tmp_path, monkeypatch):
+    # a run killed mid-write leaves its temporary file, and a later run may
+    # get the same pid
+    out = tmp_path / "out"
+    assert main([*argv, str(out)]) == 0
+    expected = out.read_bytes()
+    out.unlink()
+    stale = [tmp_path / f"out.tmp{os.getpid()}", tmp_path / f"out.tmp{os.getpid()}.1"]
+    for path in stale:
+        path.write_text("stale\n")
+    for _ in range(2):  # to a missing file, then over the old one
+        assert main([*argv, str(out)]) == 0
+        assert out.read_bytes() == expected
+    assert sorted(tmp_path.iterdir()) == sorted([out, *stale])
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_canonical", fail)
+    monkeypatch.setattr(cli.csv, "writer", fail)
+    assert main([*argv, str(out)]) == 64
+    assert sorted(tmp_path.iterdir()) == sorted([out, *stale])
+    assert out.read_bytes() == expected
+    assert all(path.read_text() == "stale\n" for path in stale)
 
 
 def test_report_to_a_device_is_written_directly(monkeypatch):
@@ -707,6 +737,29 @@ def test_plot_coordinate_beyond_float_range(tmp_path):
     body = out.read_text()
     assert body.count("<circle") == 5
     assert "nan" not in body and "inf" not in body
+
+
+def test_point_files_past_the_size_ceiling_exit_64(tmp_path, monkeypatch, capsys):
+    # a sparse file of NULs one byte over 16 MiB: read no further, refuse it
+    ceiling = configuration._MAX_POINT_FILE_BYTES
+    assert ceiling == 16 << 20
+    big = tmp_path / "big.pts"
+    with open(big, "wb") as handle:
+        handle.truncate(ceiling + 1)
+    complaint = f"point-set file is longer than {ceiling} bytes\n"
+    assert main(["parity", "--input", str(big)]) == 64
+    assert capsys.readouterr().err == f"error: cannot read point set {big}: {complaint}"
+    assert main(["plot", "--input", str(big), "--out", str(tmp_path / "fig.svg")]) == 64
+    assert capsys.readouterr().err == f"error: cannot read point set {big}: {complaint}"
+    assert not (tmp_path / "fig.svg").exists()
+    # a file of exactly the ceiling is read, one byte more is refused
+    path = tmp_path / "m52.pts"
+    save_points(moment_curve(5, 2), path)
+    monkeypatch.setattr(configuration, "_MAX_POINT_FILE_BYTES", path.stat().st_size)
+    assert main(["parity", "--input", str(path)]) == 0
+    with open(path, "a") as handle:
+        handle.write("\n")
+    assert main(["parity", "--input", str(path)]) == 64
 
 
 def test_plot_rejects_wrong_shape(tmp_path):

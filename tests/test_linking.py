@@ -27,18 +27,16 @@ from linkparity.intersection import intersect_complementary
 from linkparity.linking import (
     boundary_intersection_count,
     counterexample_document,
-    counterexample_sections,
     dumps_canonical,
     find_intersecting_pair,
     intersecting_pairs,
     is_linked,
     link_report_document,
-    link_report_sections,
     total_linked_parity,
     verify_counterexample,
     write_canonical,
 )
-from oracles import moment_curve_radon_faces, planar_boundary_crossings
+from oracles import json_text, moment_curve_radon_faces, planar_boundary_crossings
 
 
 def test_boundary_counts_on_planar_moment_curve():
@@ -445,12 +443,17 @@ def test_report_document_layout():
     assert doc["parity_ok"] is True
     assert doc["failures"] == []
     assert doc["config"]["points"][0] == ["1", "1"]
-    row = doc["per_subset"][0]
-    assert set(row) == {"I", "n1", "n3", "n4", "even"}
     # canonical serialization is valid JSON and stable
     text = dumps_canonical(doc)
-    assert json.loads(text) == doc
     assert text == dumps_canonical(doc)
+    plain = json.loads(text)
+    assert [row["I"] for row in plain["per_subset"]] == [
+        [1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4], [1, 5], [2, 5], [3, 5], [4, 5],
+    ]
+    assert list(plain["per_subset"][0]) == ["I", "n1", "n3", "n4", "even"]
+    assert list(plain["cross_checks"][0]) == ["I", "n1", "n2", "n3", "n4", "consistent"]
+    with pytest.raises(TypeError):
+        json.dumps(doc)
 
 
 def test_parity_report_document_on_random_config():
@@ -530,16 +533,17 @@ def test_write_canonical_equals_dumps_canonical(document):
 
 
 def test_streamed_sections_equal_the_built_documents():
-    for config in _rational_cases():
-        report = total_linked_parity(config)
-        assert _written(link_report_sections(report)) == dumps_canonical(
-            link_report_document(report)
-        )
+    # the oracle builds every dense row and hands the document to json
     result = verify_counterexample(3)
-    for manifest in (None, {"command": "verify"}):
-        assert _written(counterexample_sections(result, manifest)) == dumps_canonical(
-            counterexample_document(result, manifest)
-        )
+    documents = [
+        *(link_report_document(total_linked_parity(config)) for config in _rational_cases()),
+        counterexample_document(result),
+        counterexample_document(result, {"command": "verify"}),
+    ]
+    for document in documents:
+        expected = json_text(document)
+        assert _written(document) == expected
+        assert dumps_canonical(document) == expected
 
 
 @given(_DOCUMENTS)
