@@ -40,7 +40,7 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import _exceeds_binomial
-from .errors import ContractError, DegeneracyError, SamplingError
+from .errors import ContractError, DegeneracyError, SamplingError, quote_input
 from .ratmat import Matrix, det, format_rational, integer_kernel, parse_rational
 
 Point = tuple[Fraction, ...]
@@ -58,6 +58,11 @@ _MAX_GP_SUBSETS = 10_000
 # A point file is read up to this many bytes plus one, and refused if longer:
 # far above 21 points in R^18, and /dev/zero or a huge file cannot grow memory.
 _MAX_POINT_FILE_BYTES = 16 << 20
+# A point file whose header declares more than n·d = 10,000 coordinates is
+# refused before any point line is kept or parsed.  parity reads at most 21
+# points in R^18 (378 coordinates) and plot 10; 10,000 coordinates of about
+# 1,700 digits each, a 16 MiB file, parse in about 1 s on a 2-vCPU VM.
+_MAX_POINT_COORDINATES = 10_000
 
 
 @dataclass(frozen=True)
@@ -285,6 +290,12 @@ def _check_sampling(n: int, d: int, bound: int) -> None:
             f"n={n}, d={d}: the general-position check covers C(n, d + 1) subsets "
             f"per sampling attempt, more than the sampler's ceiling of {_MAX_GP_SUBSETS:,}"
         )
+    # n = d + 1 passes the subset ceiling for any d; its file must be readable
+    if n * d > _MAX_POINT_COORDINATES:
+        raise ContractError(
+            f"n={n}, d={d}: {n * d:,} coordinates, more than a point file may hold "
+            f"({_MAX_POINT_COORDINATES:,})"
+        )
 
 
 def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Configuration:
@@ -297,9 +308,10 @@ def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Config
     products when n = d + 3, every (d+1)x(d+1) determinant otherwise.  A
     bound outside [1, 2^63 - 1] raises ContractError, and so does a shape
     with more than ``_MAX_GP_SUBSETS`` (10,000) (d+1)-subsets, C(n, d + 1),
-    to certify per attempt; ``_check_sampling`` checks both before any point
-    is drawn.  Small bounds may exhaust the ``_MAX_ATTEMPTS`` budget, which
-    raises SamplingError.
+    to certify per attempt, or with more than ``_MAX_POINT_COORDINATES``
+    (10,000) coordinates, n·d; ``_check_sampling`` checks all three before
+    any point is drawn.  Small bounds may exhaust the ``_MAX_ATTEMPTS``
+    budget, which raises SamplingError.
     """
     _check_sampling(n, d, bound)
     for attempt in range(_MAX_ATTEMPTS):
@@ -327,7 +339,7 @@ def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Config
 def _parse_integer(text: str) -> int:
     """Parse an ASCII ``[+-]?[0-9]+`` literal, the integer form ``parse_rational`` accepts."""
     if not _INTEGER_RE.fullmatch(text):
-        raise ValueError(f"not an integer literal: {text!r}")
+        raise ValueError(f"not an integer literal: {quote_input(text)}")
     return int(text)
 
 
@@ -337,12 +349,17 @@ def _parse_provenance(text: str) -> Provenance:
         return Explicit()
     if body.startswith("moment-curve params="):
         raw = body[len("moment-curve params="):]
+        # one parameter a point, so no point file that can be read has more
+        if raw.count(",") >= _MAX_POINT_COORDINATES:
+            raise ValueError(
+                f"moment-curve provenance has over {_MAX_POINT_COORDINATES:,} parameters"
+            )
         params = tuple(parse_rational(tok) for tok in raw.split(","))
         return MomentCurve(params)
     if body.startswith("random-sample "):
         parts = body[len("random-sample "):].split()
         if bad := [part for part in parts if "=" not in part]:
-            raise ValueError(f"provenance field without '=': {bad[0]!r}")
+            raise ValueError(f"provenance field without '=': {quote_input(bad[0])}")
         fields = dict(part.split("=", 1) for part in parts)
         if missing := [key for key in ("seed", "bound", "attempts") if key not in fields]:
             raise ValueError(f"random-sample provenance lacks {', '.join(missing)}")
@@ -351,7 +368,7 @@ def _parse_provenance(text: str) -> Provenance:
             bound=_parse_integer(fields["bound"]),
             attempts=_parse_integer(fields["attempts"]),
         )
-    raise ValueError(f"unrecognized provenance: {text!r}")
+    raise ValueError(f"unrecognized provenance: {quote_input(text)}")
 
 
 def _check_moment_curve(points: Sequence[Point], params: tuple[Fraction, ...]) -> None:
@@ -401,10 +418,29 @@ def write_points_text(config: Configuration) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split a megabyte at a time.
+
+    Each piece ends just after a ``"\\n"``, where a line always ends, so the
+    lines are the same; a text of millions of lines is never held as a list.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 20)) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def read_points_text(text: str) -> Configuration:
+    """The configuration in a point-set text; ValueError if it is malformed.
+
+    Lines are read one at a time, and the header's n·d is checked before any
+    point line is kept or any coordinate parsed.
+    """
     provenance: Provenance = Explicit()
-    data_lines = []
-    for line in text.splitlines():
+    d = n = None
+    point_lines = []
+    for line in _lines(text):
         stripped = line.strip()
         if not stripped:
             continue
@@ -412,22 +448,32 @@ def read_points_text(text: str) -> Configuration:
             comment = stripped.lstrip("#").strip()
             if comment.startswith("provenance:"):
                 provenance = _parse_provenance(comment[len("provenance:"):])
-            continue
-        data_lines.append(stripped)
-    if not data_lines:
+        elif n is None:
+            header = stripped.split(None, 2)
+            if len(header) != 2:
+                raise ValueError(f"header must be 'd n', got {quote_input(stripped)}")
+            d, n = _parse_integer(header[0]), _parse_integer(header[1])
+            if n * d > _MAX_POINT_COORDINATES:
+                raise ValueError(
+                    f"header declares {n} points in R^{d}, more than "
+                    f"{_MAX_POINT_COORDINATES:,} coordinates"
+                )
+        elif len(point_lines) >= n:
+            raise ValueError(f"expected {n} point lines, got more")
+        else:
+            point_lines.append(stripped)
+    if n is None:
         raise ValueError("empty point-set file")
-    header = data_lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"header must be 'd n', got {data_lines[0]!r}")
-    d, n = _parse_integer(header[0]), _parse_integer(header[1])
-    if len(data_lines) - 1 != n:
-        raise ValueError(f"expected {n} point lines, got {len(data_lines) - 1}")
+    if len(point_lines) != n:
+        raise ValueError(f"expected {n} point lines, got {len(point_lines)}")
     points = []
-    for line in data_lines[1:]:
-        coords = tuple(parse_rational(tok) for tok in line.split())
-        if len(coords) != d:
-            raise ValueError(f"expected {d} coordinates per point, got {len(coords)}")
-        points.append(coords)
+    for line in point_lines:
+        # split at most d times: a line of millions of tokens is not split up
+        tokens = line.split(None, max(d, 0))
+        if len(tokens) != d:
+            got = "more" if len(tokens) > d else len(tokens)
+            raise ValueError(f"expected {d} coordinates per point, got {got}")
+        points.append(tuple(map(parse_rational, tokens)))
     if isinstance(provenance, MomentCurve):
         _check_moment_curve(points, provenance.parameters)
     elif isinstance(provenance, RandomSample):

@@ -1,4 +1,18 @@
-"""Shared exception types."""
+"""Shared exception types, and how their messages quote offending input."""
+
+# an error message quotes at most this many characters of the input at fault
+_QUOTE_LIMIT = 40
+
+
+def quote_input(text: str) -> str:
+    """``repr(text)``; past 40 characters, that of its first 40 and its length.
+
+    A parser quotes the input at fault with this, so a huge line in a point
+    file cannot flood stderr.
+    """
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text):,} characters)"
 
 
 class ContractError(ValueError):

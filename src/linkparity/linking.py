@@ -44,7 +44,8 @@ ignored.  Reports serialize to JSON with a stable key order and carry no
 timestamps or worker counts, so reruns produce byte-identical files.
 ``link_report_document`` and ``counterexample_document`` build the one form
 of a document: its dense sections, ``per_subset`` and ``cross_checks``, are
-``DenseSection``s, whose rows are made only as they are written.
+``DenseSection``s, each naming the ``SubsetCounts`` fields it writes; a row
+is written straight from its subset's counts, only as it is written.
 ``dumps_canonical`` and ``write_canonical`` run one encoder, ``_pieces``;
 ``write_canonical`` writes its pieces as they are made, the dense sections
 a row at a time, in memory that does not grow with the row count.
@@ -57,7 +58,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 # alternating_count_bruteforce, find_degenerate_subset and
 # intersect_complementary are not called here; perfbench's span tracer wraps
@@ -385,29 +386,14 @@ def _witnesses_json(report: LinkReport) -> list[dict]:
 class DenseSection:
     """A report section with one row per (k+1)-subset I, in colex order.
 
-    ``row`` builds a subset's row from its ``SubsetCounts``: the subset
-    ``"I"`` first, then the counts, in key order.  The rows are never held
-    together: ``dumps_canonical`` and ``write_canonical`` lay them out a row
-    at a time, and ``json.dumps`` raises TypeError on a section.
+    Each row is the subset ``"I"`` and then, in order, the ``SubsetCounts``
+    attributes named in ``fields``, each an int or a bool.  The rows are
+    never held together: ``dumps_canonical`` and ``write_canonical`` write
+    them a row at a time, and ``json.dumps`` raises TypeError on a section.
     """
 
     report: LinkReport
-    row: Callable[[SubsetCounts], dict]
-
-
-def _per_subset_row(row: SubsetCounts) -> dict:
-    return {"I": list(row.subset), "n1": row.n1, "n3": row.n3, "n4": row.n4, "even": row.even}
-
-
-def _cross_check_row(row: SubsetCounts) -> dict:
-    return {
-        "I": list(row.subset),
-        "n1": row.n1,
-        "n2": row.n2,
-        "n3": row.n3,
-        "n4": row.n4,
-        "consistent": row.consistent,
-    }
+    fields: tuple[str, ...]
 
 
 def link_report_document(report: LinkReport) -> dict:
@@ -427,7 +413,7 @@ def link_report_document(report: LinkReport) -> dict:
             "points": [_point_json(p) for p in config.points],
         },
         "k": report.k,
-        "per_subset": DenseSection(report, _per_subset_row),
+        "per_subset": DenseSection(report, ("n1", "n3", "n4", "even")),
         "linked_pairs": [list(s) for s in report.linked_subsets],
         "single_point_subsets": [list(s) for s in report.single_point_subsets],
         "total": report.total_linked,
@@ -441,7 +427,7 @@ def counterexample_document(result: CounterexampleReport, manifest: dict | None 
     """The verify document: the report's, failures filled in, cross checks appended."""
     document = link_report_document(result.report)
     document["failures"] = list(result.failures)
-    document["cross_checks"] = DenseSection(result.report, _cross_check_row)
+    document["cross_checks"] = DenseSection(result.report, ("n1", "n2", "n3", "n4", "consistent"))
     if manifest is not None:
         document["manifest"] = manifest
     return document
@@ -541,24 +527,27 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     """The section's list as ``json.dumps(indent=2)`` lays it out, 256 rows a piece.
 
     A subset off the report's support has all-zero counts, so its row is one
-    precomputed template with only the subset's labels filled in; only the
-    support's ``SubsetCounts`` are made into rows.
+    precomputed template with only the subset's labels filled in; only support
+    rows are read.  A field that ``_scalar`` cannot write raises TypeError.
     """
     report = section.report
+    fields = section.fields
     row_pad = pad + "  "
     field_pad = row_pad + "  "
 
-    def values(row: dict) -> list[str]:
-        return ["".join(_pieces(value, field_pad)) for value in row.values()][1:]
+    def values(row: SubsetCounts) -> tuple[str, ...]:
+        texts = tuple(_scalar(getattr(row, name)) for name in fields)
+        if None in texts:
+            raise TypeError(f"a dense section field of {fields} is not a JSON scalar")
+        return texts
 
-    # any subset off the support gives the zero row; the empty one is such a subset
-    zero = section.row(report.row(()))
     template = _block(
         (f"{_key('I')}: {_block(('%s',), field_pad, '[]')}",
-         *(f"{_key(name)}: %s" for name in list(zero)[1:])),
+         *(f"{_key(name)}: %s" for name in fields)),
         row_pad, "{}",
     )
-    zero_template = template % ("%s", *values(zero))
+    # any subset off the support gives the zero row; the empty one is such a subset
+    zero_template = template % ("%s", *values(report.row(())))
     label_separator = ",\n" + field_pad + "  "
     label_text = {label: str(label) for label in report.config.labels}.__getitem__
     support_row = report.support.get
@@ -568,7 +557,7 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
         row = support_row(subset)
         if row is None:
             return zero_template % labels
-        return template % (labels, *values(section.row(row)))
+        return template % (labels, *values(row))
 
     # a section is never empty; 256 rows a piece wrote the verify report
     # 6-8% faster than a row a piece at k = 4, 8 and 9

@@ -24,6 +24,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+from .errors import quote_input
+
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -37,9 +39,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse the ``p/q`` text form (``p`` alone meaning ``p/1``)."""
     token = text.strip()
     if not _RATIONAL_RE.match(token):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {quote_input(text)}")
     if "/" in token and int(token.split("/")[1]) == 0:
-        raise ValueError(f"zero denominator: {text!r}")
+        raise ValueError(f"zero denominator: {quote_input(text)}")
     return Fraction(token)
 
 

@@ -88,11 +88,15 @@ def moment_curve_radon_faces(k):
 def expanded(value):
     """``value`` with each ``DenseSection`` replaced by the list of its rows.
 
-    The rows are ``section.row`` of each of ``report.per_subset``'s dense
-    colex rows, built one by one, with none of the serializer's templates.
+    Each row is a dict of the subset ``"I"`` and the section's ``fields``,
+    read from one of ``report.per_subset``'s dense colex rows, built one by
+    one, with none of the serializer's templates.
     """
     if isinstance(value, DenseSection):
-        return [value.row(row) for row in value.report.per_subset]
+        return [
+            {"I": list(row.subset), **{name: getattr(row, name) for name in value.fields}}
+            for row in value.report.per_subset
+        ]
     if isinstance(value, dict):
         return {key: expanded(item) for key, item in value.items()}
     if isinstance(value, list):

@@ -9,6 +9,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -604,6 +605,21 @@ def test_sampler_refuses_shapes_past_its_determinant_ceiling(argv, tmp_path, mon
     assert not (tmp_path / "never.pts").exists()
 
 
+def test_sampler_refuses_a_shape_whose_file_could_not_be_read(tmp_path, monkeypatch, capsys):
+    # C(101, 101) = 1 subset passes the sampler's ceiling, but 101 points in
+    # R^100 are 10,100 coordinates, more than a point file may declare
+    def never(*args):
+        raise AssertionError("drew points for a shape past the ceiling")
+
+    monkeypatch.setattr(configuration, "_attempt_points", never)
+    out = tmp_path / "never.pts"
+    assert main(["sample", "--n", "101", "--d", "100", "--out", str(out)]) == 64
+    assert "10,100 coordinates, more than a point file may hold (10,000)" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 class _Reached(Exception):
     pass
 
@@ -760,6 +776,40 @@ def test_point_files_past_the_size_ceiling_exit_64(tmp_path, monkeypatch, capsys
     with open(path, "a") as handle:
         handle.write("\n")
     assert main(["parity", "--input", str(path)]) == 64
+
+
+@pytest.mark.parametrize("text", [
+    "x" * 1_000_000,  # a header line
+    "\0" * 1_000_000,  # a header line whose repr is four times as long
+    "2 1\n1 " + "x" * (1_000_000 - 6),  # a coordinate token
+    "# provenance: " + "x" * (1_000_000 - 14),  # a provenance line
+])
+def test_point_file_errors_quote_a_bounded_prefix(text, tmp_path, capsys):
+    path = tmp_path / "long.pts"
+    path.write_text(text)
+    assert main(["parity", "--input", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert len(err) < 1000
+    assert "characters)" in err
+
+
+def test_point_file_shape_is_checked_before_any_coordinate(tmp_path, monkeypatch, capsys):
+    # 500,000 points in the plane, 2,000,009 bytes: refused at the header
+    path = tmp_path / "many.pts"
+    path.write_text("2 500000\n" + "1 1\n" * 500_000)
+    assert path.stat().st_size == 2_000_009
+
+    def no_parse(text):
+        raise AssertionError("a coordinate was parsed")
+
+    monkeypatch.setattr(configuration, "parse_rational", no_parse)
+    start = time.perf_counter()
+    assert main(["parity", "--input", str(path)]) == 64
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read point set {path}: "
+        "header declares 500000 points in R^2, more than 10,000 coordinates\n"
+    )
 
 
 def test_plot_rejects_wrong_shape(tmp_path):

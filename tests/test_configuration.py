@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkparity import configuration
 from linkparity.cli import main
 from linkparity.combinatorics import _exceeds_binomial
 from linkparity.configuration import (
@@ -348,6 +350,35 @@ def test_point_file_rejects_bad_data():
     ):
         with pytest.raises(ValueError, match=complaint):
             read_points_text(f"2 2\n# provenance: {provenance}\n1 2\n3 4\n")
+
+
+def test_point_text_is_split_into_the_lines_of_splitlines():
+    # pieces of a megabyte end after a "\n", never inside "\r\n"
+    text = "1 2\r\n" * 300_000 + "\r3\v4\x1c\n\n" * 100_000 + "\r" * 10 + "end"
+    assert len(text) > 2 << 20
+    assert list(configuration._lines(text)) == text.splitlines()
+    assert list(configuration._lines("")) == []
+
+
+def test_point_file_shapes_are_checked_before_coordinates_are_parsed(monkeypatch):
+    # n·d up to 10,000 is read; one more is refused at the header
+    assert configuration._MAX_POINT_COORDINATES == 10_000
+    row = " ".join(["1"] * 100)
+    assert read_points_text("100 100\n" + f"{row}\n" * 100).n == 100
+
+    def no_parse(text):
+        raise AssertionError("a coordinate was parsed")
+
+    monkeypatch.setattr(configuration, "parse_rational", no_parse)
+    for text, complaint in (
+        ("1 10001\n1\n", "header declares 10001 points in R^1, more than 10,000"),
+        ("1 1\n" + "1 " * 1_000_000, "expected 1 coordinates per point, got more"),
+        ("2 2\n1 1\n1 1\n1 1\n", "expected 2 point lines, got more"),
+        ("# provenance: moment-curve params=" + "1," * 10_000 + "1\n2 1\n1 1\n",
+         "moment-curve provenance has over 10,000 parameters"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            read_points_text(text)
 
 
 # ------------------------- hostile point-file texts -------------------------

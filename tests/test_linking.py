@@ -25,6 +25,7 @@ from linkparity.configuration import (
 from linkparity.errors import ContractError, DegeneracyError
 from linkparity.intersection import intersect_complementary
 from linkparity.linking import (
+    DenseSection,
     boundary_intersection_count,
     counterexample_document,
     dumps_canonical,
@@ -567,6 +568,8 @@ def test_dumps_canonical_equals_json_indent_2(document):
     {1: "int key"},
     [{"a": 1, 2: "b"}],
     {"t": (1, 2)},
+    # a dense section field must be a scalar; SubsetCounts.subset is a tuple
+    {"per_subset": DenseSection(total_linked_parity(moment_curve(5, 2)), ("subset",))},
 ])
 def test_dumps_canonical_rejects_values_outside_json_documents(document):
     with pytest.raises(TypeError):
