@@ -21,10 +21,10 @@ return 0 or 2 and raise everything else.
 Reports are computed serially: ``--workers`` (default 1) is validated, must
 be at least 1, and is otherwise ignored.  Output contains no timestamps or
 worker counts, so identical inputs give byte-identical reports and stdout.
-A ``--json`` report or an ``alternation --csv`` table is written a row at a
-time to a temporary sibling of the file its path names and moved into place
-at the end, so a failed run leaves no file and an old file untouched; a path
-naming a device or FIFO is written directly.
+A point file is read once; a manifest records the SHA-256 of the bytes parsed.
+Every output file (``--json``, ``--csv``, ``--out``) is written by ``_replacing``
+to a temporary sibling and moved into place at the end, so a failed run leaves
+no file and an old file untouched; a device or FIFO is written directly.
 """
 
 from __future__ import annotations
@@ -55,10 +55,11 @@ from .combinatorics import (
 from .configuration import (
     Configuration,
     _check_sampling,
-    load_points,
+    _read_point_file,
     moment_curve,
+    read_points_text,
     sample_random_configuration,
-    save_points,
+    write_points_text,
 )
 from .errors import ContractError, DegeneracyError, SamplingError
 from .intersection import intersect_complementary, separating_hyperplane_moment
@@ -81,21 +82,14 @@ EXIT_DEGENERACY = 3
 EXIT_USAGE = 64
 
 
-def _hash_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        digest.update(handle.read())
-    return digest.hexdigest()
-
-
-def _manifest(command: str, parameters: dict, seeds=(), inputs=()) -> dict:
-    """Everything needed to reproduce a run bit-for-bit."""
+def _manifest(command: str, parameters: dict, seeds=(), input_hashes=()) -> dict:
+    """Everything needed to reproduce a run bit-for-bit; ``input_hashes`` come from ``_load``."""
     return {
         "command": command,
         "parameters": parameters,
         "seeds": list(seeds),
         "tool_version": __version__,
-        "input_hashes": {path: _hash_file(path) for path in inputs},
+        "input_hashes": dict(input_hashes),
     }
 
 
@@ -106,16 +100,18 @@ def _parse_labels(text: str) -> tuple[int, ...]:
         raise ContractError(f"expected comma-separated integers, got {text!r}")
 
 
-def _load(path: str) -> Configuration:
+def _load(path: str) -> tuple[Configuration, str]:
+    """A point file's configuration and the SHA-256 of the bytes parsed, from one read."""
     try:
-        return load_points(path)
+        data = _read_point_file(path)
+        return read_points_text(data.decode("ascii")), hashlib.sha256(data).hexdigest()
     except (OSError, ValueError) as exc:
         raise ContractError(f"cannot read point set {path}: {exc}") from exc
 
 
 @contextmanager
 def _replacing(path: str):
-    """A text handle whose file replaces ``path`` only if the block completes.
+    """The text handle of every file the CLI writes; it replaces ``path`` if the block completes.
 
     When ``path`` is missing or names a regular file (through any symlinks),
     the text goes to a new temporary sibling of that file, which takes an
@@ -251,8 +247,10 @@ def cmd_parity(args) -> int:
     if args.input is not None:
         if (args.trials, args.seed, args.bound) != (None, None, None):
             raise ContractError("--trials, --seed and --bound are read only with --random")
-        manifest = partial(_manifest, "parity", {"input": args.input}, inputs=[args.input])
-        configs = [(args.input, _load(args.input))]
+        config, digest = _load(args.input)
+        manifest = partial(_manifest, "parity", {"input": args.input},
+                           input_hashes={args.input: digest})
+        configs = [(args.input, config)]
     else:
         n, d = args.random
         trials = 1 if args.trials is None else args.trials
@@ -420,7 +418,8 @@ def cmd_witness(args) -> int:
 
 def cmd_sample(args) -> int:
     config = sample_random_configuration(args.n, args.d, args.seed, args.bound)
-    save_points(config, args.out)
+    with _replacing(args.out) as handle:
+        handle.write(write_points_text(config))
     print(f"wrote {args.out}: {config.provenance.describe()}")
     return EXIT_OK
 
@@ -479,11 +478,11 @@ def cmd_plot(args) -> int:
             raise ContractError("plotting is implemented for the planar case only (k=1)")
         config = moment_curve(5, 2)
     else:
-        config = _load(args.input)
+        config, _ = _load(args.input)
     if config.dimension != 2 or config.n != 5:
         raise ContractError("plot needs 5 points in the plane")
     report = total_linked_parity(config)
-    with open(args.out, "w", encoding="ascii") as handle:
+    with _replacing(args.out) as handle:
         handle.write(_svg_document(config, set(report.linked_subsets)))
     print(f"wrote {args.out}: total linked = {report.total_linked}")
     return EXIT_OK

@@ -17,6 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from math import prod
 from operator import lt, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -252,23 +253,6 @@ def alternating_counts(n: int, size: int) -> Counter[IndexSubset]:
     )
 
 
-def _complement_blocks(subject: IndexSubset, n: int) -> tuple[int, ...]:
-    """Sizes of the maximal runs of consecutive integers in [n] \\ I."""
-    in_subject = set(subject)
-    blocks = []
-    run = 0
-    for v in range(1, n + 1):
-        if v in in_subject:
-            if run:
-                blocks.append(run)
-            run = 0
-        else:
-            run += 1
-    if run:
-        blocks.append(run)
-    return tuple(blocks)
-
-
 def alternating_count_closed_form(i_labels: Iterable[int], n: int) -> AlternatingCountBreakdown:
     """Classify I and return its alternating count without enumeration.
 
@@ -315,12 +299,11 @@ def _closed_form(subject: IndexSubset, n: int) -> AlternatingCountBreakdown:
             block_sizes=None,
         )
     case = AlternationCase.LEFT_END_ONLY if left else AlternationCase.RIGHT_END_ONLY
-    blocks = _complement_blocks(subject, n)
+    # the maximal runs of [n] \ I are the gaps between consecutive labels of 0, I, n + 1
+    bounds = (0, *subject, n + 1)
+    blocks = tuple(gap for a, b in zip(bounds, bounds[1:]) if (gap := b - a - 1) > 0)
     assert len(blocks) == (n - 1) // 2, blocks  # k + 1 runs
-    product = 1
-    for size in blocks:
-        product *= size
-    assert product == _CASE_COUNTS[case], (blocks, product)
+    assert prod(blocks) == _CASE_COUNTS[case], (blocks, prod(blocks))
     return AlternatingCountBreakdown(
         count=_CASE_COUNTS[case],
         case_tag=case,

@@ -47,6 +47,10 @@ Point = tuple[Fraction, ...]
 
 _MASK64 = (1 << 64) - 1
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+# every line end of str.splitlines, "\r\n" first; _lines cuts after one of them
+# past each _LINE_PIECE characters
+_LINE_END_RE = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_LINE_PIECE = 1 << 20
 _PHI64 = 0x9E3779B97F4A7C15
 _MAX_BOUND = (1 << 63) - 1
 _MAX_ATTEMPTS = 1000
@@ -419,14 +423,15 @@ def write_points_text(config: Configuration) -> str:
 
 
 def _lines(text: str) -> Iterator[str]:
-    """``text.splitlines()``, split a megabyte at a time.
+    """``text.splitlines()``, split about ``_LINE_PIECE`` characters at a time.
 
-    Each piece ends just after a ``"\\n"``, where a line always ends, so the
-    lines are the same; a text of millions of lines is never held as a list.
+    Each piece ends just after a line end of any kind, ``"\\r\\n"`` kept whole,
+    so the lines are the same; no text is held as a list of millions of lines.
     """
     start = 0
     while start < len(text):
-        end = text.find("\n", start + (1 << 20)) + 1 or len(text)
+        found = _LINE_END_RE.search(text, start + _LINE_PIECE)
+        end = found.end() if found else len(text)
         yield from text[start:end].splitlines()
         start = end
 
@@ -453,6 +458,8 @@ def read_points_text(text: str) -> Configuration:
             if len(header) != 2:
                 raise ValueError(f"header must be 'd n', got {quote_input(stripped)}")
             d, n = _parse_integer(header[0]), _parse_integer(header[1])
+            if d < 1 or n < 1:
+                raise ValueError(f"header needs d >= 1 and n >= 1, got {quote_input(stripped)}")
             if n * d > _MAX_POINT_COORDINATES:
                 raise ValueError(
                     f"header declares {n} points in R^{d}, more than "
@@ -469,7 +476,7 @@ def read_points_text(text: str) -> Configuration:
     points = []
     for line in point_lines:
         # split at most d times: a line of millions of tokens is not split up
-        tokens = line.split(None, max(d, 0))
+        tokens = line.split(None, d)
         if len(tokens) != d:
             got = "more" if len(tokens) > d else len(tokens)
             raise ValueError(f"expected {d} coordinates per point, got {got}")
@@ -486,10 +493,15 @@ def save_points(config: Configuration, path) -> None:
         handle.write(write_points_text(config))
 
 
-def load_points(path) -> Configuration:
-    """The configuration in an ASCII point file of at most 16 MiB; ValueError if longer."""
+def _read_point_file(path) -> bytes:
+    """The bytes of a point file of at most 16 MiB, read once; ValueError if longer."""
     with open(path, "rb") as handle:
         data = handle.read(_MAX_POINT_FILE_BYTES + 1)
     if len(data) > _MAX_POINT_FILE_BYTES:
         raise ValueError(f"point-set file is longer than {_MAX_POINT_FILE_BYTES} bytes")
-    return read_points_text(data.decode("ascii"))
+    return data
+
+
+def load_points(path) -> Configuration:
+    """The configuration in an ASCII point file of at most 16 MiB; ValueError if longer."""
+    return read_points_text(_read_point_file(path).decode("ascii"))

@@ -305,8 +305,30 @@ def test_parity_input_report_file_equals_the_built_document(tmp_path):
     path, out = tmp_path / "m96.pts", tmp_path / "parity.json"
     save_points(moment_curve(9, 6), path)
     assert main(["parity", "--input", str(path), "--json", str(out)]) == 0
-    manifest = cli._manifest("parity", {"input": str(path)}, inputs=[str(path)])
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest = cli._manifest("parity", {"input": str(path)}, input_hashes={str(path): digest})
     assert out.read_text() == _parity_reference([moment_curve(9, 6)], manifest)
+
+
+def test_parity_input_from_a_pipe_records_the_hash_of_the_bytes_parsed(tmp_path):
+    # the point file is read once: hashing it by a second read would find the
+    # pipe drained and record the SHA-256 of empty input
+    sampled, out = tmp_path / "s.pts", tmp_path / "p.json"
+    assert main(["sample", "--n", "7", "--d", "4", "--seed", "3", "--out", str(sampled)]) == 0
+    data = sampled.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "df8b80ff43692da707417bcc04385b701d1b37e0be3c33879eb933bccfc9fc7a"
+    )
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)  # 350 bytes, well within a pipe's buffer
+        os.close(write_end)
+        pipe = f"/dev/fd/{read_end}"
+        assert main(["parity", "--input", pipe, "--json", str(out)]) == 0
+    finally:
+        os.close(read_end)
+    manifest = json.loads(out.read_text())["manifest"]
+    assert manifest["input_hashes"] == {pipe: hashlib.sha256(data).hexdigest()}
 
 
 def test_parity_failed_trial_leaves_no_file(tmp_path, monkeypatch, capsys):
@@ -351,6 +373,9 @@ def test_report_through_a_symlink_replaces_its_target(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["verify", "-k", "1", "--json"],
     ["alternation", "--k", "1", "--csv"],
+    ["parity", "--random", "5", "2", "--json"],
+    ["sample", "--n", "5", "--d", "2", "--out"],
+    ["plot", "--k", "1", "--out"],
 ])
 def test_a_stale_temporary_file_does_not_block_the_write(argv, tmp_path, monkeypatch):
     # a run killed mid-write leaves its temporary file, and a later run may
@@ -370,11 +395,18 @@ def test_a_stale_temporary_file_does_not_block_the_write(argv, tmp_path, monkeyp
     def fail(*args, **kwargs):
         raise OSError("disk full")
 
+    # each writer fails by whichever name the CLI calls it
     monkeypatch.setattr(cli, "write_canonical", fail)
     monkeypatch.setattr(cli.csv, "writer", fail)
+    monkeypatch.setattr(cli, "_svg_document", fail)
+    monkeypatch.setattr(configuration, "write_points_text", fail)
+    monkeypatch.setattr(cli, "write_points_text", fail, raising=False)
     assert main([*argv, str(out)]) == 64
     assert sorted(tmp_path.iterdir()) == sorted([out, *stale])
     assert out.read_bytes() == expected
+    out.unlink()
+    assert main([*argv, str(out)]) == 64
+    assert sorted(tmp_path.iterdir()) == sorted(stale)
     assert all(path.read_text() == "stale\n" for path in stale)
 
 

@@ -2,8 +2,13 @@
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -360,6 +365,41 @@ def test_point_text_is_split_into_the_lines_of_splitlines():
     assert list(configuration._lines("")) == []
 
 
+_LINE_ENDS = ("\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@given(st.lists(st.sampled_from(("a", " ", *_LINE_ENDS)), max_size=40).map("".join),
+       st.integers(1, 5))
+@settings(max_examples=500, deadline=None)
+def test_point_text_lines_match_splitlines_across_piece_boundaries(text, piece):
+    with mock.patch.object(configuration, "_LINE_PIECE", piece):
+        assert list(configuration._lines(text)) == text.splitlines()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_a_point_file_of_carriage_returns_is_read_in_bounded_memory(tmp_path):
+    # a 16 MiB file of "##\r" lines: pieces must end at a "\r" as they do at
+    # a "\n", or the whole text is split into one list of 5.6 million lines.
+    # The child reports VmHWM, its own peak RSS; ru_maxrss would carry over
+    # the peak of the test process that started it.
+    path = tmp_path / "cr.pts"
+    path.write_bytes(b"##\r" * ((16 << 20) // 3))
+    script = (
+        "import re, sys\n"
+        "from linkparity.cli import main\n"
+        "code = main(['parity', '--input', sys.argv[1]])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    code, peak_kib = result.stdout.split()
+    assert code == "64"
+    assert result.stderr.endswith("empty point-set file\n")
+    assert int(peak_kib) / 1024 < 120
+
+
 def test_point_file_shapes_are_checked_before_coordinates_are_parsed(monkeypatch):
     # n·d up to 10,000 is read; one more is refused at the header
     assert configuration._MAX_POINT_COORDINATES == 10_000
@@ -372,6 +412,11 @@ def test_point_file_shapes_are_checked_before_coordinates_are_parsed(monkeypatch
     monkeypatch.setattr(configuration, "parse_rational", no_parse)
     for text, complaint in (
         ("1 10001\n1\n", "header declares 10001 points in R^1, more than 10,000"),
+        # a header must declare at least one coordinate and one point
+        ("2 -3\n", "header needs d >= 1 and n >= 1, got '2 -3'"),
+        ("-2 3\n" + "1 1\n" * 3, "header needs d >= 1 and n >= 1, got '-2 3'"),
+        ("0 5\n" + "1\n" * 5, "header needs d >= 1 and n >= 1, got '0 5'"),
+        ("-4 -5\n", "header needs d >= 1 and n >= 1, got '-4 -5'"),
         ("1 1\n" + "1 " * 1_000_000, "expected 1 coordinates per point, got more"),
         ("2 2\n1 1\n1 1\n1 1\n", "expected 2 point lines, got more"),
         ("# provenance: moment-curve params=" + "1," * 10_000 + "1\n2 1\n1 1\n",
