@@ -111,12 +111,12 @@ def _require_report_rows(k: int) -> None:
         )
 
 
-def combinations_colex(items: Sequence[int], size: int) -> Iterator[IndexSubset]:
+def combinations_colex(items: Sequence, size: int) -> Iterator[tuple]:
     """Yield the ``size``-subsets of ``items`` in colexicographic order.
 
-    ``items`` must be sorted ascending.  Colex compares the largest differing
-    element, so every subset with maximum m precedes every subset with a
-    larger maximum.  Knuth's colex successor (TAOCP 7.2.1.3, Algorithm L)
+    Only positions in ``items`` are compared, so ``items`` gives the order and
+    may hold label strings: each subset ending at ``items[m]`` precedes each
+    subset ending later.  Knuth's colex successor (TAOCP 7.2.1.3, Algorithm L)
     makes each subset from the one before on an index list ending in the
     sentinel ``len(items)``: raise the lowest index that can rise without
     meeting the next and reset those below it.  A list of the current

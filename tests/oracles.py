@@ -2,14 +2,18 @@
 
 Everything here is deliberately naive: cofactor expansion for determinants,
 orientation-sign tests for planar segment crossings, a tag-and-sort
-alternation test, and ``json.dumps`` of a report document whose dense
-sections are expanded row by row.  These must stay free of the code they
-check.
+alternation test, ``json.dumps`` of a report document whose dense sections
+are expanded row by row, and ``csv.writer`` of an alternation table.  These
+must stay free of the code they check.
 """
 
+import csv
+import io
+import itertools
 import json
 from fractions import Fraction
 
+from linkparity.combinatorics import alternating_count_closed_form
 from linkparity.linking import DenseSection
 
 
@@ -107,3 +111,23 @@ def expanded(value):
 def json_text(document) -> str:
     """The canonical text of a report document, by ``json.dumps`` of its expansion."""
     return json.dumps(expanded(document), indent=2, ensure_ascii=True) + "\n"
+
+
+def alternation_table_csv(k):
+    """The ``alternation --k`` table, as ``csv.writer`` writes it.
+
+    The (k+1)-subsets of [2k + 3] come from ``itertools.combinations``,
+    sorted into colex order by their reversed tuples, and each is classified
+    by the validating ``alternating_count_closed_form``.
+    """
+    n = 2 * k + 3
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["I", "case", "block_sizes", "count"])
+    subsets = sorted(itertools.combinations(range(1, n + 1), k + 1), key=lambda s: s[::-1])
+    for subset in subsets:
+        breakdown = alternating_count_closed_form(subset, n)
+        blocks = breakdown.block_sizes or ()
+        writer.writerow([" ".join(map(str, subset)), breakdown.case_tag.value,
+                         " ".join(map(str, blocks)), breakdown.count])
+    return out.getvalue()

@@ -31,7 +31,7 @@ from linkparity.linking import (
     link_report_document,
     total_linked_parity,
 )
-from oracles import json_text
+from oracles import alternation_table_csv, json_text
 
 
 @pytest.fixture
@@ -395,9 +395,18 @@ def test_a_stale_temporary_file_does_not_block_the_write(argv, tmp_path, monkeyp
     def fail(*args, **kwargs):
         raise OSError("disk full")
 
+    row_tail = cli._row_tail
+
+    def fail_at_a_nonzero_row(breakdown):
+        # the zero-count tails are made before the header, the others row by
+        # row, so the table fails after the header and its first row
+        if breakdown.count:
+            fail()
+        return row_tail(breakdown)
+
     # each writer fails by whichever name the CLI calls it
     monkeypatch.setattr(cli, "write_canonical", fail)
-    monkeypatch.setattr(cli.csv, "writer", fail)
+    monkeypatch.setattr(cli, "_row_tail", fail_at_a_nonzero_row)
     monkeypatch.setattr(cli, "_svg_document", fail)
     monkeypatch.setattr(configuration, "write_points_text", fail)
     monkeypatch.setattr(cli, "write_points_text", fail, raising=False)
@@ -422,11 +431,42 @@ def test_report_to_a_device_is_written_directly(monkeypatch):
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
+@pytest.mark.parametrize("argv", [
+    ["alternation", "--k", "2", "--csv"],
+    ["verify", "-k", "1", "--json"],
+])
+def test_report_to_dev_stdout_reaches_a_pipe(argv, tmp_path, capsys):
+    # os.path.realpath names the pipe behind /dev/stdout "pipe:[N]", a path
+    # that does not exist; os.stat follows it to the pipe
+    out = tmp_path / "out"
+    assert main([*argv, str(out)]) == 0
+    capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-m", "linkparity", *argv, "/dev/stdout"],
+                         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+    assert (run.returncode, run.stderr) == (0, b"")
+    # verify also prints its summary on stdout
+    assert out.read_bytes() in run.stdout
+    if argv[0] == "alternation":
+        assert run.stdout == out.read_bytes()
+
+
 def test_alternation_table_k2(capsys):
     assert main(["alternation", "--k", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "I,case,block_sizes,count"
     assert len(lines) == 36  # header + C(7,3) rows
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_alternation_table_matches_the_csv_writer_oracle(k, tmp_path, capsys):
+    expected = alternation_table_csv(k)
+    out = tmp_path / "table.csv"
+    assert main(["alternation", "--k", str(k), "--csv", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("ascii")
+    capsys.readouterr()
+    assert main(["alternation", "--k", str(k)]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_alternation_single_subset(capsys):
@@ -471,7 +511,8 @@ def test_alternation_bad_sizes(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --n is read only with --subset; --k uses n = 2k + 3\n"
 
 
-def test_alternation_closed_form_mismatch_exits_2_and_writes_every_row(tmp_path, monkeypatch):
+def test_alternation_closed_form_mismatch_exits_2_and_writes_every_row(tmp_path, monkeypatch,
+                                                                      capsys):
     out = tmp_path / "table.csv"
     assert main(["alternation", "--k", "3", "--csv", str(out)]) == 0
     row = "\n1 3 5 7,left_end_only,1 1 1 2,{}\n"
@@ -484,8 +525,12 @@ def test_alternation_closed_form_mismatch_exits_2_and_writes_every_row(tmp_path,
         return replace(breakdown, count=4) if subset == (1, 3, 5, 7) else breakdown
 
     monkeypatch.setattr(cli, "_closed_form", miscounted)
+    capsys.readouterr()
     assert main(["alternation", "--k", "3", "--csv", str(out)]) == 2
     assert out.read_text() == expected
+    assert capsys.readouterr() == (
+        "", "closed-form mismatch on 1 row(s), first at I=(1, 3, 5, 7)\n",
+    )
 
 
 def test_alternation_subset_closed_form_mismatch_exits_2(monkeypatch, capsys):
@@ -497,9 +542,13 @@ def test_alternation_subset_closed_form_mismatch_exits_2(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "alternating_count_closed_form", miscounted)
     assert main(["alternation", "--subset", "1,3,5,7", "--n", "9"]) == 2
-    assert capsys.readouterr().out.splitlines() == [
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
         "I,case,block_sizes,count", "1 3 5 7,left_end_only,1 1 1 2,4",
     ]
+    assert captured.err == (
+        "closed-form mismatch on 1 row(s), first at I=(1, 3, 5, 7)\n"
+    )
 
 
 @pytest.mark.parametrize("old", [None, "old table\n"])
@@ -525,7 +574,8 @@ def test_failed_alternation_table_leaves_no_file(old, tmp_path, monkeypatch, cap
         assert out.read_text() == old
 
 
-def test_alternation_table_mismatch_exits_2_and_writes_every_row(tmp_path, monkeypatch):
+def test_alternation_table_mismatch_exits_2_and_writes_every_row(tmp_path, monkeypatch,
+                                                                capsys):
     out = tmp_path / "table.csv"
     assert main(["alternation", "--k", "3", "--csv", str(out)]) == 0
     expected = out.read_text()
@@ -533,13 +583,17 @@ def test_alternation_table_mismatch_exits_2_and_writes_every_row(tmp_path, monke
 
     def miscounted(n, size):
         counts = counts_of(n, size)
-        counts[(1, 2, 3, 4)] = 2  # all adjacent: no partner
+        counts[(6, 7, 8, 9)] = 2  # all adjacent: no partner
+        counts[(1, 2, 3, 4)] = 2  # likewise, and first in colex order
         return counts
 
     monkeypatch.setattr(cli, "alternating_counts", miscounted)
     assert main(["alternation", "--k", "3", "--csv", str(out)]) == 2
     # the table is not printed: the row shows the closed form, as before
     assert out.read_text() == expected
+    assert capsys.readouterr() == (
+        "", "closed-form mismatch on 2 row(s), first at I=(1, 2, 3, 4)\n",
+    )
 
 
 def test_witness_separator(capsys):
