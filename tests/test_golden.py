@@ -6,7 +6,8 @@ still wrote JSON through ``json.dumps(indent=2)``, so any change in a sign,
 a Radon point or the JSON layout of these reports shows up here.  The
 rational cases exercise points with denominators other than 1, which the
 CLI runs never produce.  The alternation digest was taken from the code that
-built the whole CSV in memory before writing it, and covers csv's \\r\\n.
+built the whole CSV in memory with ``csv.writer``, so it holds the table's
+own row formatter to csv's text, \\r\\n line ends included.
 """
 
 import hashlib
