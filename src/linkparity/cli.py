@@ -25,6 +25,8 @@ A point file is read once; a manifest records the SHA-256 of the bytes parsed.
 Every output file (``--json``, ``--csv``, ``--out``) is written by ``_replacing``
 to a temporary sibling and moved into place at the end, so a failed run leaves
 no file and an old file untouched; a device or FIFO is written directly.
+A command whose output file is its own stdout (``--json /dev/stdout``)
+prints its summary lines on stderr, so stdout carries the file alone.
 """
 
 from __future__ import annotations
@@ -152,6 +154,25 @@ def _replacing(path: str):
         raise
 
 
+def _summary_stream(path: str | None):
+    """Where a command's summary lines go: ``sys.stderr`` when ``path`` is stdout.
+
+    ``path`` is stdout when it names the file behind ``sys.stdout``'s
+    descriptor (the same device and inode, as ``/dev/stdout`` does), so a
+    report written there reaches the stream alone.  A stdout with no
+    descriptor is never a match.
+    """
+    if path is not None:
+        try:
+            target, stdout = os.stat(path), os.fstat(sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            if (target.st_dev, target.st_ino) == (stdout.st_dev, stdout.st_ino):
+                return sys.stderr
+    return sys.stdout
+
+
 def _resolve_workers(value: int) -> int:
     if value < 1:
         raise ContractError(f"--workers must be >= 1, got {value}")
@@ -222,18 +243,20 @@ def cmd_verify(args) -> int:
     manifest = _manifest("verify", {"k": args.k})
     result = verify_counterexample(args.k, workers=workers)
     report = result.report
+    summary = _summary_stream(args.json)
     print(
         f"k={args.k}: n={report.config.n} points in R^{report.config.dimension}, "
-        f"{comb(report.config.n, report.k + 1)} subsets, total linked = {report.total_linked}"
+        f"{comb(report.config.n, report.k + 1)} subsets, total linked = {report.total_linked}",
+        file=summary,
     )
     status = "PASS" if result.ok else "FAIL"
-    print(f"all counts even and n1=n2=n3=n4: {status}")
+    print(f"all counts even and n1=n2=n3=n4: {status}", file=summary)
     for failure in result.failures:
         print(f"  failure: {failure}", file=sys.stderr)
     if args.json:
         with _replacing(args.json) as handle:
             write_canonical(handle, counterexample_document(result, manifest=manifest))
-        print(f"report written to {args.json}")
+        print(f"report written to {args.json}", file=summary)
     return EXIT_OK if result.ok else EXIT_VERIFY_FAIL
 
 
@@ -278,6 +301,7 @@ def cmd_parity(args) -> int:
         )
 
     ok = True
+    summary = _summary_stream(args.json)
 
     def reports():
         nonlocal ok
@@ -285,7 +309,7 @@ def cmd_parity(args) -> int:
             report = total_linked_parity(config, workers=workers)
             ok = ok and report.parity_ok
             print(f"{name}: total linked = {report.total_linked} "
-                  f"({'even' if report.parity_ok else 'ODD'})")
+                  f"({'even' if report.parity_ok else 'ODD'})", file=summary)
             # claim (b): some two disjoint (k+1)-subsets have intersecting hulls
             if not any(row.n3 for row in report.support.values()):
                 print(f"{name}: no intersecting disjoint pair", file=sys.stderr)
@@ -343,6 +367,8 @@ def cmd_alternation(args) -> int:
         subset = _parse_labels(args.subset)
         breakdown = alternating_count_closed_form(subset, args.n)
         brute = alternating_count_bruteforce(subset, args.n)
+        # written sorted, as every --k row is, however the labels were given
+        subset = tuple(sorted(subset))
         rows = ((subset, " ".join(map(str, subset)), breakdown, brute),)
 
     # most rows share a zero-count breakdown, found by identity: hashing costs more
@@ -422,7 +448,7 @@ def cmd_sample(args) -> int:
     config = sample_random_configuration(args.n, args.d, args.seed, args.bound)
     with _replacing(args.out) as handle:
         handle.write(write_points_text(config))
-    print(f"wrote {args.out}: {config.provenance.describe()}")
+    print(f"wrote {args.out}: {config.provenance.describe()}", file=_summary_stream(args.out))
     return EXIT_OK
 
 
@@ -486,7 +512,8 @@ def cmd_plot(args) -> int:
     report = total_linked_parity(config)
     with _replacing(args.out) as handle:
         handle.write(_svg_document(config, set(report.linked_subsets)))
-    print(f"wrote {args.out}: total linked = {report.total_linked}")
+    print(f"wrote {args.out}: total linked = {report.total_linked}",
+          file=_summary_stream(args.out))
     return EXIT_OK
 
 

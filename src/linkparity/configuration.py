@@ -11,9 +11,13 @@ fraction-free integer elimination gives two affine dependences spanning all
 of them, and their 2x2 cross products at each label v give the n
 dependences of [n] \\ {v}.  A (d+1)-subset is dependent exactly when the
 dependence of one label outside it is zero at the other, so these integers
-decide every subset and name the first dependent one, with no determinant;
-the linking code reads its Radon partitions from the same rows.  Other
-shapes scan every (d+1)x(d+1) homogenized determinant.
+decide every subset and name the first dependent one, with no determinant.
+The same rows give the Radon partition of each [n] \\ {v}.  A
+``Configuration`` computes both on first use, as ``gale_rows`` and
+``radon_partitions``, and keeps them on the instance: the sampler's
+certification, the report and every linking query of one configuration
+share one elimination.  Other shapes scan every (d+1)x(d+1) homogenized
+determinant.
 
 Random sampling PRNG (documented for cross-language reproduction): the value
 for coordinate slot c is drawn from its own splitmix64 output stream
@@ -35,8 +39,10 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, islice
 from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import _exceeds_binomial
@@ -97,8 +103,30 @@ Provenance = MomentCurve | Explicit | RandomSample
 
 
 @dataclass(frozen=True)
+class RadonPartition:
+    """The Radon partition of [n] \\ {v}: the sign split of its affine dependence.
+
+    ``weights`` holds, at index i - 1, the integer coefficient w_i of label i
+    in that dependence of the points: positive on ``positive``, negative on
+    ``negative``, zero at v alone.  Both hulls meet at ``point``, the sum of
+    w_i·p_i over the positive side divided by the sum of its w_i.
+    """
+
+    positive: tuple[int, ...]
+    negative: tuple[int, ...]
+    weights: tuple[int, ...]
+    point: Point
+
+
+@dataclass(frozen=True)
 class Configuration:
-    """n labeled points in R^d; point with label i sits at ``points[i - 1]``."""
+    """n labeled points in R^d; point with label i sits at ``points[i - 1]``.
+
+    For n = d + 3, ``gale_rows`` and ``radon_partitions`` are computed on
+    first use and kept on the instance, so each configuration runs one
+    elimination however many queries read them.  They are not fields:
+    equality, hashing and ``repr`` see the points alone.
+    """
 
     dimension: int
     points: tuple[Point, ...]
@@ -125,6 +153,46 @@ class Configuration:
         if not 1 <= label <= self.n:
             raise ContractError(f"label {label} outside 1..{self.n}")
         return self.points[label - 1]
+
+    @cached_property
+    def gale_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """``_gale_pair``'s integer columns and certified dependences, as tuples.
+
+        Needs n = d + 3 (ContractError otherwise).  A degenerate
+        configuration raises ``_gale_pair``'s DegeneracyError on every
+        access, since nothing is kept.
+        """
+        if self.n != self.dimension + 3:
+            raise ContractError(
+                f"the Gale pair needs n = d + 3 points, got n={self.n}, d={self.dimension}"
+            )
+        columns, dependences = _gale_pair(self)
+        return tuple(map(tuple, columns)), tuple(map(tuple, dependences))
+
+    @cached_property
+    def radon_partitions(self) -> tuple[RadonPartition, ...]:
+        """The Radon partition of [n] \\ {v} for each label v, in label order.
+
+        Read off ``gale_rows``: the dependence c of [n] \\ {v} on the columns
+        scaled by s_i gives w_i = c_i·s_i on the points, and the Radon point's
+        coordinates are integer sums over the positive side, each divided by
+        that side's total in the one ``Fraction`` formed.
+        """
+        columns, dependences = self.gale_rows
+        *axes, scales = zip(*columns)
+        labels = self.labels
+        partitions = []
+        for dependence in dependences:
+            # the dependence with its negative side zeroed
+            positive_side = [c if c > 0 else 0 for c in dependence]
+            total = sum(map(mul, positive_side, scales))
+            partitions.append(RadonPartition(
+                positive=tuple(v for v, c in zip(labels, dependence) if c > 0),
+                negative=tuple(v for v, c in zip(labels, dependence) if c < 0),
+                weights=tuple(map(mul, dependence, scales)),
+                point=tuple(Fraction(sum(map(mul, positive_side, axis)), total) for axis in axes),
+            ))
+        return tuple(partitions)
 
 
 def explicit_configuration(points: Iterable[Iterable], dimension: int | None = None) -> Configuration:
@@ -175,12 +243,14 @@ def find_degenerate_subset(config: Configuration) -> tuple[int, ...] | None:
     """First (d+1)-subset of labels lying in a common hyperplane, or None.
 
     First in ``itertools.combinations`` order.  For n = d + 3 the subset is
-    the one ``_gale_pair`` names; other shapes run ``_degenerate_subset_scan``.
+    the one ``_gale_pair`` names, read through ``config.gale_rows``, so a
+    certified instance is not eliminated again; other shapes run
+    ``_degenerate_subset_scan``.
     """
     if config.n != config.dimension + 3:
         return _degenerate_subset_scan(config)
     try:
-        _gale_pair(config)
+        config.gale_rows
     except DegeneracyError as exc:
         return exc.labels
     return None

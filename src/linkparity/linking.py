@@ -16,8 +16,12 @@ two of them span it: the dependence of [n] \\ {v} is the 2×2 cross product
 of that pair taken at v.  ``configuration._gale_pair`` hands out these n
 integer dependences, from one fraction-free elimination, after certifying
 general position with them (or raising DegeneracyError naming the first
-dependent (d+1)-subset), so this module holds no general-position code and
-forms no cross product; every query below reads the table they give.
+dependent (d+1)-subset).  ``Configuration.radon_partitions`` reads off each
+one's sign split, integer weights and Radon point, and keeps them on the
+configuration instance, so one configuration runs one elimination however
+many of the queries below it meets.  This module holds no general-position
+code and forms no cross product or Radon point: every query reads those
+partitions, and ``_radon_table`` only groups them by subset.
 
 Verification campaigns:
 
@@ -74,7 +78,7 @@ from .combinatorics import (
 from .configuration import (
     Configuration,
     Point,
-    _gale_pair,
+    RadonPartition,
     find_degenerate_subset,  # noqa: F401
     moment_curve,
 )
@@ -143,9 +147,14 @@ class SubsetCounts:
         return self.n3 % 2 == 0
 
 
-def _distinct_points(hits: tuple[FaceHit, ...]) -> int:
-    """n1: the number of distinct boundary points among one subset's face hits."""
-    return len({hit.point for hit in hits})
+def _distinct_points(hits: Iterable[FaceHit | RadonPartition]) -> int:
+    """n1: the number of distinct boundary points among one subset's face hits.
+
+    Points are told apart by their (numerator, denominator) pairs, equal
+    exactly when the points are, since a ``Fraction`` is always in lowest
+    terms; hashing int pairs skips ``Fraction.__hash__``'s modular inverse.
+    """
+    return len({tuple([(x.numerator, x.denominator) for x in hit.point]) for hit in hits})
 
 
 @dataclass(frozen=True)
@@ -217,35 +226,23 @@ def _require_linking_shape(d: int, n: int) -> int:
 
 
 def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]]:
-    """Face hits of every (k+1)-subset that has any, from ``_gale_pair``'s rows.
+    """Face hits of every (k+1)-subset that has any, grouped from ``config.radon_partitions``.
 
-    ``_gale_pair`` certifies general position and gives the homogeneous
-    columns, each scaled by a positive integer s_i, and for each label v the
-    integer dependence c of [n] \\ {v}, zero only at v; its sign split is
-    that set's Radon partition.  w_i = c_i·s_i is the same dependence of the
-    points themselves, kept as each hit's ``weights``.  Each Radon point is
-    the first ``Fraction`` formed.  The subsets, and each subset's hits by
-    face, are in colex order.
+    A partition of [n] \\ {v} into two (k+1)-sets is a face hit of each side
+    by the other, with the partition's Radon point and integer weights; an
+    unbalanced one hits nothing.  The partitions are computed once per
+    configuration, and only this grouping is made per call.  The subsets,
+    and each subset's hits by face, are in colex order.
     """
     k = config.dimension // 2
-    labels = tuple(config.labels)
-    columns, dependences = _gale_pair(config)
     found: dict[IndexSubset, list[FaceHit]] = {}
-    for dependence in dependences:
-        positive = tuple(v for v, c in zip(labels, dependence) if c > 0)
-        negative = tuple(v for v, c in zip(labels, dependence) if c < 0)
+    for partition in config.radon_partitions:
+        positive, negative = partition.positive, partition.negative
         # 2k + 2 nonzero coefficients
         if len(positive) != k + 1:
             continue
-        weights = tuple(c * column[-1] for c, column in zip(dependence, columns))
-        weighted = [(c, column) for c, column in zip(dependence, columns) if c > 0]
-        total = sum(w for w in weights if w > 0)
-        point = tuple(
-            Fraction(sum(c * column[axis] for c, column in weighted), total)
-            for axis in range(config.dimension)
-        )
-        found.setdefault(positive, []).append(FaceHit(negative, point, weights))
-        found.setdefault(negative, []).append(FaceHit(positive, point, weights))
+        found.setdefault(positive, []).append(FaceHit(negative, partition.point, partition.weights))
+        found.setdefault(negative, []).append(FaceHit(positive, partition.point, partition.weights))
     return {
         subset: tuple(sorted(found[subset], key=lambda hit: hit.face[::-1]))
         for subset in sorted(found, key=lambda subset: subset[::-1])
@@ -256,16 +253,19 @@ def boundary_intersection_count(config: Configuration, subset: Iterable[int]) ->
     """Number of boundary points of the complementary simplex met by conv(I).
 
     Sums [conv(I) ∩ conv(J) != empty] over the (k+1)-subsets J of the
-    complement; each face contributes at most one point, and distinct faces
-    hit distinct points under general position (asserted).  Each call builds
-    the whole Radon table, one elimination: for many subsets, read
-    ``total_linked_parity(config).row(I)`` instead.
+    complement: the Radon partitions {I, J} among ``config.radon_partitions``,
+    computed on the first query of a configuration and read by every later
+    one.  Each face contributes at most one point, and distinct faces hit
+    distinct points under general position (asserted).
     """
     k = _require_linking_shape(config.dimension, config.n)
     canon = check_subset(subset, config.n, name="I")
     if len(canon) != k + 1:
         raise ContractError(f"|I| must be k + 1 = {k + 1}, got {len(canon)}")
-    hits = _radon_table(config).get(canon, ())
+    hits = [
+        partition for partition in config.radon_partitions
+        if canon == partition.positive or canon == partition.negative
+    ]
     assert _distinct_points(hits) == len(hits), \
         "coincident face hits indicate a general-position violation"
     return len(hits)
@@ -274,7 +274,7 @@ def boundary_intersection_count(config: Configuration, subset: Iterable[int]) ->
 def is_linked(config: Configuration, subset: Iterable[int]) -> bool:
     """True iff conv(I) meets the complementary simplex boundary oddly often.
 
-    Each call builds the whole Radon table; see ``boundary_intersection_count``.
+    Reads the configuration's Radon partitions; see ``boundary_intersection_count``.
     """
     return boundary_intersection_count(config, subset) % 2 == 1
 
@@ -287,7 +287,9 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     Raises DegeneracyError (with the offending subset) when the configuration
     is not in general position, and ContractError for a report of more than
     ``MAX_REPORT_ROWS`` rows (k > 9).  ``workers`` is accepted and ignored:
-    the report costs one integer elimination and n unions, no enumeration.
+    the report costs the configuration's Radon partitions (one integer
+    elimination, none if an earlier query made them) and n unions, no
+    enumeration.
     """
     k = _require_linking_shape(config.dimension, config.n)
     _require_report_rows(k)

@@ -434,21 +434,23 @@ def test_report_to_a_device_is_written_directly(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["alternation", "--k", "2", "--csv"],
     ["verify", "-k", "1", "--json"],
+    ["parity", "--random", "5", "2", "--trials", "2", "--json"],
+    ["sample", "--n", "7", "--d", "4", "--seed", "3", "--out"],
 ])
 def test_report_to_dev_stdout_reaches_a_pipe(argv, tmp_path, capsys):
     # os.path.realpath names the pipe behind /dev/stdout "pipe:[N]", a path
     # that does not exist; os.stat follows it to the pipe
     out = tmp_path / "out"
     assert main([*argv, str(out)]) == 0
-    capsys.readouterr()
+    summary = capsys.readouterr().out.replace(str(out), "/dev/stdout")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     run = subprocess.run([sys.executable, "-m", "linkparity", *argv, "/dev/stdout"],
                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
-    assert (run.returncode, run.stderr) == (0, b"")
-    # verify also prints its summary on stdout
-    assert out.read_bytes() in run.stdout
-    if argv[0] == "alternation":
-        assert run.stdout == out.read_bytes()
+    assert run.returncode == 0
+    # the report alone reaches stdout; the summary lines that verify, parity
+    # and sample print on stdout for a file go to stderr
+    assert run.stdout == out.read_bytes()
+    assert run.stderr == summary.encode("ascii")
 
 
 def test_alternation_table_k2(capsys):
@@ -467,6 +469,14 @@ def test_alternation_table_matches_the_csv_writer_oracle(k, tmp_path, capsys):
     capsys.readouterr()
     assert main(["alternation", "--k", str(k)]) == 0
     assert capsys.readouterr() == (expected, "")
+
+
+def test_alternation_subset_row_is_written_sorted(capsys):
+    assert main(["alternation", "--subset", "1,3", "--n", "5"]) == 0
+    sorted_spelling = capsys.readouterr()
+    assert main(["alternation", "--subset", "3,1", "--n", "5"]) == 0
+    assert capsys.readouterr() == sorted_spelling
+    assert sorted_spelling.out.splitlines()[1].startswith("1 3,")
 
 
 def test_alternation_single_subset(capsys):
@@ -716,7 +726,7 @@ def _stop_report_work(monkeypatch, error):
         raise error
 
     monkeypatch.setattr(linking, "moment_curve", stop)
-    monkeypatch.setattr(linking, "_gale_pair", stop)
+    monkeypatch.setattr(configuration, "_gale_pair", stop)
     monkeypatch.setattr(linking, "alternating_counts", stop)
     monkeypatch.setattr(configuration, "_attempt_points", stop)
     monkeypatch.setattr(cli, "combinations_colex", stop)

@@ -156,6 +156,75 @@ def test_gale_pair_equals_the_two_elimination_reference():
     assert degenerate > 0  # the bound-1 attempts reach the degenerate branch
 
 
+def test_gale_rows_are_the_gale_pair_as_tuples_computed_once(monkeypatch):
+    eliminations = []
+
+    def counted(config):
+        eliminations.append(config.provenance)
+        return _gale_pair(config)
+
+    monkeypatch.setattr(configuration, "_gale_pair", counted)
+    for config in _rational_cases():
+        columns, dependences = config.gale_rows
+        assert config.gale_rows is config.gale_rows
+        assert config.radon_partitions is config.radon_partitions
+        assert find_degenerate_subset(config) is None
+        assert (list(map(list, columns)), list(map(list, dependences))) == _gale_pair(config)
+        assert all(type(row) is tuple for row in (columns, dependences, *columns, *dependences))
+        assert type(config.radon_partitions) is tuple
+    # _rational_cases samples 5 configurations, each certified once
+    assert len(eliminations) == 6 + 5
+
+
+def test_radon_partitions_split_each_dependence_by_sign():
+    for config in _gale_reference_cases():
+        if find_degenerate_subset(config) is not None:
+            continue
+        columns, dependences = config.gale_rows
+        assert len(config.radon_partitions) == config.n
+        for v, (partition, dependence) in enumerate(
+                zip(config.radon_partitions, dependences), start=1):
+            assert sorted(partition.positive + partition.negative) == \
+                [label for label in config.labels if label != v]
+            assert partition.weights == tuple(c * column[-1] for c, column in zip(dependence, columns))
+            assert all(partition.weights[label - 1] > 0 for label in partition.positive)
+            assert all(partition.weights[label - 1] < 0 for label in partition.negative)
+            # the Radon point is each side's weighted mean of its points
+            for side, sign in ((partition.positive, 1), (partition.negative, -1)):
+                total = sum(sign * partition.weights[label - 1] for label in side)
+                assert partition.point == tuple(
+                    sum(sign * partition.weights[label - 1] * config.point(label)[axis]
+                        for label in side) / total
+                    for axis in range(config.dimension)
+                ), (config.provenance.describe(), v)
+
+
+def test_computed_gale_rows_leave_equality_hash_and_repr_alone():
+    config = sample_random_configuration(7, 4, seed=3, bound=1000)
+    fresh = Configuration(config.dimension, config.points, config.provenance)
+    config.radon_partitions
+    assert "radon_partitions" in vars(config) and "gale_rows" not in vars(fresh)
+    assert config == fresh
+    assert hash(config) == hash(fresh)
+    assert repr(config) == repr(fresh)
+
+
+def test_gale_rows_of_a_degenerate_configuration_raise_on_every_access():
+    config = explicit_configuration([(0, 0), (3, 1), (0, 2), (1, 3), (2, 4)])
+    for _ in range(2):
+        for name in ("gale_rows", "radon_partitions"):
+            with pytest.raises(DegeneracyError) as info:
+                getattr(config, name)
+            assert info.value.labels == (3, 4, 5)
+        assert find_degenerate_subset(config) == (3, 4, 5)
+    assert "gale_rows" not in vars(config) and "radon_partitions" not in vars(config)
+
+
+def test_gale_rows_need_d_plus_3_points():
+    with pytest.raises(ContractError, match="n = d \\+ 3"):
+        moment_curve(6, 2).gale_rows
+
+
 def test_gale_general_position_with_dependent_leading_points():
     # points 1..5 lie in x_4 = 0, so the elimination is singular
     config = explicit_configuration([

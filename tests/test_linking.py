@@ -15,6 +15,7 @@ from linkparity.combinatorics import (
 )
 from linkparity import configuration, linking
 from linkparity.configuration import (
+    Configuration,
     _degenerate_subset_scan,
     explicit_configuration,
     find_degenerate_subset,
@@ -26,6 +27,7 @@ from linkparity.errors import ContractError, DegeneracyError
 from linkparity.intersection import intersect_complementary
 from linkparity.linking import (
     DenseSection,
+    FaceHit,
     boundary_intersection_count,
     counterexample_document,
     dumps_canonical,
@@ -292,6 +294,56 @@ def test_report_holds_the_supports_and_builds_its_rows_once(monkeypatch):
         assert report.row(subset) is report.support[subset]
     link_report_document(report)
     assert len(distinct) == len(report.support)
+
+
+def test_n1_on_integer_keys_equals_the_fraction_set_count():
+    for config in _table_oracle_cases():
+        for hits in linking._radon_table(config).values():
+            assert linking._distinct_points(hits) == len({hit.point for hit in hits})
+    # equal fractions made two ways are one point; a coordinate apart, two
+    same = FaceHit((1, 2), (Fraction(1, 2), Fraction(3)), ())
+    also = FaceHit((2, 3), (Fraction(2, 4), Fraction(6, 2)), ())
+    other = FaceHit((3, 4), (Fraction(1, 2), Fraction(-3)), ())
+    assert linking._distinct_points((same, also)) == len({same.point, also.point}) == 1
+    assert linking._distinct_points((same, also, other)) == 2
+
+
+def test_a_reported_configuration_answers_as_a_fresh_copy_does():
+    for config in _table_oracle_cases():
+        total_linked_parity(config)
+        fresh = Configuration(config.dimension, config.points, config.provenance)
+        expected = _per_pair_reference(fresh)
+        case = config.provenance.describe()
+        assert find_intersecting_pair(config) == find_intersecting_pair(fresh) == expected[0], case
+        assert list(intersecting_pairs(config)) == list(intersecting_pairs(fresh)) == expected, case
+
+
+def test_one_elimination_serves_every_query_of_a_configuration(monkeypatch):
+    eliminations = []
+    real = configuration._gale_pair
+
+    def counted(config):
+        eliminations.append(config.provenance)
+        return real(config)
+
+    monkeypatch.setattr(configuration, "_gale_pair", counted)
+    config = sample_random_configuration(7, 4, seed=1, bound=1000)
+    report = total_linked_parity(config)
+    find_intersecting_pair(config)
+    list(intersecting_pairs(config))
+    counts = [boundary_intersection_count(config, row.subset) for row in report.per_subset]
+    assert [is_linked(config, row.subset) for row in report.per_subset] == \
+        [bool(row.n3 % 2) for row in report.per_subset]
+    assert counts == [row.n3 for row in report.per_subset]
+    # the sampler's certification is the one elimination
+    assert eliminations == [config.provenance]
+
+
+def test_boundary_counts_of_every_subset_equal_the_report_rows():
+    config = moment_curve(13, 10)
+    report = total_linked_parity(moment_curve(13, 10))
+    assert [boundary_intersection_count(config, row.subset) for row in report.per_subset] == \
+        [row.n3 for row in report.per_subset]
 
 
 @st.composite
