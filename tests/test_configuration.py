@@ -172,7 +172,8 @@ def test_gale_rows_are_the_gale_pair_as_tuples_computed_once(monkeypatch):
         assert (list(map(list, columns)), list(map(list, dependences))) == _gale_pair(config)
         assert all(type(row) is tuple for row in (columns, dependences, *columns, *dependences))
         assert type(config.radon_partitions) is tuple
-    # _rational_cases samples 5 configurations, each certified once
+    # one for each of the 6 configurations queried, and one for each of the
+    # 5 sampled ones that _rational_cases rescales into new configurations
     assert len(eliminations) == 6 + 5
 
 
