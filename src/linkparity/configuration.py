@@ -109,13 +109,19 @@ class RadonPartition:
     ``weights`` holds, at index i - 1, the integer coefficient w_i of label i
     in that dependence of the points: positive on ``positive``, negative on
     ``negative``, zero at v alone.  Both hulls meet at ``point``, the sum of
-    w_i·p_i over the positive side divided by the sum of its w_i.
+    w_i·p_i over the positive side divided by the sum of its w_i.  When the
+    sides are equal in size, each side's hull meets the other's there, so
+    the partition is a face hit of each side, its face the ``other`` side.
     """
 
     positive: tuple[int, ...]
     negative: tuple[int, ...]
     weights: tuple[int, ...]
     point: Point
+
+    def other(self, side: tuple[int, ...]) -> tuple[int, ...]:
+        """The side of the partition that is not ``side``, which must be one of the two."""
+        return self.negative if side == self.positive else self.positive
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ solves the square system formed by the homogenized coordinates plus a unit
 normalization of the last coefficient; that system is singular precisely
 when d + 1 of the points are affinely dependent, so singularity (or a zero
 coefficient) certifies a general position violation and is never silently
-absorbed.  It is the per-pair reference for ``linking``'s table, which
-reads every pair of n = d + 3 points from one Gale pair.  Note the naive
+absorbed.  It is the per-pair reference for ``linking``, which reads every
+pair of n = d + 3 points off the Radon partitions of one Gale pair.  Note the naive
 formulation {sum lambda_i p_i = sum mu_j q_j, sum lambda_i = 1,
 sum mu_j = 1} would go singular already when the two affine hulls are
 merely parallel, which happens for honest general-position inputs; the

@@ -21,15 +21,17 @@ one's sign split, integer weights and Radon point, and keeps them on the
 configuration instance, so one configuration runs one elimination however
 many of the queries below it meets.  This module holds no general-position
 code and forms no cross product or Radon point: every query reads those
-partitions, and ``_radon_table`` only groups them by subset.
+partitions.  A face hit is a balanced partition itself, one into two
+(k+1)-sets, its face read as ``RadonPartition.other`` of the subset.
 
 Verification campaigns:
 
 * ``total_linked_parity`` keeps the configuration and its support: the
-  counts of every subset with a face hit (a key of the table) or an
-  alternating partner (from ``alternating_counts``'s n unions), at most 2n
-  subsets, each row built once.  Its linked total is even: the ordered
-  double sum over disjoint (I, J) counts every unordered pair twice.
+  counts of every subset with a face hit (a side of a balanced partition,
+  grouped once per report) or an alternating partner (from
+  ``alternating_counts``'s n unions), at most 2n subsets, each row built
+  once.  Its linked total is even: the ordered double sum over disjoint
+  (I, J) counts every unordered pair twice.
 * ``verify_counterexample`` builds the moment-curve configuration on
   2k+3 integer parameters and checks that it has *no* linked pair at all,
   cross-checking three counts on every row of the support: distinct
@@ -38,9 +40,9 @@ Verification campaigns:
 * ``find_intersecting_pair`` exhibits two disjoint (k+1)-subsets with
   intersecting hulls, which must exist for any d+3 general-position points
   in even dimension d.  It and ``intersecting_pairs`` read which pairs meet
-  from the table; each hit keeps its partition's integer weights, and its
-  barycentric witness is formed from them only for a pair yielded, with no
-  solve.  ``intersect_complementary`` is the per-pair oracle the tests
+  off the balanced partitions, one pair each, and form a pair's barycentric
+  witness from its partition's integer weights only for a pair yielded, with
+  no solve.  ``intersect_complementary`` is the per-pair oracle the tests
   compare them with.
 
 Reports are computed serially; the ``workers`` arguments are accepted and
@@ -88,47 +90,22 @@ from .ratmat import format_rational
 
 
 @dataclass(frozen=True)
-class FaceHit:
-    """One face of the complementary simplex met by conv(I), with the point.
-
-    ``weights`` holds, at index i - 1, the integer affine dependence
-    coefficient of label i on the Radon partition {I, face}: positive on one
-    side, negative on the other, zero at the one label outside both.
-    """
-
-    face: IndexSubset
-    point: Point
-    weights: tuple[int, ...]
-
-    def witness(self, subset: IndexSubset) -> IntersectionResult:
-        """The barycentric witness of conv(subset) ∩ conv(face), ``subset`` being I.
-
-        Each side's coordinates are its weights over their sum:
-        ``intersect_complementary(config, subset, face)``'s, with no solve.
-        """
-        total = sum(self.weights[label - 1] for label in subset)
-        return IntersectionResult(
-            point=self.point,
-            coeffs_first=tuple(Fraction(self.weights[label - 1], total) for label in subset),
-            coeffs_second=tuple(Fraction(-self.weights[label - 1], total) for label in self.face),
-        )
-
-
-@dataclass(frozen=True)
 class SubsetCounts:
     """The counts compared for one subset I.
 
     n1 counts distinct boundary points and n4 alternating subsets; both are
-    stored.  n3, the faces hit, is derived as ``len(hits)``.  n2, the
-    subsets J whose hull meets conv(I), equals n3 by construction: the
-    k-faces of the complementary simplex are exactly the sets conv(J) for
-    (k+1)-subsets J of the complement.
+    stored.  ``hits`` are the configuration's own Radon partitions with I as
+    a side, in colex order of their other side, the face J hit; n3, the
+    faces hit, is derived as ``len(hits)``.  n2, the subsets J whose hull
+    meets conv(I), equals n3 by construction: the k-faces of the
+    complementary simplex are exactly the sets conv(J) for (k+1)-subsets J
+    of the complement.
     """
 
     subset: IndexSubset
     n1: int
     n4: int
-    hits: tuple[FaceHit, ...]
+    hits: tuple[RadonPartition, ...]
 
     @property
     def n3(self) -> int:
@@ -147,7 +124,7 @@ class SubsetCounts:
         return self.n3 % 2 == 0
 
 
-def _distinct_points(hits: Iterable[FaceHit | RadonPartition]) -> int:
+def _distinct_points(hits: Iterable[RadonPartition]) -> int:
     """n1: the number of distinct boundary points among one subset's face hits.
 
     Points are told apart by their (numerator, denominator) pairs, equal
@@ -225,28 +202,15 @@ def _require_linking_shape(d: int, n: int) -> int:
     return d // 2
 
 
-def _radon_table(config: Configuration) -> dict[IndexSubset, tuple[FaceHit, ...]]:
-    """Face hits of every (k+1)-subset that has any, grouped from ``config.radon_partitions``.
+def _balanced_partitions(config: Configuration) -> list[RadonPartition]:
+    """``config.radon_partitions`` into two (k+1)-sets, in label order: the face hits.
 
-    A partition of [n] \\ {v} into two (k+1)-sets is a face hit of each side
-    by the other, with the partition's Radon point and integer weights; an
-    unbalanced one hits nothing.  The partitions are computed once per
-    configuration, and only this grouping is made per call.  The subsets,
-    and each subset's hits by face, are in colex order.
+    Such a partition of [n] \\ {v} is a face hit of each side by the other;
+    an unbalanced one hits nothing.
     """
     k = config.dimension // 2
-    found: dict[IndexSubset, list[FaceHit]] = {}
-    for partition in config.radon_partitions:
-        positive, negative = partition.positive, partition.negative
-        # 2k + 2 nonzero coefficients
-        if len(positive) != k + 1:
-            continue
-        found.setdefault(positive, []).append(FaceHit(negative, partition.point, partition.weights))
-        found.setdefault(negative, []).append(FaceHit(positive, partition.point, partition.weights))
-    return {
-        subset: tuple(sorted(found[subset], key=lambda hit: hit.face[::-1]))
-        for subset in sorted(found, key=lambda subset: subset[::-1])
-    }
+    # 2k + 2 nonzero coefficients
+    return [partition for partition in config.radon_partitions if len(partition.positive) == k + 1]
 
 
 def boundary_intersection_count(config: Configuration, subset: Iterable[int]) -> int:
@@ -282,8 +246,10 @@ def is_linked(config: Configuration, subset: Iterable[int]) -> bool:
 def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     """The report of a configuration: the counts of every subset on its support.
 
-    The support is the union of the Radon table's keys and the nonzero
-    alternating counts, formed here alone; each row's n1 is counted once.
+    The support is the union of the balanced partitions' sides and the
+    nonzero alternating counts, formed here alone.  Each subset's hits are
+    grouped here, once per report, into a list, as two partitions may share
+    a side; each row's n1 is counted once.
     Raises DegeneracyError (with the offending subset) when the configuration
     is not in general position, and ContractError for a report of more than
     ``MAX_REPORT_ROWS`` rows (k > 9).  ``workers`` is accepted and ignored:
@@ -293,11 +259,14 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     """
     k = _require_linking_shape(config.dimension, config.n)
     _require_report_rows(k)
-    table = _radon_table(config)
+    found: dict[IndexSubset, list[RadonPartition]] = {}
+    for partition in _balanced_partitions(config):
+        found.setdefault(partition.positive, []).append(partition)
+        found.setdefault(partition.negative, []).append(partition)
     alternating = alternating_counts(config.n, k + 1)
     support = {}
-    for subset in sorted(table.keys() | alternating.keys(), key=lambda s: s[::-1]):
-        hits = table.get(subset, ())
+    for subset in sorted(found.keys() | alternating.keys(), key=lambda s: s[::-1]):
+        hits = tuple(sorted(found.get(subset, ()), key=lambda hit: hit.other(subset)[::-1]))
         support[subset] = SubsetCounts(subset, _distinct_points(hits), alternating[subset], hits)
     return LinkReport(config=config, support=support)
 
@@ -334,23 +303,45 @@ def verify_counterexample(k: int, workers: int = 1) -> CounterexampleReport:
     return CounterexampleReport(report=report, failures=tuple(failures))
 
 
+def radon_witness(
+    partition: RadonPartition, first: IndexSubset, second: IndexSubset,
+) -> IntersectionResult:
+    """The barycentric witness of conv(first) ∩ conv(second), the two sides of ``partition``.
+
+    Each side's coordinates are its weights over their sum:
+    ``intersect_complementary(config, first, second)``'s, with no solve.
+    """
+    weights = partition.weights
+    total = sum(weights[label - 1] for label in first)
+    return IntersectionResult(
+        point=partition.point,
+        coeffs_first=tuple(Fraction(weights[label - 1], total) for label in first),
+        coeffs_second=tuple(Fraction(-weights[label - 1], total) for label in second),
+    )
+
+
 def intersecting_pairs(
     config: Configuration,
 ) -> Iterator[tuple[IndexSubset, IndexSubset, IntersectionResult]]:
-    """Every disjoint (k+1)-subset pair with intersecting hulls.
+    """Every disjoint (k+1)-subset pair with intersecting hulls: one per balanced partition.
 
-    Pairs come in ``enumerate_disjoint_pairs`` order: ``first`` holds the
-    smaller minimum, and it and its partners follow the table's colex
-    order.  Each pair's
-    witness is its hit's ``witness``, equal field by field to
+    Pairs come in ``enumerate_disjoint_pairs`` order: ``first`` is the side
+    with the smaller minimum, and pairs are sorted by the colex order of
+    ``first``, then of ``second``.  Each pair's witness is
+    ``radon_witness``'s, equal field by field to
     ``intersect_complementary``'s.  Raises DegeneracyError on the first
     step when general position fails.
     """
     _require_linking_shape(config.dimension, config.n)
-    for first, hits in _radon_table(config).items():
-        for hit in hits:
-            if hit.face[0] > first[0]:
-                yield first, hit.face, hit.witness(first)
+    pairs = []
+    for partition in _balanced_partitions(config):
+        first, second = partition.positive, partition.negative
+        if second[0] < first[0]:
+            first, second = second, first
+        pairs.append((first, second, partition))
+    pairs.sort(key=lambda pair: (pair[0][::-1], pair[1][::-1]))
+    for first, second, partition in pairs:
+        yield first, second, radon_witness(partition, first, second)
 
 
 def find_intersecting_pair(
@@ -377,7 +368,9 @@ def _witnesses_json(report: LinkReport) -> list[dict]:
     return [
         {
             "I": list(subset),
-            "faces": [{"J": list(hit.face), "point": _point_json(hit.point)} for hit in row.hits],
+            "faces": [
+                {"J": list(hit.other(subset)), "point": _point_json(hit.point)} for hit in row.hits
+            ],
         }
         for subset, row in report.support.items()
         if row.n3 % 2

@@ -16,6 +16,7 @@ from linkparity.combinatorics import (
 from linkparity import configuration, linking
 from linkparity.configuration import (
     Configuration,
+    RadonPartition,
     _degenerate_subset_scan,
     explicit_configuration,
     find_degenerate_subset,
@@ -27,7 +28,6 @@ from linkparity.errors import ContractError, DegeneracyError
 from linkparity.intersection import intersect_complementary
 from linkparity.linking import (
     DenseSection,
-    FaceHit,
     boundary_intersection_count,
     counterexample_document,
     dumps_canonical,
@@ -35,6 +35,7 @@ from linkparity.linking import (
     intersecting_pairs,
     is_linked,
     link_report_document,
+    radon_witness,
     total_linked_parity,
     verify_counterexample,
     write_canonical,
@@ -118,10 +119,17 @@ def test_total_linked_parity_rejects_degenerate_input():
 
 
 def test_total_linked_parity_shape_contract():
-    with pytest.raises(ContractError):
-        total_linked_parity(moment_curve(6, 2))
-    with pytest.raises(ContractError):
-        total_linked_parity(moment_curve(6, 3))
+    # n = d + 3 at odd d has Radon partitions, but no (k+1, k+1) pairs to read
+    queries = (
+        total_linked_parity,
+        find_intersecting_pair,
+        lambda config: list(intersecting_pairs(config)),
+    )
+    for query in queries:
+        with pytest.raises(ContractError):
+            query(moment_curve(6, 2))
+        with pytest.raises(ContractError):
+            query(moment_curve(6, 3))
 
 
 def test_double_sum_evenness_identity():
@@ -198,17 +206,25 @@ def _rational_cases():
         )
 
 
-def test_radon_table_matches_per_face_solves():
+def test_report_hits_match_per_face_solves():
     for config in _table_oracle_cases():
         report = total_linked_parity(config)
         for row in report.per_subset:
             expected = _per_face_reference(config, row.subset)
             case = (config.provenance.describe(), row.subset)
-            assert [(hit.face, hit.point) for hit in row.hits] == expected, case
+            assert [(hit.other(row.subset), hit.point) for hit in row.hits] == expected, case
             assert row.n3 == len(expected), case
             assert row.n1 == len({point for _, point in expected}), case
         assert list(intersecting_pairs(config)) == _per_pair_reference(config), \
             config.provenance.describe()
+
+
+def test_report_hits_are_the_configurations_own_partitions():
+    for config in _table_oracle_cases():
+        for row in total_linked_parity(config).support.values():
+            for hit in row.hits:
+                assert any(hit is p for p in config.radon_partitions), \
+                    (config.provenance.describe(), row.subset)
 
 
 def _witness_cases():
@@ -226,9 +242,10 @@ def test_witnesses_equal_the_per_pair_solve():
     # minimum first; the report's hits hold both orientations
     for config in _witness_cases():
         triples = [
-            (row.subset, hit.face, hit.witness(row.subset))
+            (row.subset, face, radon_witness(hit, row.subset, face))
             for row in total_linked_parity(config).per_subset
             for hit in row.hits
+            for face in (hit.other(row.subset),)
         ]
         assert set(intersecting_pairs(config)) <= set(triples)
         for first, second, result in triples:
@@ -250,7 +267,8 @@ def test_n4_equals_the_bruteforce_count(k):
 def test_moment_curve_table_matches_the_evenness_oracle(k):
     report = total_linked_parity(moment_curve(2 * k + 3, 2 * k))
     faces = {
-        subset: sorted(hit.face for hit in row.hits) for subset, row in report.support.items()
+        subset: sorted(hit.other(subset) for hit in row.hits)
+        for subset, row in report.support.items()
     }
     assert faces == moment_curve_radon_faces(k)
     # the alternating support is the table's: no row has n4 without n3
@@ -298,12 +316,12 @@ def test_report_holds_the_supports_and_builds_its_rows_once(monkeypatch):
 
 def test_n1_on_integer_keys_equals_the_fraction_set_count():
     for config in _table_oracle_cases():
-        for hits in linking._radon_table(config).values():
-            assert linking._distinct_points(hits) == len({hit.point for hit in hits})
+        for row in total_linked_parity(config).support.values():
+            assert linking._distinct_points(row.hits) == len({hit.point for hit in row.hits})
     # equal fractions made two ways are one point; a coordinate apart, two
-    same = FaceHit((1, 2), (Fraction(1, 2), Fraction(3)), ())
-    also = FaceHit((2, 3), (Fraction(2, 4), Fraction(6, 2)), ())
-    other = FaceHit((3, 4), (Fraction(1, 2), Fraction(-3)), ())
+    same = RadonPartition((1,), (2,), (), (Fraction(1, 2), Fraction(3)))
+    also = RadonPartition((2,), (3,), (), (Fraction(2, 4), Fraction(6, 2)))
+    other = RadonPartition((3,), (4,), (), (Fraction(1, 2), Fraction(-3)))
     assert linking._distinct_points((same, also)) == len({same.point, also.point}) == 1
     assert linking._distinct_points((same, also, other)) == 2
 
