@@ -26,7 +26,8 @@ Every output file (``--json``, ``--csv``, ``--out``) is written by ``_replacing`
 to a temporary sibling and moved into place at the end, so a failed run leaves
 no file and an old file untouched; a device or FIFO is written directly.
 A command whose output file is its own stdout (``--json /dev/stdout``)
-prints its summary lines on stderr, so stdout carries the file alone.
+writes it through stdout's descriptor, so ``>>`` keeps what the file held,
+and prints its summary lines on stderr, so stdout carries the file alone.
 """
 
 from __future__ import annotations
@@ -115,14 +116,23 @@ def _load(path: str) -> tuple[Configuration, str]:
 def _replacing(path: str):
     """The text handle of every file the CLI writes; it replaces ``path`` if the block completes.
 
-    When ``path`` is missing or names a regular file (through any symlinks),
-    the text goes to a new temporary sibling of that file, which takes an
-    old file's mode, is moved over it at the end and is deleted on any
+    When ``path`` is the process's own stdout (``/dev/stdout``), the text is
+    written through a copy of stdout's descriptor, after ``sys.stdout`` is
+    flushed, so it lands where stdout writes: after what a file opened for
+    append already holds, and never over a file that stdout names.  When
+    ``path`` is missing or names a regular file (through any symlinks), the
+    text goes to a new temporary sibling of that file, which takes an old
+    file's mode, is moved over it at the end and is deleted on any
     exception, so a failed run leaves no file and an old one untouched.  Any
     other existing ``path`` (``/dev/null``, a FIFO, a pipe, which ``realpath``
     would name ``pipe:[N]``) is opened and written directly.  Either way
     newlines are written untranslated (``newline=""``).
     """
+    if _is_stdout(path):
+        sys.stdout.flush()
+        with os.fdopen(os.dup(sys.stdout.fileno()), "w", encoding="ascii", newline="") as handle:
+            yield handle
+        return
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -154,23 +164,25 @@ def _replacing(path: str):
         raise
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` names the file behind ``sys.stdout``'s descriptor.
+
+    That is the same device and inode, as ``/dev/stdout`` has.  A stdout
+    with no descriptor is never a match.
+    """
+    try:
+        target, stdout = os.stat(path), os.fstat(sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        return False
+    return (target.st_dev, target.st_ino) == (stdout.st_dev, stdout.st_ino)
+
+
 def _summary_stream(path: str | None):
     """Where a command's summary lines go: ``sys.stderr`` when ``path`` is stdout.
 
-    ``path`` is stdout when it names the file behind ``sys.stdout``'s
-    descriptor (the same device and inode, as ``/dev/stdout`` does), so a
-    report written there reaches the stream alone.  A stdout with no
-    descriptor is never a match.
+    A report written to the process's own stdout so reaches the stream alone.
     """
-    if path is not None:
-        try:
-            target, stdout = os.stat(path), os.fstat(sys.stdout.fileno())
-        except (AttributeError, OSError, ValueError):
-            pass
-        else:
-            if (target.st_dev, target.st_ino) == (stdout.st_dev, stdout.st_ino):
-                return sys.stderr
-    return sys.stdout
+    return sys.stderr if path is not None and _is_stdout(path) else sys.stdout
 
 
 def _resolve_workers(value: int) -> int:

@@ -50,8 +50,10 @@ ignored.  Reports serialize to JSON with a stable key order and carry no
 timestamps or worker counts, so reruns produce byte-identical files.
 ``link_report_document`` and ``counterexample_document`` build the one form
 of a document: its dense sections, ``per_subset`` and ``cross_checks``, are
-``DenseSection``s, each naming the ``SubsetCounts`` fields it writes; a row
-is written straight from its subset's counts, only as it is written.
+``DenseSection``s, each naming the ``SubsetCounts`` fields it writes.  A
+section's rows are made only as they are written, by one colex walk over the
+label strings: each row is a head shared by the section, the subset's
+labels and a tail, the zero row's unless the subset is on the support.
 ``dumps_canonical`` and ``write_canonical`` run one encoder, ``_pieces``;
 ``write_canonical`` writes its pieces as they are made, the dense sections
 a row at a time, in memory that does not grow with the row count.
@@ -382,9 +384,11 @@ class DenseSection:
     """A report section with one row per (k+1)-subset I, in colex order.
 
     Each row is the subset ``"I"`` and then, in order, the ``SubsetCounts``
-    attributes named in ``fields``, each an int or a bool.  The rows are
-    never held together: ``dumps_canonical`` and ``write_canonical`` write
-    them a row at a time, and ``json.dumps`` raises TypeError on a section.
+    attributes named in ``fields``, each an int or a bool; only the support
+    rows' attributes are read, as every other row is the zero row.  The rows
+    are never held together: ``dumps_canonical`` and ``write_canonical``
+    write them 256 at a time, and ``json.dumps`` raises TypeError on a
+    section.
     """
 
     report: LinkReport
@@ -521,42 +525,38 @@ def _key(key) -> str:
 def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     """The section's list as ``json.dumps(indent=2)`` lays it out, 256 rows a piece.
 
-    A subset off the report's support has all-zero counts, so its row is one
-    precomputed template with only the subset's labels filled in; only support
-    rows are read.  A field that ``_scalar`` cannot write raises TypeError.
+    One colex walk over the label strings makes the rows.  Each row is the
+    section's one head, its subset's labels joined at C level, and a tail:
+    the zero row's, unless the label text keys one of the support rows'
+    tails, made once per call (the separator, and so the key, depends on
+    ``pad``).  A field that ``_scalar`` cannot write raises TypeError.
     """
     report = section.report
-    fields = section.fields
     row_pad = pad + "  "
     field_pad = row_pad + "  "
+    label_pad = field_pad + "  "
+    label_separator = ",\n" + label_pad
+    head = "{\n" + field_pad + _key("I") + ": [\n" + label_pad
+    tail = "\n" + field_pad + "]" + "".join(
+        f",\n{field_pad}{_key(name)}: %s" for name in section.fields
+    ) + "\n" + row_pad + "}"
 
-    def values(row: SubsetCounts) -> tuple[str, ...]:
-        texts = tuple(_scalar(getattr(row, name)) for name in fields)
+    def tail_of(row: SubsetCounts) -> str:
+        texts = tuple(_scalar(getattr(row, name)) for name in section.fields)
         if None in texts:
-            raise TypeError(f"a dense section field of {fields} is not a JSON scalar")
-        return texts
+            raise TypeError(f"a dense section field of {section.fields} is not a JSON scalar")
+        return tail % texts
 
-    template = _block(
-        (f"{_key('I')}: {_block(('%s',), field_pad, '[]')}",
-         *(f"{_key(name)}: %s" for name in fields)),
-        row_pad, "{}",
-    )
+    tails = {label_separator.join(map(str, subset)): tail_of(row)
+             for subset, row in report.support.items()}
     # any subset off the support gives the zero row; the empty one is such a subset
-    zero_template = template % ("%s", *values(report.row(())))
-    label_separator = ",\n" + field_pad + "  "
-    support_row = report.support.get
-
-    def row_text(subset: IndexSubset, texts: tuple[str, ...]) -> str:
-        labels, row = label_separator.join(texts), support_row(subset)
-        return zero_template % labels if row is None else template % (labels, *values(row))
-
+    zero_tail = tail_of(report.row(()))
+    labels = map(label_separator.join,
+                 combinations_colex(tuple(map(str, report.config.labels)), report.k + 1))
     # a section is never empty; 256 rows a piece wrote the verify report
-    # 6-8% faster than a row a piece at k = 4, 8 and 9; the label texts pass in lockstep
-    labels, size = report.config.labels, report.k + 1
-    rows = map(row_text, combinations_colex(labels, size),
-               combinations_colex(tuple(map(str, labels)), size))
-    separator = ",\n" + row_pad
-    yield "[\n" + row_pad + next(rows)
-    while chunk := list(islice(rows, 256)):
-        yield separator + separator.join(chunk)
+    # 6-8% faster than a row a piece at k = 4, 8 and 9
+    opening, separator = "[\n" + row_pad + head, ",\n" + row_pad + head
+    while chunk := list(islice(labels, 256)):
+        yield opening + separator.join([text + tails.get(text, zero_tail) for text in chunk])
+        opening = separator
     yield "\n" + pad + "]"

@@ -453,6 +453,33 @@ def test_report_to_dev_stdout_reaches_a_pipe(argv, tmp_path, capsys):
     assert run.stderr == summary.encode("ascii")
 
 
+@pytest.mark.parametrize("mode", ["ab", "wb"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "-k", "1", "--json"],
+    ["alternation", "--k", "2", "--csv"],
+    ["sample", "--n", "7", "--d", "4", "--seed", "3", "--out"],
+])
+def test_report_to_dev_stdout_on_a_file_lands_where_stdout_writes(argv, mode, tmp_path, capsys):
+    # /dev/stdout on a regular file names that file; moving a temporary file
+    # over it would drop what `>>` kept and what the shell wrote before
+    out = tmp_path / "out"
+    assert main([*argv, str(out)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "log"
+    log.write_bytes(b"previous\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    with open(log, mode) as stdout:
+        if mode == "wb":
+            # truncated, then one line written at the offset the command shares
+            stdout.write(b"earlier\n")
+            stdout.flush()
+        run = subprocess.run([sys.executable, "-m", "linkparity", *argv, "/dev/stdout"],
+                             env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+    assert run.returncode == 0
+    prefix = b"previous\n" if mode == "ab" else b"earlier\n"
+    assert log.read_bytes() == prefix + out.read_bytes()
+
+
 def test_alternation_table_k2(capsys):
     assert main(["alternation", "--k", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

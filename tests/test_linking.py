@@ -590,6 +590,21 @@ def _lists_as_iterators(value):
     return value
 
 
+def test_each_dense_section_is_one_walk_over_label_strings(monkeypatch):
+    walks = []
+    real = linking.combinations_colex
+
+    def counted(items, size):
+        walks.append(tuple(items))
+        return real(items, size)
+
+    document = counterexample_document(verify_counterexample(3))
+    monkeypatch.setattr(linking, "combinations_colex", counted)
+    write_canonical(io.StringIO(), document)
+    # per_subset and cross_checks, each one walk, over the labels' texts
+    assert walks == [tuple(map(str, range(1, 10)))] * 2
+
+
 @given(_DOCUMENTS)
 @example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
 @example({"empty": [], "nested": [[], {}, [{"I": [1]}]]})
@@ -611,6 +626,8 @@ def test_streamed_sections_equal_the_built_documents():
         counterexample_document(result),
         counterexample_document(result, {"command": "verify"}),
     ]
+    # a parity payload nests its reports a level deeper than verify does
+    documents.append({"reports": documents[-2:]})
     for document in documents:
         expected = json_text(document)
         assert _written(document) == expected
