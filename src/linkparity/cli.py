@@ -37,6 +37,7 @@ import hashlib
 import os
 import stat
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import cache, partial
@@ -45,7 +46,6 @@ from math import comb
 
 from . import __version__
 from .combinatorics import (
-    _BOTH_ENDS,
     _HAS_ADJACENT,
     _closed_form,
     _require_report_rows,
@@ -53,7 +53,10 @@ from .combinatorics import (
     alternating_count_bruteforce,
     alternating_count_closed_form,
     alternating_counts,
+    colex_block_keys,
+    colex_text_blocks,
     combinations_colex,
+    spread_subsets,
 )
 from .configuration import (
     Configuration,
@@ -353,6 +356,22 @@ def _row_tail(breakdown) -> str:
     return f",{breakdown.case_tag.value},{blocks},{breakdown.count}\r\n"
 
 
+def _table_blocks(n: int, size: int, tails: dict[str, str]) -> Iterator[str]:
+    """The ``alternation --k`` table's rows, a colex block at a time.
+
+    A row's tail is its ``tails`` entry, keyed by the label text, or else
+    the ``has_adjacent`` row's; a block holding no keyed row is one join.
+    """
+    adjacent_tail = _row_tail(_HAS_ADJACENT)
+    keys = colex_block_keys((text.split(" ") for text in tails), n, size)
+    for top, lows, suffix in colex_text_blocks(tuple(map(str, range(1, n + 1))), size, " "):
+        if top in keys:
+            yield "".join([(text := low + suffix) + tails.get(text, adjacent_tail)
+                           for low in lows])
+        else:
+            yield (suffix + adjacent_tail).join(lows) + suffix + adjacent_tail
+
+
 def cmd_alternation(args) -> int:
     if (args.k is None) == (args.subset is None):
         raise ContractError("exactly one of --k or --subset is required")
@@ -365,42 +384,35 @@ def cmd_alternation(args) -> int:
         n, size = 2 * args.k + 3, args.k + 1
         # every nonzero enumerated count at once, from the n unions I ∪ J
         counts = alternating_counts(n, size)
-        # made as they are written; colex gives sorted (k+1)-subsets, never re-validated
-        rows = (
-            (subset, " ".join(texts), _closed_form(subset, n), counts.get(subset, 0))
-            for subset, texts in zip(combinations_colex(range(1, n + 1), size),
-                                     combinations_colex(tuple(map(str, range(1, n + 1))), size))
-        )
+        # every subset with two adjacent labels is has_adjacent, count 0, so
+        # only the C(k + 3, 2) others and a subset counted nonzero can
+        # mismatch or write another row; colex subsets are never re-validated
+        subsets = sorted(set(spread_subsets(n, size)) | counts.keys(), key=lambda s: s[::-1])
+        rows = [(subset, _closed_form(subset, n), counts.get(subset, 0)) for subset in subsets]
     else:
         if args.n is None:
             raise ContractError("--subset requires --n")
-        # made before anything is written, since a bad subset is refused here;
-        # the closed form refuses first, before any candidate is enumerated
+        # the closed form refuses a bad subset first, before any candidate is enumerated
         subset = _parse_labels(args.subset)
         breakdown = alternating_count_closed_form(subset, args.n)
         brute = alternating_count_bruteforce(subset, args.n)
         # written sorted, as every --k row is, however the labels were given
-        subset = tuple(sorted(subset))
-        rows = ((subset, " ".join(map(str, subset)), breakdown, brute),)
+        rows = [(tuple(sorted(subset)), breakdown, brute)]
 
-    # most rows share a zero-count breakdown, found by identity: hashing costs more
-    adjacent_tail, both_ends_tail = _row_tail(_HAS_ADJACENT), _row_tail(_BOTH_ENDS)
-    first, mismatches = None, 0
-
-    def lines():
-        nonlocal first, mismatches
-        for subset, text, breakdown, brute in rows:
-            if breakdown.count != brute or brute % 2:
-                first, mismatches = first or subset, mismatches + 1
-            yield text + (adjacent_tail if breakdown is _HAS_ADJACENT else
-                          both_ends_tail if breakdown is _BOTH_ENDS else _row_tail(breakdown))
-
+    # in colex order, so the first is the table's first mismatching row
+    mismatched = [subset for subset, breakdown, brute in rows
+                  if breakdown.count != brute or brute % 2]
+    tails = {" ".join(map(str, subset)): _row_tail(breakdown) for subset, breakdown, _ in rows}
     with _replacing(args.csv) if args.csv else nullcontext(sys.stdout) as handle:
         handle.write("I,case,block_sizes,count\r\n")
-        handle.writelines(lines())
-    if mismatches:
-        print(f"closed-form mismatch on {mismatches} row(s), first at I={first}", file=sys.stderr)
-    return EXIT_VERIFY_FAIL if mismatches else EXIT_OK
+        if args.k is None:
+            handle.writelines(text + tail for text, tail in tails.items())
+        else:
+            handle.writelines(_table_blocks(n, size, tails))
+    if mismatched:
+        print(f"closed-form mismatch on {len(mismatched)} row(s), first at I={mismatched[0]}",
+              file=sys.stderr)
+    return EXIT_VERIFY_FAIL if mismatched else EXIT_OK
 
 
 # --------------------------------- witness ----------------------------------

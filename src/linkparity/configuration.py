@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
 from math import lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import _exceeds_binomial
 from .errors import ContractError, DegeneracyError, SamplingError, quote_input

@@ -29,9 +29,9 @@ curve points and the opposite sign on Q's.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .combinatorics import _merged_order_alternates, check_disjoint
 from .configuration import Configuration, Point, check_curve_parameters

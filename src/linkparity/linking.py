@@ -52,21 +52,24 @@ timestamps or worker counts, so reruns produce byte-identical files.
 of a document: its dense sections, ``per_subset`` and ``cross_checks``, are
 ``DenseSection``s, each naming the ``SubsetCounts`` fields it writes.  A
 section's rows are made only as they are written, by one colex walk over the
-label strings: each row is a head shared by the section, the subset's
-labels and a tail, the zero row's unless the subset is on the support.
+label strings, ``colex_text_blocks``, a block of rows sharing their top
+labels at a time: each row is a head shared by the section, the subset's
+labels and a tail, the zero row's unless the subset is on the support, and
+a block holding no support row is written by one ``join``.
 ``dumps_canonical`` and ``write_canonical`` run one encoder, ``_pieces``;
 ``write_canonical`` writes its pieces as they are made, the dense sections
-a row at a time, in memory that does not grow with the row count.
+a block at a time, holding the low labels' texts and one block, not the
+section.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from io import TextIOBase
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, TextIO
 
 # alternating_count_bruteforce, find_degenerate_subset and
 # intersect_complementary are not called here; perfbench's span tracer wraps
@@ -77,6 +80,8 @@ from .combinatorics import (
     alternating_count_bruteforce,  # noqa: F401
     alternating_counts,
     check_subset,
+    colex_block_keys,
+    colex_text_blocks,
     combinations_colex,
 )
 from .configuration import (
@@ -387,8 +392,8 @@ class DenseSection:
     attributes named in ``fields``, each an int or a bool; only the support
     rows' attributes are read, as every other row is the zero row.  The rows
     are never held together: ``dumps_canonical`` and ``write_canonical``
-    write them 256 at a time, and ``json.dumps`` raises TypeError on a
-    section.
+    write them a colex block at a time, and ``json.dumps`` raises TypeError
+    on a section.
     """
 
     report: LinkReport
@@ -445,12 +450,11 @@ def dumps_canonical(document: dict) -> str:
     return "".join(_pieces(document, "")) + "\n"
 
 
-def write_canonical(handle: TextIO, document: dict) -> None:
+def write_canonical(handle: TextIOBase, document: dict) -> None:
     """Write ``dumps_canonical(document)``'s text to ``handle`` a piece at a time.
 
     An iterator in ``document`` is written as a list one item at a time, and
-    a ``DenseSection`` a row at a time, so memory does not grow with their
-    length.
+    a ``DenseSection`` a colex block at a time, so the whole is never held.
     """
     handle.writelines(_pieces(document, ""))
     handle.write("\n")
@@ -474,7 +478,7 @@ def _scalar(value) -> str | None:
 def _pieces(value, pad: str) -> Iterator[str]:
     """``value`` as ``json.dumps(indent=2)`` writes it on a line indented by ``pad``, in pieces.
 
-    Iterators are written as lists and dense sections a row at a time; a
+    Iterators are written as lists and dense sections a block at a time; a
     non-empty list of scalars is one piece.
     """
     text = _scalar(value)
@@ -523,13 +527,14 @@ def _key(key) -> str:
 
 
 def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
-    """The section's list as ``json.dumps(indent=2)`` lays it out, 256 rows a piece.
+    """The section's list as ``json.dumps(indent=2)`` lays it out, a colex block a piece.
 
-    One colex walk over the label strings makes the rows.  Each row is the
-    section's one head, its subset's labels joined at C level, and a tail:
-    the zero row's, unless the label text keys one of the support rows'
-    tails, made once per call (the separator, and so the key, depends on
-    ``pad``).  A field that ``_scalar`` cannot write raises TypeError.
+    One ``colex_text_blocks`` walk over the label strings makes the rows.
+    Each row is the section's one head, its subset's labels and a tail: the
+    zero row's, unless the label text keys one of the support rows' tails,
+    made once per call (the separator, and so the key, depends on ``pad``).
+    A block holding no support row is one join on the zero tail and the
+    next row's head.  A field that ``_scalar`` cannot write raises TypeError.
     """
     report = section.report
     row_pad = pad + "  "
@@ -547,16 +552,23 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
             raise TypeError(f"a dense section field of {section.fields} is not a JSON scalar")
         return tail % texts
 
-    tails = {label_separator.join(map(str, subset)): tail_of(row)
-             for subset, row in report.support.items()}
+    n, size = report.config.n, report.k + 1
+    labels = [tuple(map(str, subset)) for subset in report.support]
+    tails = {label_separator.join(texts): tail_of(row)
+             for texts, row in zip(labels, report.support.values())}
+    keys = colex_block_keys(labels, n, size)
     # any subset off the support gives the zero row; the empty one is such a subset
     zero_tail = tail_of(report.row(()))
-    labels = map(label_separator.join,
-                 combinations_colex(tuple(map(str, report.config.labels)), report.k + 1))
-    # a section is never empty; 256 rows a piece wrote the verify report
-    # 6-8% faster than a row a piece at k = 4, 8 and 9
-    opening, separator = "[\n" + row_pad + head, ",\n" + row_pad + head
-    while chunk := list(islice(labels, 256)):
-        yield opening + separator.join([text + tails.get(text, zero_tail) for text in chunk])
+    separator = ",\n" + row_pad + head
+    zero_separator = zero_tail + separator
+    # a section is never empty
+    opening = "[\n" + row_pad + head
+    for top, lows, suffix in colex_text_blocks(tuple(map(str, report.config.labels)), size,
+                                               label_separator):
+        if top in keys:
+            yield opening + separator.join([(text := low + suffix) + tails.get(text, zero_tail)
+                                            for low in lows])
+        else:
+            yield opening + (suffix + zero_separator).join(lows) + suffix + zero_tail
         opening = separator
     yield "\n" + pad + "]"

@@ -19,10 +19,10 @@ All values are immutable and all functions are pure.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
 
 from .errors import quote_input
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from linkparity import cli, configuration, linking
 from linkparity.cli import main
+from linkparity.combinatorics import _closed_form, alternating_count_bruteforce, combinations_colex
 from linkparity.configuration import (
     moment_curve,
     sample_random_configuration,
@@ -498,6 +499,24 @@ def test_alternation_table_matches_the_csv_writer_oracle(k, tmp_path, capsys):
     assert capsys.readouterr() == (expected, "")
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_alternation_table_equals_the_per_row_reference(k, tmp_path):
+    # every row classified by the closed form and counted by enumeration,
+    # though the table runs the closed form on the subsets without adjacent
+    # labels only
+    n = 2 * k + 3
+    expected = ["I,case,block_sizes,count\r\n"]
+    for subset in combinations_colex(range(1, n + 1), k + 1):
+        breakdown = _closed_form(subset, n)
+        assert breakdown.count == alternating_count_bruteforce(subset, n), subset
+        blocks = " ".join(map(str, breakdown.block_sizes or ()))
+        expected.append(f"{' '.join(map(str, subset))},{breakdown.case_tag.value},"
+                        f"{blocks},{breakdown.count}\r\n")
+    out = tmp_path / "table.csv"
+    assert main(["alternation", "--k", str(k), "--csv", str(out)]) == 0
+    assert out.read_bytes().decode("ascii").splitlines(keepends=True) == expected
+
+
 def test_alternation_subset_row_is_written_sorted(capsys):
     assert main(["alternation", "--subset", "1,3", "--n", "5"]) == 0
     sorted_spelling = capsys.readouterr()
@@ -593,17 +612,21 @@ def test_failed_alternation_table_leaves_no_file(old, tmp_path, monkeypatch, cap
     out = tmp_path / "table.csv"
     if old is not None:
         out.write_text(old)
-    closed_form = cli._closed_form
-    rows = itertools.count(1)  # C(9, 4) = 126 rows at k = 3
+    walk = cli.colex_text_blocks
+    written = []
 
-    def fail_at_row_30(subset, n):
-        if next(rows) == 30:
-            raise ContractError("stopped at row 30")
-        return closed_form(subset, n)
+    def fail_at_block_3(texts, size, separator):
+        # C(11, 5) = 462 rows at k = 4, in C(8, 2) = 28 blocks
+        for block in walk(texts, size, separator):
+            if len(written) == 2:
+                raise ContractError("stopped at block 3")
+            written.append(block)
+            yield block
 
-    monkeypatch.setattr(cli, "_closed_form", fail_at_row_30)
-    assert main(["alternation", "--k", "3", "--csv", str(out)]) == 64
-    assert capsys.readouterr().err == "error: stopped at row 30\n"
+    monkeypatch.setattr(cli, "colex_text_blocks", fail_at_block_3)
+    assert main(["alternation", "--k", "4", "--csv", str(out)]) == 64
+    assert capsys.readouterr().err == "error: stopped at block 3\n"
+    assert len(written) == 2  # the failure came mid-table
     if old is None:
         assert list(tmp_path.iterdir()) == []
     else:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkparity import combinatorics
 from linkparity.combinatorics import (
+    _HAS_ADJACENT,
     AlternationCase,
     _closed_form,
     _merged_order_alternates,
@@ -18,8 +20,11 @@ from linkparity.combinatorics import (
     alternating_count_closed_form,
     alternating_counts,
     check_subset,
+    colex_block_keys,
+    colex_text_blocks,
     combinations_colex,
     enumerate_disjoint_pairs,
+    spread_subsets,
 )
 from linkparity.errors import ContractError
 from oracles import merged_order_alternates
@@ -295,6 +300,57 @@ def test_combinations_colex_is_lazy():
         tracemalloc.stop()
     assert first == tuple(range(1, 11))
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("one_block_rows", [combinatorics._ONE_BLOCK_ROWS, 0])
+def test_colex_text_blocks_are_the_joined_colex_walk(one_block_rows, monkeypatch):
+    # the default rule, and every walk of two or more labels a subset split
+    monkeypatch.setattr(combinatorics, "_ONE_BLOCK_ROWS", one_block_rows)
+    for n in range(13):
+        texts = tuple(str(3 * i + 1) for i in range(n))
+        for size in range(1, n + 1):
+            subsets = list(combinations_colex(texts, size))
+            blocks = [(top, [low + suffix for low in lows])
+                      for top, lows, suffix in colex_text_blocks(texts, size, ", ")]
+            assert [text for _, block in blocks for text in block] == \
+                [", ".join(subset) for subset in subsets], (n, size)
+            # each block is keyed by a suffix its subsets share, no key twice
+            rows = iter(subsets)
+            for top, block in blocks:
+                for subset in itertools.islice(rows, len(block)):
+                    assert subset[len(subset) - len(top):] == top
+            assert len({top for top, _ in blocks}) == len(blocks)
+            assert all(suffix == "".join(", " + label for label in top)
+                       for top, _, suffix in colex_text_blocks(texts, size, ", "))
+            split = n >= 2 and size >= 2 and (one_block_rows == 0 or math.comb(n, size) > 256)
+            assert (len(blocks) > 1) == (split and size < n), (n, size)
+            # the keys of a few rows name exactly the blocks holding them
+            marked = set(subsets[::7])
+            keys = colex_block_keys(marked, n, size)
+            assert [top in keys for top, _ in blocks] == [
+                any(tuple(text.split(", ")) in marked for text in block) for _, block in blocks
+            ], (n, size)
+
+
+def test_colex_text_blocks_edges():
+    assert list(colex_text_blocks(("1", "2"), 0, " ")) == [((), [""], "")]
+    assert list(colex_text_blocks(("1", "2"), 3, " ")) == []
+    assert list(colex_text_blocks((), 0, " ")) == [((), [""], "")]
+    with pytest.raises(ValueError):
+        list(colex_text_blocks(("1",), -1, " "))
+
+
+def test_spread_subsets_are_the_closed_forms_rows_without_adjacent_labels():
+    # the rows of each alternation table that the closed form does not call has_adjacent
+    for k in range(1, 10):
+        n = 2 * k + 3
+        spread = list(spread_subsets(n, k + 1))
+        assert len(spread) == math.comb(k + 3, 2)
+        assert spread == sorted(spread, key=lambda s: s[::-1])
+        assert set(spread) == {
+            subset for subset in combinations_colex(range(1, n + 1), k + 1)
+            if _closed_form(subset, n) is not _HAS_ADJACENT
+        }, k
 
 
 def test_check_subset_validation():

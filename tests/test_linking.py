@@ -3,6 +3,7 @@
 import io
 import json
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -582,6 +583,17 @@ def _written(document) -> str:
     return buffer.getvalue()
 
 
+def _first_difference(text: str, expected: str) -> tuple[int, str | None, str | None] | None:
+    """The first line (1-based) where two texts differ, with both lines; None if equal.
+
+    A wrong dense row in a document of thousands of lines is reported at
+    once, without a diff of the two whole texts.
+    """
+    lines = zip_longest(text.splitlines(keepends=True), expected.splitlines(keepends=True))
+    return next(((number, *pair) for number, pair in enumerate(lines, 1) if pair[0] != pair[1]),
+                None)
+
+
 def _lists_as_iterators(value):
     if isinstance(value, list):
         return iter([_lists_as_iterators(item) for item in value])
@@ -592,17 +604,22 @@ def _lists_as_iterators(value):
 
 def test_each_dense_section_is_one_walk_over_label_strings(monkeypatch):
     walks = []
-    real = linking.combinations_colex
+    real = linking.colex_text_blocks
 
-    def counted(items, size):
-        walks.append(tuple(items))
-        return real(items, size)
+    def counted(texts, size, separator):
+        walks.append((tuple(texts), size))
+        return real(texts, size, separator)
 
-    document = counterexample_document(verify_counterexample(3))
-    monkeypatch.setattr(linking, "combinations_colex", counted)
+    def unexpected(items, size):
+        raise AssertionError("a dense section walked the subsets themselves")
+
+    # C(11, 5) = 462 rows a section, more than one block
+    document = counterexample_document(verify_counterexample(4))
+    monkeypatch.setattr(linking, "colex_text_blocks", counted)
+    monkeypatch.setattr(linking, "combinations_colex", unexpected)
     write_canonical(io.StringIO(), document)
-    # per_subset and cross_checks, each one walk, over the labels' texts
-    assert walks == [tuple(map(str, range(1, 10)))] * 2
+    # per_subset and cross_checks, each one block walk, over the labels' texts
+    assert walks == [(tuple(map(str, range(1, 12))), 5)] * 2
 
 
 @given(_DOCUMENTS)
@@ -630,8 +647,8 @@ def test_streamed_sections_equal_the_built_documents():
     documents.append({"reports": documents[-2:]})
     for document in documents:
         expected = json_text(document)
-        assert _written(document) == expected
-        assert dumps_canonical(document) == expected
+        assert _first_difference(_written(document), expected) is None
+        assert _first_difference(dumps_canonical(document), expected) is None
 
 
 @given(_DOCUMENTS)
