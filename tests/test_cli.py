@@ -3,7 +3,6 @@
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import os
 import stat
