@@ -29,7 +29,7 @@ from .configuration import (
     save_points,
     write_points_text,
 )
-from .errors import ContractError, DegeneracyError, SamplingError
+from .errors import CertificateError, ContractError, DegeneracyError, SamplingError
 from .intersection import (
     HyperplaneWitness,
     IntersectionResult,
@@ -65,6 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlternatingCountBreakdown",
     "AlternationCase",
+    "CertificateError",
     "Configuration",
     "ContractError",
     "CounterexampleReport",

@@ -8,11 +8,13 @@ lists, and rejection-sampled random integer configurations.
 General position means no d+1 points lie in a common (d-1)-hyperplane.  For
 n = d+3 points ``_gale_pair`` alone decides it, from the Gale dual: one
 fraction-free integer elimination gives two affine dependences spanning all
-of them, and their 2x2 cross products at each label v give the n
-dependences of [n] \\ {v}.  A (d+1)-subset is dependent exactly when the
-dependence of one label outside it is zero at the other, so these integers
-decide every subset and name the first dependent one, with no determinant.
-The same rows give the Radon partition of each [n] \\ {v}.  A
+of them, checked against the integer columns before use, and their 2x2
+cross products at each label v give the n dependences of [n] \\ {v}.  A
+(d+1)-subset is dependent exactly when the dependence of one label outside
+it is zero at the other, so these integers decide every subset and name the
+first dependent one, with no determinant.  The same rows give the Radon
+partition of each [n] \\ {v}, with its Radon point in integer homogeneous
+coordinates; the point's ``Fraction``s are formed only when it is read.  A
 ``Configuration`` computes both on first use, as ``gale_rows`` and
 ``radon_partitions``, and keeps them on the instance: the sampler's
 certification, the report and every linking query of one configuration
@@ -46,7 +48,13 @@ from math import lcm
 from operator import mul
 
 from .combinatorics import _exceeds_binomial
-from .errors import ContractError, DegeneracyError, SamplingError, quote_input
+from .errors import (
+    CertificateError,
+    ContractError,
+    DegeneracyError,
+    SamplingError,
+    quote_input,
+)
 from .ratmat import Matrix, det, format_rational, integer_kernel, parse_rational
 
 Point = tuple[Fraction, ...]
@@ -108,16 +116,24 @@ class RadonPartition:
 
     ``weights`` holds, at index i - 1, the integer coefficient w_i of label i
     in that dependence of the points: positive on ``positive``, negative on
-    ``negative``, zero at v alone.  Both hulls meet at ``point``, the sum of
-    w_i·p_i over the positive side divided by the sum of its w_i.  When the
-    sides are equal in size, each side's hull meets the other's there, so
-    the partition is a face hit of each side, its face the ``other`` side.
+    ``negative``, zero at v alone.  Both hulls meet at the Radon point, whose
+    integer homogeneous coordinates are ``homogeneous``: the sums of w_i·p_i
+    over the positive side, then that side's total of w_i, which is > 0.
+    ``point`` divides them out, formed on first read and kept on the
+    partition.  When the sides are equal in size, each side's hull meets the
+    other's there, so the partition is a face hit of each side, its face the
+    ``other`` side.
     """
 
     positive: tuple[int, ...]
     negative: tuple[int, ...]
     weights: tuple[int, ...]
-    point: Point
+    homogeneous: tuple[int, ...]
+
+    @cached_property
+    def point(self) -> Point:
+        *sums, total = self.homogeneous
+        return tuple(Fraction(x, total) for x in sums)
 
     def other(self, side: tuple[int, ...]) -> tuple[int, ...]:
         """The side of the partition that is not ``side``, which must be one of the two."""
@@ -180,23 +196,24 @@ class Configuration:
         """The Radon partition of [n] \\ {v} for each label v, in label order.
 
         Read off ``gale_rows``: the dependence c of [n] \\ {v} on the columns
-        scaled by s_i gives w_i = c_i·s_i on the points, and the Radon point's
-        coordinates are integer sums over the positive side, each divided by
-        that side's total in the one ``Fraction`` formed.
+        scaled by s_i gives w_i = c_i·s_i on the points, and each row of the
+        columns summed over the positive side gives one homogeneous
+        coordinate of the Radon point, its last (the scales') the side's
+        total.  No ``Fraction`` is formed.
         """
         columns, dependences = self.gale_rows
-        *axes, scales = zip(*columns)
+        rows = tuple(zip(*columns))
+        scales = rows[-1]
         labels = self.labels
         partitions = []
         for dependence in dependences:
             # the dependence with its negative side zeroed
             positive_side = [c if c > 0 else 0 for c in dependence]
-            total = sum(map(mul, positive_side, scales))
             partitions.append(RadonPartition(
                 positive=tuple(v for v, c in zip(labels, dependence) if c > 0),
                 negative=tuple(v for v, c in zip(labels, dependence) if c < 0),
                 weights=tuple(map(mul, dependence, scales)),
-                point=tuple(Fraction(sum(map(mul, positive_side, axis)), total) for axis in axes),
+                homogeneous=tuple(sum(map(mul, positive_side, row)) for row in rows),
             ))
         return tuple(partitions)
 
@@ -238,11 +255,16 @@ def check_curve_parameters(parameters: Iterable) -> tuple[Fraction, ...]:
 
 
 def _curve_coordinates(t: Fraction) -> Iterator[Fraction]:
-    """t, t^2, t^3, ...: the moment-curve coordinates at parameter t, lazily."""
-    power = Fraction(1)
+    """t, t^2, t^3, ...: the moment-curve coordinates at parameter t, lazily.
+
+    For t = p/q in lowest terms, t^j is p^j/q^j, formed from integer powers.
+    """
+    p, q = t.numerator, t.denominator
+    numerator = denominator = 1
     while True:
-        power *= t
-        yield power
+        numerator *= p
+        denominator *= q
+        yield Fraction(numerator, denominator)
 
 
 def find_degenerate_subset(config: Configuration) -> tuple[int, ...] | None:
@@ -285,8 +307,10 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
     kernel is the space of affine dependences (the Gale dual) with
     coefficient i divided by s_i, which keeps every sign.  One
     ``integer_kernel`` elimination gives a basis a, b of that 2-dimensional
-    space.  Row v - 1 of the returned dependences is the cross product
-    a_v·b - b_v·a, the dependence of [n] \\ {v}, zero at v.
+    space, certified by checking M·a = M·b = 0 over the integers; a vector
+    outside the kernel raises CertificateError, a fault of the program.  Row
+    v - 1 of the returned dependences is the cross product a_v·b - b_v·a,
+    the dependence of [n] \\ {v}, zero at v.
 
     Outside general position this raises DegeneracyError naming the scan's
     first dependent (d+1)-subset: labels 1..d+1, on which the elimination
@@ -299,11 +323,17 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
     for point in config.points:
         scale = lcm(*(x.denominator for x in point))
         columns.append([x.numerator * (scale // x.denominator) for x in point] + [scale])
-    basis = integer_kernel(list(zip(*columns)))
+    rows = list(zip(*columns))
+    basis = integer_kernel(rows)
     if basis is None:
         degenerate = tuple(range(1, config.dimension + 2))
     else:
         a, b = basis
+        # the certificate: every sign below rests on M·a = M·b = 0 exactly
+        if any(sum(map(mul, row, a)) or sum(map(mul, row, b)) for row in rows):
+            raise CertificateError(
+                "integer_kernel returned a vector outside the kernel of the Gale columns"
+            )
         dependences = [[av * bi - bv * ai for ai, bi in zip(a, b)] for av, bv in zip(a, b)]
         n = config.n
         zero = next((
@@ -335,29 +365,31 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _coordinate_draw(seed: int, slot: int, bound: int) -> int:
-    """Uniform integer in [-bound, bound] from the slot's splitmix64 stream."""
-    span = 2 * bound + 1
-    limit = (1 << 64) - ((1 << 64) % span)
-    stream = _mix64(seed + (slot + 1) * _PHI64)
-    trial = 0
-    while True:
-        value = _mix64(stream + (trial + 1) * _PHI64)
-        if value < limit:
-            return value % span - bound
-        trial += 1
-
-
 def _check_bound(bound: int) -> None:
     if not 1 <= bound <= _MAX_BOUND:
         raise ContractError(f"bound must be in [1, 2^63 - 1], got {bound}")
 
 
-def _attempt_points(n: int, d: int, seed: int, bound: int, attempt: int) -> Iterator[Point]:
-    """The points of sampler attempt ``attempt`` (0-based), one at a time."""
-    base = attempt * n * d
-    for i in range(n):
-        yield tuple(Fraction(_coordinate_draw(seed, base + i * d + j, bound)) for j in range(d))
+def _attempt_points(n: int, d: int, seed: int, bound: int,
+                    attempt: int) -> Iterator[tuple[int, ...]]:
+    """The integer points of sampler attempt ``attempt`` (0-based), one at a time.
+
+    Each coordinate is a uniform integer in [-bound, bound] drawn from its
+    slot's splitmix64 stream, as the module docstring states.
+    """
+    span = 2 * bound + 1
+    limit = (1 << 64) - ((1 << 64) % span)
+
+    def draw(slot: int) -> int:
+        stream = _mix64(seed + (slot + 1) * _PHI64)
+        trial = 1
+        while (value := _mix64(stream + trial * _PHI64)) >= limit:
+            trial += 1
+        return value % span - bound
+
+    first = attempt * n * d
+    for start in range(first, first + n * d, d):
+        yield tuple(map(draw, range(start, start + d)))
 
 
 def _check_sampling(n: int, d: int, bound: int) -> None:
@@ -397,7 +429,8 @@ def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Config
     for attempt in range(_MAX_ATTEMPTS):
         config = Configuration(
             dimension=d,
-            points=tuple(_attempt_points(n, d, seed, bound, attempt)),
+            points=tuple(tuple(map(Fraction, point))
+                         for point in _attempt_points(n, d, seed, bound, attempt)),
             provenance=RandomSample(seed=seed, bound=bound, attempts=attempt + 1),
         )
         if find_degenerate_subset(config) is None:
@@ -421,6 +454,18 @@ def _parse_integer(text: str) -> int:
     if not _INTEGER_RE.fullmatch(text):
         raise ValueError(f"not an integer literal: {quote_input(text)}")
     return int(text)
+
+
+def _point(tokens: list[str]) -> Point:
+    """The coordinates of one point line's tokens.
+
+    A ``[+-]?[0-9]+`` token is read by ``int``; any other goes through
+    ``parse_rational``, which reads ``p/q`` and raises its ValueError for
+    everything else.  Both give the value ``parse_rational`` gives.
+    """
+    integer = _INTEGER_RE.fullmatch
+    return tuple([Fraction(int(token)) if integer(token) else parse_rational(token)
+                  for token in tokens])
 
 
 def _parse_provenance(text: str) -> Provenance:
@@ -556,7 +601,7 @@ def read_points_text(text: str) -> Configuration:
         if len(tokens) != d:
             got = "more" if len(tokens) > d else len(tokens)
             raise ValueError(f"expected {d} coordinates per point, got {got}")
-        points.append(tuple(map(parse_rational, tokens)))
+        points.append(_point(tokens))
     if isinstance(provenance, MomentCurve):
         _check_moment_curve(points, provenance.parameters)
     elif isinstance(provenance, RandomSample):

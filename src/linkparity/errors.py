@@ -32,3 +32,11 @@ class DegeneracyError(RuntimeError):
 
 class SamplingError(RuntimeError):
     """Random sampling exhausted its attempt budget."""
+
+
+class CertificateError(ArithmeticError):
+    """An exact result failed the check that certifies it: a fault in the program.
+
+    Raised instead of writing output that rests on a wrong sign; never an
+    ``assert``, so ``python -O`` keeps it.
+    """

@@ -17,12 +17,15 @@ of that pair taken at v.  ``configuration._gale_pair`` hands out these n
 integer dependences, from one fraction-free elimination, after certifying
 general position with them (or raising DegeneracyError naming the first
 dependent (d+1)-subset).  ``Configuration.radon_partitions`` reads off each
-one's sign split, integer weights and Radon point, and keeps them on the
-configuration instance, so one configuration runs one elimination however
-many of the queries below it meets.  This module holds no general-position
-code and forms no cross product or Radon point: every query reads those
-partitions.  A face hit is a balanced partition itself, one into two
-(k+1)-sets, its face read as ``RadonPartition.other`` of the subset.
+one's sign split, integer weights and integer homogeneous Radon point, and
+keeps them on the configuration instance, so one configuration runs one
+elimination however many of the queries below it meets.  This module holds
+no general-position code and forms no cross product: every query reads
+those partitions.  A face hit is a balanced partition itself, one into two
+(k+1)-sets, its face read as ``RadonPartition.other`` of the subset.  n1
+tells the hits' points apart by their primitive homogeneous vectors, so a
+Radon point's ``Fraction``s are formed only for a witness row or a pair
+that is written.
 
 Verification campaigns:
 
@@ -56,10 +59,12 @@ label strings, ``colex_text_blocks``, a block of rows sharing their top
 labels at a time: each row is a head shared by the section, the subset's
 labels and a tail, the zero row's unless the subset is on the support, and
 a block holding no support row is written by one ``join``.
-``dumps_canonical`` and ``write_canonical`` run one encoder, ``_pieces``;
-``write_canonical`` writes its pieces as they are made, the dense sections
-a block at a time, holding the low labels' texts and one block, not the
-section.
+``dumps_canonical`` and ``write_canonical`` run one encoder: ``_text``
+makes the whole text of every list, dict and scalar that holds no dense
+section or iterator, and ``_pieces`` writes the rest an entry at a time,
+the dense sections a block at a time.  ``write_canonical`` writes the
+pieces as they are made, holding the low labels' texts and one block, not
+the section.
 """
 
 from __future__ import annotations
@@ -69,7 +74,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from io import TextIOBase
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 # alternating_count_bruteforce, find_degenerate_subset and
 # intersect_complementary are not called here; perfbench's span tracer wraps
@@ -134,11 +141,17 @@ class SubsetCounts:
 def _distinct_points(hits: Iterable[RadonPartition]) -> int:
     """n1: the number of distinct boundary points among one subset's face hits.
 
-    Points are told apart by their (numerator, denominator) pairs, equal
-    exactly when the points are, since a ``Fraction`` is always in lowest
-    terms; hashing int pairs skips ``Fraction.__hash__``'s modular inverse.
+    Each hit is keyed by its primitive homogeneous Radon point: ``homogeneous``
+    divided by the gcd of its entries, which is positive since the last entry
+    is.  Two points are equal exactly when these integer vectors are, so no
+    ``Fraction`` is formed.
     """
-    return len({tuple([(x.numerator, x.denominator) for x in hit.point]) for hit in hits})
+    keys = set()
+    for hit in hits:
+        vector = hit.homogeneous
+        content = gcd(*vector)
+        keys.add(tuple([x // content for x in vector]))
+    return len(keys)
 
 
 @dataclass(frozen=True)
@@ -460,64 +473,87 @@ def write_canonical(handle: TextIOBase, document: dict) -> None:
     handle.write("\n")
 
 
-_LITERALS = {None: "null", True: "true", False: "false"}
+# the text of a value of each scalar type, looked up by exact type; a str or
+# int subclass is written by _text's isinstance checks.  1 == True, so the
+# literals are looked up by type, never by value
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
 
 
-def _scalar(value) -> str | None:
-    """The JSON text of a string, None, bool or int; None for any other value."""
+def _text(value, pad: str) -> str | None:
+    """``value`` as ``json.dumps(indent=2)`` writes it on a line indented by ``pad``.
+
+    None if ``value`` is, or a list or dict in it holds, a ``DenseSection`` or
+    an iterator, which ``_pieces`` writes; TypeError for a value or key that
+    ``dumps_canonical`` does not accept.  A scalar inside a list or dict is
+    written by its ``_SCALAR_TEXT`` entry with no call of ``_text``.
+    """
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = pad + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        texts = [scalar(item) if (scalar := _SCALAR_TEXT.get(type(item))) else _text(item, inner)
+                 for item in value]
+        if None in texts:
+            return None
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        texts = []
+        for key, item in value.items():
+            prefix = _key(key) + ": "
+            text = scalar(item) if (scalar := _SCALAR_TEXT.get(type(item))) else _text(item, inner)
+            if text is None:
+                return None
+            texts.append(prefix + text)
+        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    # identity, not equality: 1 == True, yet 1 is written as a number
-    if value is None or value is True or value is False:
-        return _LITERALS[value]
     if isinstance(value, int):
         return int.__repr__(value)
-    return None
+    if isinstance(value, (DenseSection, Iterator)):
+        return None
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _pieces(value, pad: str) -> Iterator[str]:
-    """``value`` as ``json.dumps(indent=2)`` writes it on a line indented by ``pad``, in pieces.
+    """``value``'s text in pieces: what ``_text`` cannot write whole, an entry at a time.
 
-    Iterators are written as lists and dense sections a block at a time; a
-    non-empty list of scalars is one piece.
+    A dense section is written a colex block at a time, and a dict, list or
+    iterator one entry at a time, each entry ``_text``'s when it can write it.
     """
-    text = _scalar(value)
-    if text is not None:
-        yield text
-    elif isinstance(value, DenseSection):
+    if isinstance(value, DenseSection):
         yield from _dense_rows(value, pad)
-    elif isinstance(value, list) and (items := _scalars(value)):
-        yield _block(items, pad, "[]")
-    elif isinstance(value, dict):
-        yield from _entries(((f"{_key(key)}: ", item) for key, item in value.items()), pad, "{}")
+        return
+    if isinstance(value, dict):
+        entries = ((_key(key) + ": ", item) for key, item in value.items())
+        brackets = "{}"
     elif isinstance(value, (list, Iterator)):
-        yield from _entries((("", item) for item in value), pad, "[]")
+        entries = (("", item) for item in value)
+        brackets = "[]"
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _entries(entries: Iterable[tuple[str, object]], pad: str, brackets: str) -> Iterator[str]:
-    """A container's (prefix, value) entries, one a line indented by ``pad`` plus two spaces."""
+        yield _text(value, pad)
+        return
     inner = pad + "  "
     separator = brackets[0] + "\n" + inner
     for prefix, item in entries:
-        yield separator + prefix
-        yield from _pieces(item, inner)
+        text = _text(item, inner)
+        if text is None:
+            yield separator + prefix
+            yield from _pieces(item, inner)
+        else:
+            yield separator + prefix + text
         separator = ",\n" + inner
     # the separator is still the opening one only after an empty container
     yield brackets if separator[0] == brackets[0] else "\n" + pad + brackets[1]
-
-
-def _scalars(values: list) -> list[str] | None:
-    """The texts of a list of strings, Nones, bools and ints, or None if not one."""
-    texts = list(map(_scalar, values))
-    return None if None in texts else texts
-
-
-def _block(items: Iterable[str], pad: str, brackets: str) -> str:
-    """Non-empty ``items``, one a line indented by ``pad`` plus two spaces, in brackets."""
-    inner = pad + "  "
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
 
 
 def _key(key) -> str:
@@ -527,14 +563,15 @@ def _key(key) -> str:
 
 
 def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
-    """The section's list as ``json.dumps(indent=2)`` lays it out, a colex block a piece.
+    """The section's list as ``json.dumps(indent=2)`` lays it out, a colex block at a time.
 
     One ``colex_text_blocks`` walk over the label strings makes the rows.
     Each row is the section's one head, its subset's labels and a tail: the
     zero row's, unless the label text keys one of the support rows' tails,
     made once per call (the separator, and so the key, depends on ``pad``).
     A block holding no support row is one join on the zero tail and the
-    next row's head.  A field that ``_scalar`` cannot write raises TypeError.
+    next row's head.  A field that ``_text`` cannot write whole raises
+    TypeError.
     """
     report = section.report
     row_pad = pad + "  "
@@ -546,10 +583,12 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
         f",\n{field_pad}{_key(name)}: %s" for name in section.fields
     ) + "\n" + row_pad + "}"
 
+    pads = [field_pad] * len(section.fields)
+
     def tail_of(row: SubsetCounts) -> str:
-        texts = tuple(_scalar(getattr(row, name)) for name in section.fields)
+        texts = tuple(map(_text, map(getattr, repeat(row), section.fields), pads))
         if None in texts:
-            raise TypeError(f"a dense section field of {section.fields} is not a JSON scalar")
+            raise TypeError(f"a dense section field of {section.fields} holds a streamed value")
         return tail % texts
 
     n, size = report.config.n, report.k + 1
@@ -565,10 +604,14 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     opening = "[\n" + row_pad + head
     for top, lows, suffix in colex_text_blocks(tuple(map(str, report.config.labels)), size,
                                                label_separator):
+        # the opening, the block's join and its tail are separate pieces, so a
+        # block of thousands of rows is not copied to prepend or append them
+        yield opening
         if top in keys:
-            yield opening + separator.join([(text := low + suffix) + tails.get(text, zero_tail)
-                                            for low in lows])
+            yield separator.join([(text := low + suffix) + tails.get(text, zero_tail)
+                                  for low in lows])
         else:
-            yield opening + (suffix + zero_separator).join(lows) + suffix + zero_tail
+            yield (suffix + zero_separator).join(lows)
+            yield suffix + zero_tail
         opening = separator
     yield "\n" + pad + "]"

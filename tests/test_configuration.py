@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 from unittest import mock
 
@@ -34,8 +35,8 @@ from linkparity.configuration import (
     sample_random_configuration,
     write_points_text,
 )
-from linkparity.errors import ContractError, DegeneracyError, SamplingError
-from linkparity.ratmat import integer_kernel
+from linkparity.errors import CertificateError, ContractError, DegeneracyError, SamplingError
+from linkparity.ratmat import integer_kernel, parse_rational
 from test_linking import _rational_cases
 
 
@@ -82,6 +83,11 @@ def test_collinear_points_detected():
     assert find_degenerate_subset(config) == (1, 2, 3)
 
 
+def _attempt_fractions(n, d, seed, bound):
+    """The points of the sampler's first attempt, as ``Fraction``s as the sampler keeps them."""
+    return tuple(tuple(map(Fraction, point)) for point in _attempt_points(n, d, seed, bound, 0))
+
+
 @pytest.mark.parametrize("n, d", [(4, 1), (5, 2), (6, 3), (7, 4), (8, 5), (9, 6)])
 def test_gale_general_position_equals_the_scan(n, d):
     # attempt 0 of each seed, degenerate or not; small bounds make most
@@ -90,7 +96,7 @@ def test_gale_general_position_equals_the_scan(n, d):
         for seed in range(150):
             config = Configuration(
                 dimension=d,
-                points=tuple(_attempt_points(n, d, seed, bound, 0)),
+                points=_attempt_fractions(n, d, seed, bound),
                 provenance=RandomSample(seed=seed, bound=bound, attempts=1),
             )
             expected = _degenerate_subset_scan(config)
@@ -131,7 +137,7 @@ def _gale_reference_cases():
             for seed in range(100):
                 yield Configuration(
                     dimension=d,
-                    points=tuple(_attempt_points(n, d, seed, bound, 0)),
+                    points=_attempt_fractions(n, d, seed, bound),
                     provenance=RandomSample(seed=seed, bound=bound, attempts=1),
                 )
     yield from _rational_cases()
@@ -238,6 +244,39 @@ def test_gale_general_position_with_dependent_leading_points():
     assert str(info.value) == "points (1, 2, 3, 4, 5) lie in a common hyperplane"
     assert not is_general_position(config)
     assert find_degenerate_subset(config) == _degenerate_subset_scan(config) == (1, 2, 3, 4, 5)
+
+
+def test_gale_pair_refuses_a_basis_outside_the_kernel(monkeypatch):
+    real = configuration.integer_kernel
+
+    def rebased(rows):
+        # another basis of the kernel: a multiple and a sum of the vectors
+        a, b = real(rows)
+        return tuple(3 * x for x in a), tuple(map(add, a, b))
+
+    monkeypatch.setattr(configuration, "integer_kernel", rebased)
+    assert find_degenerate_subset(moment_curve(7, 4)) is None
+    for doctor in (
+        lambda a, b: ((a[0] + 1, *a[1:]), b),
+        lambda a, b: (a, (*b[:-1], b[-1] - 1)),
+        # a's scale moved to the other trailing column: two distinct columns apart
+        lambda a, b: ((*a[:-2], a[-1], a[-2]), b),
+    ):
+        monkeypatch.setattr(configuration, "integer_kernel",
+                            lambda rows, doctor=doctor: doctor(*real(rows)))
+        for config in (moment_curve(7, 4), explicit_configuration(
+                [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                 (0, 0, 0, 1), ("1/2", 3, -1, 2), (5, -2, "7/3", 1)])):
+            with pytest.raises(CertificateError, match="outside the kernel"):
+                config.gale_rows
+            # a failed certificate is a fault, never read as a degeneracy
+            with pytest.raises(CertificateError):
+                find_degenerate_subset(config)
+        with pytest.raises(CertificateError):
+            sample_random_configuration(7, 4, seed=0, bound=1000)
+        with pytest.raises(CertificateError):
+            main(["parity", "--random", "7", "4"])
+    assert not issubclass(CertificateError, AssertionError)
 
 
 def test_general_position_permutation_invariant():
@@ -388,6 +427,25 @@ def test_point_file_without_provenance_comment_is_explicit():
     assert back.points == ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
 
 
+@pytest.mark.parametrize("token", [
+    "+5", "-0", "007", "1_000", "\u0663", "5/1", "10/4", "3/0", "-12/8", "-HUGE", "1/HUGE",
+])
+def test_point_file_tokens_read_as_parse_rational_reads_them(token):
+    # integer tokens skip parse_rational; the values and errors must not change
+    token = token.replace("HUGE", _HUGE)
+    text = f"2 1\n{token} {token}\n"
+    try:
+        expected = parse_rational(token)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            read_points_text(text)
+        assert str(info.value) == str(exc)
+    else:
+        (point,) = read_points_text(text).points
+        assert point == (expected, expected)
+        assert all(type(x) is Fraction for x in point)
+
+
 def test_point_file_rejects_bad_data():
     with pytest.raises(ValueError):
         read_points_text("2 2\n1 2\n")  # missing a point line
@@ -480,6 +538,8 @@ def test_point_file_shapes_are_checked_before_coordinates_are_parsed(monkeypatch
         raise AssertionError("a coordinate was parsed")
 
     monkeypatch.setattr(configuration, "parse_rational", no_parse)
+    # integer tokens are read by _point without parse_rational
+    monkeypatch.setattr(configuration, "_point", no_parse)
     for text, complaint in (
         ("1 10001\n1\n", "header declares 10001 points in R^1, more than 10,000"),
         # a header must declare at least one coordinate and one point

@@ -319,12 +319,30 @@ def test_n1_on_integer_keys_equals_the_fraction_set_count():
     for config in _table_oracle_cases():
         for row in total_linked_parity(config).support.values():
             assert linking._distinct_points(row.hits) == len({hit.point for hit in row.hits})
-    # equal fractions made two ways are one point; a coordinate apart, two
-    same = RadonPartition((1,), (2,), (), (Fraction(1, 2), Fraction(3)))
-    also = RadonPartition((2,), (3,), (), (Fraction(2, 4), Fraction(6, 2)))
-    other = RadonPartition((3,), (4,), (), (Fraction(1, 2), Fraction(-3)))
+    # one point at two scales of its homogeneous vector is one point; a
+    # coordinate apart, two
+    same = RadonPartition((1,), (2,), (), (1, 6, 2))
+    also = RadonPartition((2,), (3,), (), (6, 36, 12))
+    other = RadonPartition((3,), (4,), (), (1, -6, 2))
+    assert same.point == also.point == (Fraction(1, 2), Fraction(3))
+    assert other.point == (Fraction(1, 2), Fraction(-3))
     assert linking._distinct_points((same, also)) == len({same.point, also.point}) == 1
     assert linking._distinct_points((same, also, other)) == 2
+    assert linking._distinct_points((other, same, also, other)) == 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_verify_forms_no_radon_point(k):
+    # n1 reads the homogeneous vectors, and the moment curve has no linked
+    # subset, so no witness row; its document divides out no Radon point
+    result = verify_counterexample(k)
+    dumps_canonical(counterexample_document(result))
+    partitions = result.report.config.radon_partitions
+    assert len(partitions) == 2 * k + 3
+    assert all("point" not in vars(partition) for partition in partitions)
+    # reading a point forms it once and keeps it on the partition
+    assert partitions[0].point is partitions[0].point
+    assert "point" in vars(partitions[0])
 
 
 def test_a_reported_configuration_answers_as_a_fresh_copy_does():
