@@ -2,6 +2,8 @@
 
 import io
 import json
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -681,6 +683,39 @@ def test_streamed_sections_equal_the_built_documents():
 def test_dumps_canonical_equals_json_indent_2(document):
     # json's indent path is the oracle for every byte of the layout
     assert dumps_canonical(document) == json.dumps(document, indent=2, ensure_ascii=True) + "\n"
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Label(IntEnum):
+    THREE = 3
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def test_dumps_canonical_writes_subclasses_as_json_does():
+    # scalars are looked up by exact type; subclasses take the isinstance path
+    document = _Dict(
+        a=_List([_Str("x"), _Int(5), _Label.THREE, True, None, _List(), _Dict()]),
+        b=OrderedDict(z=_List([_Dict(n=_Int(-7)), [_Str("\u00e9")]])),
+        c=[_Dict(), _List([1, False])],
+    )
+    expected = json.dumps(document, indent=2, ensure_ascii=True) + "\n"
+    assert dumps_canonical(document) == expected
+    assert _written(document) == expected
+    assert _written(_lists_as_iterators(document)) == expected
 
 
 @pytest.mark.parametrize("document", [
