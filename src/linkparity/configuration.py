@@ -307,10 +307,11 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
     kernel is the space of affine dependences (the Gale dual) with
     coefficient i divided by s_i, which keeps every sign.  One
     ``integer_kernel`` elimination gives a basis a, b of that 2-dimensional
-    space, certified by checking M·a = M·b = 0 over the integers; a vector
-    outside the kernel raises CertificateError, a fault of the program.  Row
-    v - 1 of the returned dependences is the cross product a_v·b - b_v·a,
-    the dependence of [n] \\ {v}, zero at v.
+    space, certified by checking M·a = M·b = 0 over the integers and that
+    some cross product below is nonzero, so a and b are independent; a basis
+    failing either check raises CertificateError, a fault of the program.
+    Row v - 1 of the returned dependences is the cross product
+    a_v·b - b_v·a, the dependence of [n] \\ {v}, zero at v.
 
     Outside general position this raises DegeneracyError naming the scan's
     first dependent (d+1)-subset: labels 1..d+1, on which the elimination
@@ -335,6 +336,11 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
                 "integer_kernel returned a vector outside the kernel of the Gale columns"
             )
         dependences = [[av * bi - bv * ai for ai, bi in zip(a, b)] for av, bv in zip(a, b)]
+        # every cross product is a 2x2 minor of (a, b): all zero iff a, b are dependent
+        if not any(map(any, dependences)):
+            raise CertificateError(
+                "integer_kernel returned dependent vectors for the kernel of the Gale columns"
+            )
         n = config.n
         zero = next((
             (i, j) for i in range(n - 2, -1, -1) for j in range(n - 1, i, -1)
@@ -454,18 +460,6 @@ def _parse_integer(text: str) -> int:
     if not _INTEGER_RE.fullmatch(text):
         raise ValueError(f"not an integer literal: {quote_input(text)}")
     return int(text)
-
-
-def _point(tokens: list[str]) -> Point:
-    """The coordinates of one point line's tokens.
-
-    A ``[+-]?[0-9]+`` token is read by ``int``; any other goes through
-    ``parse_rational``, which reads ``p/q`` and raises its ValueError for
-    everything else.  Both give the value ``parse_rational`` gives.
-    """
-    integer = _INTEGER_RE.fullmatch
-    return tuple([Fraction(int(token)) if integer(token) else parse_rational(token)
-                  for token in tokens])
 
 
 def _parse_provenance(text: str) -> Provenance:
@@ -601,7 +595,7 @@ def read_points_text(text: str) -> Configuration:
         if len(tokens) != d:
             got = "more" if len(tokens) > d else len(tokens)
             raise ValueError(f"expected {d} coordinates per point, got {got}")
-        points.append(_point(tokens))
+        points.append(tuple(map(parse_rational, tokens)))
     if isinstance(provenance, MomentCurve):
         _check_moment_curve(points, provenance.parameters)
     elif isinstance(provenance, RandomSample):

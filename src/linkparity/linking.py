@@ -61,22 +61,24 @@ labels and a tail, the zero row's unless the subset is on the support, and
 a block holding no support row is written by one ``join``.
 ``dumps_canonical`` and ``write_canonical`` run one encoder: ``_text``
 makes the whole text of every list, dict and scalar that holds no dense
-section or iterator, and ``_pieces`` writes the rest an entry at a time,
-the dense sections a block at a time.  ``write_canonical`` writes the
-pieces as they are made, holding the low labels' texts and one block, not
-the section.
+section or iterator, and an iterator of pieces for one that does, which
+writes each entry from the text already made of it, an iterator an item at
+a time and a dense section a block at a time.  ``write_canonical`` writes
+the pieces as they are made, holding the low labels' texts and one block,
+not the section.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from io import TextIOBase
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from types import GeneratorType
 
 # alternating_count_bruteforce, find_degenerate_subset and
 # intersect_complementary are not called here; perfbench's span tracer wraps
@@ -460,7 +462,8 @@ def dumps_canonical(document: dict) -> str:
     accepted besides these; any other value or key type (a ``float``, a
     ``tuple``, a ``set``, an ``int`` key) raises TypeError.
     """
-    return "".join(_pieces(document, "")) + "\n"
+    text = _text(document, "")
+    return (text if isinstance(text, str) else "".join(text)) + "\n"
 
 
 def write_canonical(handle: TextIOBase, document: dict) -> None:
@@ -469,7 +472,11 @@ def write_canonical(handle: TextIOBase, document: dict) -> None:
     An iterator in ``document`` is written as a list one item at a time, and
     a ``DenseSection`` a colex block at a time, so the whole is never held.
     """
-    handle.writelines(_pieces(document, ""))
+    text = _text(document, "")
+    if isinstance(text, str):
+        handle.write(text)
+    else:
+        handle.writelines(text)
     handle.write("\n")
 
 
@@ -484,13 +491,16 @@ _SCALAR_TEXT = {
 }
 
 
-def _text(value, pad: str) -> str | None:
+def _text(value, pad: str) -> str | Generator[str, None, None]:
     """``value`` as ``json.dumps(indent=2)`` writes it on a line indented by ``pad``.
 
-    None if ``value`` is, or a list or dict in it holds, a ``DenseSection`` or
-    an iterator, which ``_pieces`` writes; TypeError for a value or key that
-    ``dumps_canonical`` does not accept.  A scalar inside a list or dict is
-    written by its ``_SCALAR_TEXT`` entry with no call of ``_text``.
+    The whole text, unless ``value`` is, or a list or dict in it holds, a
+    ``DenseSection`` or an iterator: then a generator of the text's pieces,
+    which writes a dense section a colex block at a time, an iterator an item
+    at a time, and every other entry from the one text made of it.
+    TypeError for a value or key that ``dumps_canonical`` does not accept.  A
+    scalar inside a list or dict is written by its ``_SCALAR_TEXT`` entry
+    with no call of ``_text``.
     """
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
@@ -501,58 +511,49 @@ def _text(value, pad: str) -> str | None:
             return "[]"
         texts = [scalar(item) if (scalar := _SCALAR_TEXT.get(type(item))) else _text(item, inner)
                  for item in value]
-        if None in texts:
-            return None
-        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+        try:
+            return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+        except TypeError:  # an item's text is a generator of pieces
+            return _entries(zip(repeat(""), texts), pad, "[]")
     if isinstance(value, dict):
         if not value:
             return "{}"
         texts = []
-        for key, item in value.items():
+        items = iter(value.items())
+        for key, item in items:
             prefix = _key(key) + ": "
             text = scalar(item) if (scalar := _SCALAR_TEXT.get(type(item))) else _text(item, inner)
-            if text is None:
-                return None
-            texts.append(prefix + text)
+            try:
+                texts.append(prefix + text)
+            except TypeError:  # the item's text is a generator of pieces
+                # the entries after it are made as they are written
+                rest = ((_key(key) + ": ", _text(item, inner)) for key, item in items)
+                return _entries(chain(zip(repeat(""), texts), [(prefix, text)], rest), pad, "{}")
         return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, (DenseSection, Iterator)):
-        return None
+    if isinstance(value, DenseSection):
+        return _dense_rows(value, pad)
+    if isinstance(value, Iterator):
+        return _entries((("", _text(item, inner)) for item in value), pad, "[]")
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _pieces(value, pad: str) -> Iterator[str]:
-    """``value``'s text in pieces: what ``_text`` cannot write whole, an entry at a time.
-
-    A dense section is written a colex block at a time, and a dict, list or
-    iterator one entry at a time, each entry ``_text``'s when it can write it.
-    """
-    if isinstance(value, DenseSection):
-        yield from _dense_rows(value, pad)
-        return
-    if isinstance(value, dict):
-        entries = ((_key(key) + ": ", item) for key, item in value.items())
-        brackets = "{}"
-    elif isinstance(value, (list, Iterator)):
-        entries = (("", item) for item in value)
-        brackets = "[]"
-    else:
-        yield _text(value, pad)
-        return
+def _entries(entries: Iterable[tuple[str, str | Generator[str, None, None]]], pad: str,
+             brackets: str) -> Generator[str, None, None]:
+    """A list's or dict's text in pieces, from each entry's key text and ``_text``."""
     inner = pad + "  "
     separator = brackets[0] + "\n" + inner
-    for prefix, item in entries:
-        text = _text(item, inner)
-        if text is None:
-            yield separator + prefix
-            yield from _pieces(item, inner)
-        else:
+    for prefix, text in entries:
+        if isinstance(text, str):
             yield separator + prefix + text
+        else:
+            yield separator + prefix
+            yield from text
         separator = ",\n" + inner
-    # the separator is still the opening one only after an empty container
+    # the separator is still the opening one only after an empty iterator
     yield brackets if separator[0] == brackets[0] else "\n" + pad + brackets[1]
 
 
@@ -587,7 +588,7 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
 
     def tail_of(row: SubsetCounts) -> str:
         texts = tuple(map(_text, map(getattr, repeat(row), section.fields), pads))
-        if None in texts:
+        if GeneratorType in map(type, texts):
             raise TypeError(f"a dense section field of {section.fields} holds a streamed value")
         return tail % texts
 

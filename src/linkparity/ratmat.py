@@ -40,9 +40,14 @@ def parse_rational(text: str) -> Fraction:
     token = text.strip()
     if not _RATIONAL_RE.match(token):
         raise ValueError(f"not a rational literal: {quote_input(text)}")
-    if "/" in token and int(token.split("/")[1]) == 0:
+    if "/" not in token:
+        return Fraction(int(token))
+    numerator, denominator = token.split("/")
+    # the denominator is read first: a zero one is refused whatever the numerator
+    q = int(denominator)
+    if q == 0:
         raise ValueError(f"zero denominator: {quote_input(text)}")
-    return Fraction(token)
+    return Fraction(int(numerator), q)
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -261,13 +261,16 @@ def test_gale_pair_refuses_a_basis_outside_the_kernel(monkeypatch):
         lambda a, b: (a, (*b[:-1], b[-1] - 1)),
         # a's scale moved to the other trailing column: two distinct columns apart
         lambda a, b: ((*a[:-2], a[-1], a[-2]), b),
+        # inside the kernel but dependent: every cross product is zero
+        lambda a, b: (a, tuple(2 * x for x in a)),
+        lambda a, b: ((0,) * len(a), b),
     ):
         monkeypatch.setattr(configuration, "integer_kernel",
                             lambda rows, doctor=doctor: doctor(*real(rows)))
         for config in (moment_curve(7, 4), explicit_configuration(
                 [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                  (0, 0, 0, 1), ("1/2", 3, -1, 2), (5, -2, "7/3", 1)])):
-            with pytest.raises(CertificateError, match="outside the kernel"):
+            with pytest.raises(CertificateError, match="outside the kernel|dependent vectors"):
                 config.gale_rows
             # a failed certificate is a fault, never read as a degeneracy
             with pytest.raises(CertificateError):
@@ -431,7 +434,8 @@ def test_point_file_without_provenance_comment_is_explicit():
     "+5", "-0", "007", "1_000", "\u0663", "5/1", "10/4", "3/0", "-12/8", "-HUGE", "1/HUGE",
 ])
 def test_point_file_tokens_read_as_parse_rational_reads_them(token):
-    # integer tokens skip parse_rational; the values and errors must not change
+    # parse_rational reads p and q with int; the values are Fraction's own
+    # parse of the token, and a point file fails with parse_rational's error
     token = token.replace("HUGE", _HUGE)
     text = f"2 1\n{token} {token}\n"
     try:
@@ -441,6 +445,7 @@ def test_point_file_tokens_read_as_parse_rational_reads_them(token):
             read_points_text(text)
         assert str(info.value) == str(exc)
     else:
+        assert expected == Fraction(token)
         (point,) = read_points_text(text).points
         assert point == (expected, expected)
         assert all(type(x) is Fraction for x in point)
@@ -538,8 +543,6 @@ def test_point_file_shapes_are_checked_before_coordinates_are_parsed(monkeypatch
         raise AssertionError("a coordinate was parsed")
 
     monkeypatch.setattr(configuration, "parse_rational", no_parse)
-    # integer tokens are read by _point without parse_rational
-    monkeypatch.setattr(configuration, "_point", no_parse)
     for text, complaint in (
         ("1 10001\n1\n", "header declares 10001 points in R^1, more than 10,000"),
         # a header must declare at least one coordinate and one point

@@ -5,7 +5,7 @@ import json
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -669,6 +669,31 @@ def test_streamed_sections_equal_the_built_documents():
         expected = json_text(document)
         assert _first_difference(_written(document), expected) is None
         assert _first_difference(dumps_canonical(document), expected) is None
+
+
+def test_each_list_and_dict_is_encoded_once(monkeypatch):
+    # a container holding a dense section further down writes its earlier
+    # entries from the texts already made, at every nesting depth
+    real = linking._text
+    encoded = []
+
+    def counted(value, pad):
+        if isinstance(value, (list, dict)):
+            encoded.append(id(value))
+        return real(value, pad)
+
+    monkeypatch.setattr(linking, "_text", counted)
+    reports = [link_report_document(total_linked_parity(config))
+               for config in islice(_rational_cases(), 2)]
+    for document, expected in (
+        (lambda: {"reports": reports}, json_text({"reports": reports})),
+        (lambda: [reports], json_text([reports])),
+        (lambda: {"reports": iter(reports)}, json_text({"reports": reports})),
+    ):
+        for write in (dumps_canonical, _written):
+            encoded.clear()
+            assert write(document()) == expected
+            assert encoded and len(encoded) == len(set(encoded))
 
 
 @given(_DOCUMENTS)

@@ -199,6 +199,10 @@ def test_parse_plain_integer_and_signs():
     assert parse_rational("7") == 7
     assert parse_rational("-3/6") == Fraction(-1, 2)
     assert parse_rational("+4/8") == Fraction(1, 2)
+    for token, value in (("+5", 5), ("-0", 0), ("007", 7), ("-12/8", Fraction(-3, 2)),
+                         (" 10/4\n", Fraction(5, 2))):
+        assert parse_rational(token) == value
+        assert type(parse_rational(token)) is Fraction
     assert format_rational(Fraction(4, 1)) == "4"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(-12) == "-12"
