@@ -22,6 +22,7 @@ Reports are computed serially: ``--workers`` (default 1) is validated, must
 be at least 1, and is otherwise ignored.  Output contains no timestamps or
 worker counts, so identical inputs give byte-identical reports and stdout.
 A point file is read once; a manifest records the SHA-256 of the bytes parsed.
+An empty output path is refused by the parser, exit 64, before any work.
 Every output file (``--json``, ``--csv``, ``--out``) is written by ``_replacing``
 to a temporary sibling and moved into place at the end, so a failed run leaves
 no file and an old file untouched; a device or FIFO is written directly.
@@ -37,7 +38,6 @@ import hashlib
 import os
 import stat
 import sys
-from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import cache, partial
@@ -53,8 +53,7 @@ from .combinatorics import (
     alternating_count_bruteforce,
     alternating_count_closed_form,
     alternating_counts,
-    colex_block_keys,
-    colex_text_blocks,
+    colex_rows,
     combinations_colex,
     spread_subsets,
 )
@@ -93,7 +92,9 @@ def _manifest(command: str, parameters: dict, seeds=(), input_hashes=()) -> dict
     return {
         "command": command,
         "parameters": parameters,
-        "seeds": list(seeds),
+        # an iterator, which the writer streams, so a run of 10^6 trials holds no
+        # list of its seeds; no seeds, a list, as json.dumps writes one
+        "seeds": iter(seeds) if seeds else [],
         "tool_version": __version__,
         "input_hashes": dict(input_hashes),
     }
@@ -194,6 +195,13 @@ def _resolve_workers(value: int) -> int:
     return value
 
 
+def _output_path(text: str) -> str:
+    """The ``type`` of ``--json``, ``--csv`` and ``--out``: any path but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError("the output path is empty")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -209,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the no-linked-pair configuration")
     p_verify.add_argument("-k", "--k", type=int, required=True, dest="k")
-    p_verify.add_argument("--json", metavar="PATH", help="write the JSON report here")
+    p_verify.add_argument("--json", type=_output_path, metavar="PATH",
+                          help="write the JSON report here")
     p_verify.add_argument("--workers", type=int, default=1)
 
     p_parity = sub.add_parser("parity", help="linked-count parity check")
@@ -219,14 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_parity.add_argument("--trials", type=int)
     p_parity.add_argument("--seed", type=int)
     p_parity.add_argument("--bound", type=int)
-    p_parity.add_argument("--json", metavar="PATH")
+    p_parity.add_argument("--json", type=_output_path, metavar="PATH")
     p_parity.add_argument("--workers", type=int, default=1)
 
     p_alt = sub.add_parser("alternation", help="alternating-count table")
     p_alt.add_argument("--k", type=int, default=None)
     p_alt.add_argument("--subset", metavar="I", help="comma-separated labels")
     p_alt.add_argument("--n", type=int, default=None, help="universe size for --subset")
-    p_alt.add_argument("--csv", metavar="PATH", help="write CSV here (default stdout)")
+    p_alt.add_argument("--csv", type=_output_path, metavar="PATH",
+                       help="write CSV here (default stdout)")
 
     p_wit = sub.add_parser("witness", help="separating hyperplane or intersection witness")
     p_wit.add_argument("--P", required=True, metavar="LABELS")
@@ -240,12 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--d", type=int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--bound", type=int, default=1000)
-    p_sample.add_argument("--out", required=True, metavar="PATH")
+    p_sample.add_argument("--out", type=_output_path, required=True, metavar="PATH")
 
     p_plot = sub.add_parser("plot", help="SVG for the planar 5-point case")
     p_plot.add_argument("--input", metavar="PATH")
     p_plot.add_argument("--k", type=int, default=None, help="use the moment-curve configuration (k=1)")
-    p_plot.add_argument("--out", required=True, metavar="PATH")
+    p_plot.add_argument("--out", type=_output_path, required=True, metavar="PATH")
 
     return parser
 
@@ -308,8 +318,7 @@ def cmd_parity(args) -> int:
             {"n": n, "d": d, "trials": trials, "seed": first_seed, "bound": bound},
             seeds=seeds,
         )
-        # sampled one trial at a time; the manifest's seed list is built only
-        # for --json
+        # sampled one trial at a time, as the manifest writes its seeds
         configs = (
             (f"seed={seed}", sample_random_configuration(n, d, seed, bound))
             for seed in seeds
@@ -356,22 +365,6 @@ def _row_tail(breakdown) -> str:
     return f",{breakdown.case_tag.value},{blocks},{breakdown.count}\r\n"
 
 
-def _table_blocks(n: int, size: int, tails: dict[str, str]) -> Iterator[str]:
-    """The ``alternation --k`` table's rows, a colex block at a time.
-
-    A row's tail is its ``tails`` entry, keyed by the label text, or else
-    the ``has_adjacent`` row's; a block holding no keyed row is one join.
-    """
-    adjacent_tail = _row_tail(_HAS_ADJACENT)
-    keys = colex_block_keys((text.split(" ") for text in tails), n, size)
-    for top, lows, suffix in colex_text_blocks(tuple(map(str, range(1, n + 1))), size, " "):
-        if top in keys:
-            yield "".join([(text := low + suffix) + tails.get(text, adjacent_tail)
-                           for low in lows])
-        else:
-            yield (suffix + adjacent_tail).join(lows) + suffix + adjacent_tail
-
-
 def cmd_alternation(args) -> int:
     if (args.k is None) == (args.subset is None):
         raise ContractError("exactly one of --k or --subset is required")
@@ -402,13 +395,13 @@ def cmd_alternation(args) -> int:
     # in colex order, so the first is the table's first mismatching row
     mismatched = [subset for subset, breakdown, brute in rows
                   if breakdown.count != brute or brute % 2]
-    tails = {" ".join(map(str, subset)): _row_tail(breakdown) for subset, breakdown, _ in rows}
+    tails = {subset: _row_tail(breakdown) for subset, breakdown, _ in rows}
     with _replacing(args.csv) if args.csv else nullcontext(sys.stdout) as handle:
         handle.write("I,case,block_sizes,count\r\n")
         if args.k is None:
-            handle.writelines(text + tail for text, tail in tails.items())
+            handle.writelines(" ".join(map(str, subset)) + tail for subset, tail in tails.items())
         else:
-            handle.writelines(_table_blocks(n, size, tails))
+            handle.writelines(colex_rows(n, size, " ", "", tails, _row_tail(_HAS_ADJACENT)))
     if mismatched:
         print(f"closed-form mismatch on {len(mismatched)} row(s), first at I={mismatched[0]}",
               file=sys.stderr)

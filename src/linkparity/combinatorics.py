@@ -9,6 +9,12 @@ counts check that analysis: ``alternating_counts`` finds every alternating
 pair of a whole universe at once from its union, whose even and odd positions
 are the pair, and is the n4 of every linking report; the reference
 ``alternating_count_bruteforce`` tests every candidate J of one I.
+
+``colex_rows`` is the one writer of the dense tables of C(n, k+1) rows, the
+``alternation --k`` table and the dense report sections: it writes every
+subset in colex order a block of rows at a time, and looks up a row's own
+text only in a block that holds one of the few rows that differ from the
+default.
 """
 
 from __future__ import annotations
@@ -177,47 +183,50 @@ def _colex_texts(texts: tuple[str, ...], size: int, separator: str) -> list[str]
     return joined
 
 
-def colex_text_blocks(texts: Sequence[str], size: int,
-                      separator: str) -> Iterator[tuple[tuple[str, ...], list[str], str]]:
-    """The ``size``-subsets of ``texts`` in colex order, joined by ``separator``, in blocks.
+def colex_rows(n: int, size: int, separator: str, row_separator: str,
+               tails: dict[IndexSubset, str], default_tail: str) -> Iterator[str]:
+    """The text of every ``size``-subset of [n] in colex order, a block of rows at a time.
 
-    Yields ``(top, lows, suffix)`` for each block of consecutive subsets
-    whose ``_top_size`` largest labels are ``top``: the block's rows are
-    ``low + suffix`` for each of ``lows``, ``suffix`` being ``top`` joined
-    with a separator in front.  A subset's other, low labels range over the
-    subsets of the m labels below ``top[0]``, and in colex order those are
-    the first C(m, low) subsets of the whole label list.  So the low texts
-    are joined once, into one list, and ``lows`` is a slice of it, which a
-    block holding no row of interest can write whole with one ``join``.  A
-    walk of one block is keyed by ``()``, its ``suffix`` empty.
-    ``colex_block_keys`` gives the keys of the blocks holding given rows.
+    A row is the subset's labels joined by ``separator``, then
+    ``tails[subset]`` or else ``default_tail``; ``row_separator`` goes
+    between rows.  A block is the consecutive subsets sharing their
+    ``_top_size`` largest labels ``top``: a subset's other, low labels range
+    over the subsets of the labels below ``top[0]``, and in colex order those
+    are the first C(top[0] - 1, low) subsets of the whole label list.  So the
+    low texts are joined once, into one list, and a block's rows are a slice
+    of it, each followed by ``top``'s text.  A block holding no ``tails``
+    subset is written by one ``join``; one holding some looks up each row's
+    text.  The join, and the pieces around it, are yielded as they are, so a
+    block of thousands of rows is not copied to prepend or append to it.
     """
     if size < 0:
         raise ValueError(f"subset size must be >= 0, got {size}")
-    texts = tuple(texts)
-    n = len(texts)
     if size > n:
         return
+    texts = tuple(map(str, range(1, n + 1)))
     high = _top_size(n, size)
-    if not high:
-        yield (), _colex_texts(texts, size, separator), ""
-        return
     low = size - high
     lows = _colex_texts(texts, low, separator)
-    # the least top position m leaves m >= low labels below it
-    for positions in combinations_colex(range(low, n), high):
-        top = tuple([texts[m] for m in positions])
-        yield top, lows[:comb(positions[0], low)], separator + separator.join(top)
-
-
-def colex_block_keys(rows: Iterable[Sequence[str]], n: int, size: int) -> set[tuple[str, ...]]:
-    """The keys of the blocks holding ``rows`` in ``colex_text_blocks`` over ``n`` texts.
-
-    ``rows`` are ``size``-subsets given as their label texts, and a block's
-    key is the top labels its subsets share.
-    """
-    start = size - _top_size(n, size)
-    return {tuple(row[start:]) for row in rows}
+    keyed = {separator.join(map(str, subset)): tail for subset, tail in tails.items()}
+    keys = {subset[low:] for subset in tails}
+    if high:
+        # the least top label leaves at least ``low`` labels below it
+        blocks = ((top, lows[:comb(top[0] - 1, low)], separator + separator.join(map(str, top)))
+                  for top in combinations_colex(range(low + 1, n + 1), high))
+    else:
+        blocks = [((), lows, "")]
+    default_separator = default_tail + row_separator
+    lead = ""
+    for top, block, suffix in blocks:
+        if lead:
+            yield lead
+        if top in keys:
+            yield row_separator.join([(text := row + suffix) + keyed.get(text, default_tail)
+                                      for row in block])
+        else:
+            yield (suffix + default_separator).join(block)
+            yield suffix + default_tail
+        lead = row_separator
 
 
 def spread_subsets(n: int, size: int) -> Iterator[IndexSubset]:

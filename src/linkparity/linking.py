@@ -54,11 +54,12 @@ timestamps or worker counts, so reruns produce byte-identical files.
 ``link_report_document`` and ``counterexample_document`` build the one form
 of a document: its dense sections, ``per_subset`` and ``cross_checks``, are
 ``DenseSection``s, each naming the ``SubsetCounts`` fields it writes.  A
-section's rows are made only as they are written, by one colex walk over the
-label strings, ``colex_text_blocks``, a block of rows sharing their top
-labels at a time: each row is a head shared by the section, the subset's
-labels and a tail, the zero row's unless the subset is on the support, and
-a block holding no support row is written by one ``join``.
+section's rows are made only as they are written, by the one colex row
+writer, ``combinatorics.colex_rows``, which also writes the ``alternation``
+table, a block of rows sharing their top labels at a time: each row is a
+head shared by the section, the subset's labels and a tail, the zero row's
+unless the subset is on the support, and a block holding no support row is
+written by one ``join``.
 ``dumps_canonical`` and ``write_canonical`` run one encoder: ``_text``
 makes the whole text of every list, dict and scalar that holds no dense
 section or iterator, and an iterator of pieces for one that does, which
@@ -89,8 +90,7 @@ from .combinatorics import (
     alternating_count_bruteforce,  # noqa: F401
     alternating_counts,
     check_subset,
-    colex_block_keys,
-    colex_text_blocks,
+    colex_rows,
     combinations_colex,
 )
 from .configuration import (
@@ -566,19 +566,17 @@ def _key(key) -> str:
 def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     """The section's list as ``json.dumps(indent=2)`` lays it out, a colex block at a time.
 
-    One ``colex_text_blocks`` walk over the label strings makes the rows.
-    Each row is the section's one head, its subset's labels and a tail: the
-    zero row's, unless the label text keys one of the support rows' tails,
-    made once per call (the separator, and so the key, depends on ``pad``).
-    A block holding no support row is one join on the zero tail and the
-    next row's head.  A field that ``_text`` cannot write whole raises
+    One ``colex_rows`` walk makes the rows, between the opening bracket and
+    the closing one.  Each row is the section's one head, its subset's
+    labels and a tail: a support row's, made once per call, or else the zero
+    row's.  A block holding no support row is one join on the zero tail and
+    the next row's head.  A field that ``_text`` cannot write whole raises
     TypeError.
     """
     report = section.report
     row_pad = pad + "  "
     field_pad = row_pad + "  "
     label_pad = field_pad + "  "
-    label_separator = ",\n" + label_pad
     head = "{\n" + field_pad + _key("I") + ": [\n" + label_pad
     tail = "\n" + field_pad + "]" + "".join(
         f",\n{field_pad}{_key(name)}: %s" for name in section.fields
@@ -592,27 +590,11 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
             raise TypeError(f"a dense section field of {section.fields} holds a streamed value")
         return tail % texts
 
-    n, size = report.config.n, report.k + 1
-    labels = [tuple(map(str, subset)) for subset in report.support]
-    tails = {label_separator.join(texts): tail_of(row)
-             for texts, row in zip(labels, report.support.values())}
-    keys = colex_block_keys(labels, n, size)
+    tails = {subset: tail_of(row) for subset, row in report.support.items()}
     # any subset off the support gives the zero row; the empty one is such a subset
     zero_tail = tail_of(report.row(()))
-    separator = ",\n" + row_pad + head
-    zero_separator = zero_tail + separator
     # a section is never empty
-    opening = "[\n" + row_pad + head
-    for top, lows, suffix in colex_text_blocks(tuple(map(str, report.config.labels)), size,
-                                               label_separator):
-        # the opening, the block's join and its tail are separate pieces, so a
-        # block of thousands of rows is not copied to prepend or append them
-        yield opening
-        if top in keys:
-            yield separator.join([(text := low + suffix) + tails.get(text, zero_tail)
-                                  for low in lows])
-        else:
-            yield (suffix + zero_separator).join(lows)
-            yield suffix + zero_tail
-        opening = separator
+    yield "[\n" + row_pad + head
+    yield from colex_rows(report.config.n, report.k + 1, ",\n" + label_pad,
+                          ",\n" + row_pad + head, tails, zero_tail)
     yield "\n" + pad + "]"

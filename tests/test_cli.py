@@ -91,6 +91,26 @@ def test_workers_environment_variable_is_not_read(monkeypatch):
     assert main(["verify", "-k", "1"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "-k", "1", "--json", ""],
+    ["parity", "--random", "5", "2", "--json", ""],
+    ["alternation", "--k", "1", "--csv", ""],
+    ["sample", "--n", "5", "--d", "2", "--out", ""],
+    ["plot", "--k", "1", "--out", ""],
+])
+def test_empty_output_path_is_usage_error_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the output path is empty" in captured.err
+    # no report, no table on stdout, no temporary file beside the working directory
+    assert list(tmp_path.iterdir()) == [work]
+    assert list(work.iterdir()) == []
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_usage_error(workers, capsys):
     assert main(["verify", "-k", "1", "--workers", workers]) == 64
@@ -290,6 +310,31 @@ def _parity_reference(configs, manifest) -> str:
     return json_text({"command": "parity", "reports": reports, "manifest": manifest})
 
 
+def test_parity_random_json_memory_does_not_grow_with_trials(tmp_path, monkeypatch):
+    out = tmp_path / "parity.json"
+    real = cli.sample_random_configuration
+    drawn = []
+
+    def first_trial_only(n, d, seed, bound):
+        if drawn:
+            raise SamplingError("stopped at the second trial")
+        drawn.append(seed)
+        return real(n, d, seed, bound)
+
+    monkeypatch.setattr(cli, "sample_random_configuration", first_trial_only)
+    tracemalloc.start()
+    try:
+        code = main(["parity", "--random", "5", "2", "--trials", "1000000", "--json", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert drawn == [0]
+    assert list(tmp_path.iterdir()) == []
+    # a list of the 10^6 seeds alone takes about 40 MB
+    assert peak < 4_000_000, peak
+
+
 @pytest.mark.parametrize("n, d", [(5, 2), (7, 4), (9, 6)])
 def test_parity_random_report_file_equals_the_built_documents(n, d, tmp_path):
     out = tmp_path / "parity.json"
@@ -297,6 +342,8 @@ def test_parity_random_report_file_equals_the_built_documents(n, d, tmp_path):
     manifest = cli._manifest(
         "parity", {"n": n, "d": d, "trials": 3, "seed": 0, "bound": 1000}, seeds=range(3)
     )
+    # the manifest streams its seeds; json.dumps writes a list
+    manifest["seeds"] = list(manifest["seeds"])
     configs = [sample_random_configuration(n, d, seed, 1000) for seed in range(3)]
     assert out.read_text() == _parity_reference(configs, manifest)
 
@@ -611,21 +658,22 @@ def test_failed_alternation_table_leaves_no_file(old, tmp_path, monkeypatch, cap
     out = tmp_path / "table.csv"
     if old is not None:
         out.write_text(old)
-    walk = cli.colex_text_blocks
+    walk = cli.colex_rows
     written = []
 
-    def fail_at_block_3(texts, size, separator):
-        # C(11, 5) = 462 rows at k = 4, in C(8, 2) = 28 blocks
-        for block in walk(texts, size, separator):
-            if len(written) == 2:
-                raise ContractError("stopped at block 3")
-            written.append(block)
-            yield block
+    def fail_after_four_pieces(*args):
+        # C(11, 5) = 462 rows at k = 4, in C(8, 2) = 28 blocks of one or two pieces
+        for piece in walk(*args):
+            if len(written) == 4:
+                raise ContractError("stopped mid-table")
+            written.append(piece)
+            yield piece
 
-    monkeypatch.setattr(cli, "colex_text_blocks", fail_at_block_3)
+    monkeypatch.setattr(cli, "colex_rows", fail_after_four_pieces)
     assert main(["alternation", "--k", "4", "--csv", str(out)]) == 64
-    assert capsys.readouterr().err == "error: stopped at block 3\n"
-    assert len(written) == 2  # the failure came mid-table
+    assert capsys.readouterr().err == "error: stopped mid-table\n"
+    # the failure came mid-table, after some rows and before the last
+    assert 0 < "".join(written).count("\r\n") < 462
     if old is None:
         assert list(tmp_path.iterdir()) == []
     else:

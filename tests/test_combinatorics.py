@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 import tracemalloc
 
@@ -20,8 +21,7 @@ from linkparity.combinatorics import (
     alternating_count_closed_form,
     alternating_counts,
     check_subset,
-    colex_block_keys,
-    colex_text_blocks,
+    colex_rows,
     combinations_colex,
     enumerate_disjoint_pairs,
     spread_subsets,
@@ -302,42 +302,44 @@ def test_combinations_colex_is_lazy():
     assert peak < 1_000_000
 
 
+def _colex_subsets(n, size):
+    """The ``size``-subsets of [n] in colex order, by sorting on the reversed tuples."""
+    return sorted(itertools.combinations(range(1, n + 1), size), key=lambda subset: subset[::-1])
+
+
+@pytest.mark.parametrize("row_separator", ["", ",\n  {"], ids=["csv", "json"])
 @pytest.mark.parametrize("one_block_rows", [combinatorics._ONE_BLOCK_ROWS, 0])
-def test_colex_text_blocks_are_the_joined_colex_walk(one_block_rows, monkeypatch):
+def test_colex_rows_are_the_colex_subsets_and_their_tails(one_block_rows, row_separator,
+                                                          monkeypatch):
     # the default rule, and every walk of two or more labels a subset split
     monkeypatch.setattr(combinatorics, "_ONE_BLOCK_ROWS", one_block_rows)
+    rng = random.Random(7)
     for n in range(13):
-        texts = tuple(str(3 * i + 1) for i in range(n))
-        for size in range(1, n + 1):
-            subsets = list(combinations_colex(texts, size))
-            blocks = [(top, [low + suffix for low in lows])
-                      for top, lows, suffix in colex_text_blocks(texts, size, ", ")]
-            assert [text for _, block in blocks for text in block] == \
-                [", ".join(subset) for subset in subsets], (n, size)
-            # each block is keyed by a suffix its subsets share, no key twice
-            rows = iter(subsets)
-            for top, block in blocks:
-                for subset in itertools.islice(rows, len(block)):
-                    assert subset[len(subset) - len(top):] == top
-            assert len({top for top, _ in blocks}) == len(blocks)
-            assert all(suffix == "".join(", " + label for label in top)
-                       for top, _, suffix in colex_text_blocks(texts, size, ", "))
-            split = size >= 2 and (one_block_rows == 0 or math.comb(n, size) > 256)
-            assert (len(blocks) > 1) == (split and size < n), (n, size)
-            # the keys of a few rows name exactly the blocks holding them
-            marked = set(subsets[::7])
-            keys = colex_block_keys(marked, n, size)
-            assert [top in keys for top, _ in blocks] == [
-                any(tuple(text.split(", ")) in marked for text in block) for _, block in blocks
-            ], (n, size)
+        for size in range(n + 2):
+            subsets = _colex_subsets(n, size)
+            # from no keyed row to every row keyed
+            for keyed in sorted({0, 1, 3, len(subsets) // 5, len(subsets)}):
+                chosen = rng.sample(subsets, min(keyed, len(subsets)))
+                tails = {subset: f";{rng.randrange(10**6)}" for subset in chosen}
+                expected = row_separator.join(", ".join(map(str, subset)) + tails.get(subset, ";z")
+                                              for subset in subsets)
+                text = "".join(colex_rows(n, size, ", ", row_separator, tails, ";z"))
+                assert text == expected, (n, size, keyed)
+            # a walk of no keyed row writes each block in two pieces
+            pieces = list(colex_rows(n, size, ", ", row_separator, {}, ";z"))
+            split = 2 <= size < n and (one_block_rows == 0 or math.comb(n, size) > 256)
+            assert (len(pieces) > 2) == split, (n, size)
 
 
-def test_colex_text_blocks_edges():
-    assert list(colex_text_blocks(("1", "2"), 0, " ")) == [((), [""], "")]
-    assert list(colex_text_blocks(("1", "2"), 3, " ")) == []
-    assert list(colex_text_blocks((), 0, " ")) == [((), [""], "")]
+def test_colex_rows_edges():
+    # size 0: the one empty subset, with its tail
+    assert "".join(colex_rows(2, 0, " ", "\n", {}, ";z")) == ";z"
+    assert "".join(colex_rows(2, 0, " ", "\n", {(): ";e"}, ";z")) == ";e"
+    assert "".join(colex_rows(0, 0, " ", "\n", {}, ";z")) == ";z"
+    # more labels than there are: no row
+    assert list(colex_rows(2, 3, " ", "\n", {}, ";z")) == []
     with pytest.raises(ValueError):
-        list(colex_text_blocks(("1",), -1, " "))
+        list(colex_rows(1, -1, " ", "\n", {}, ";z"))
 
 
 def test_spread_subsets_are_the_closed_forms_rows_without_adjacent_labels():

@@ -624,22 +624,22 @@ def _lists_as_iterators(value):
 
 def test_each_dense_section_is_one_walk_over_label_strings(monkeypatch):
     walks = []
-    real = linking.colex_text_blocks
+    real = linking.colex_rows
 
-    def counted(texts, size, separator):
-        walks.append((tuple(texts), size))
-        return real(texts, size, separator)
+    def counted(n, size, *rest):
+        walks.append((n, size))
+        return real(n, size, *rest)
 
     def unexpected(items, size):
         raise AssertionError("a dense section walked the subsets themselves")
 
     # C(11, 5) = 462 rows a section, more than one block
     document = counterexample_document(verify_counterexample(4))
-    monkeypatch.setattr(linking, "colex_text_blocks", counted)
+    monkeypatch.setattr(linking, "colex_rows", counted)
     monkeypatch.setattr(linking, "combinations_colex", unexpected)
     write_canonical(io.StringIO(), document)
-    # per_subset and cross_checks, each one block walk, over the labels' texts
-    assert walks == [(tuple(map(str, range(1, 12))), 5)] * 2
+    # per_subset and cross_checks, each one walk of the 5-subsets of [11]
+    assert walks == [(11, 5)] * 2
 
 
 @given(_DOCUMENTS)
