@@ -12,9 +12,9 @@ are the pair, and is the n4 of every linking report; the reference
 
 ``colex_rows`` is the one writer of the dense tables of C(n, k+1) rows, the
 ``alternation --k`` table and the dense report sections: it writes every
-subset in colex order a block of rows at a time, and looks up a row's own
-text only in a block that holds one of the few rows that differ from the
-default.
+subset in colex order a block of rows at a time, each block one ``join``
+whether or not it holds one of the few rows that differ from the default,
+which are placed by their colex ranks within the block.
 """
 
 from __future__ import annotations
@@ -151,9 +151,10 @@ def combinations_colex(items: Sequence, size: int) -> Iterator[tuple]:
 
 
 # a walk of at most this many rows is one block, as below it the blocks cost
-# more than the per-row lookups they spare: a dense JSON section of 35 rows
-# wrote in 63 us as one block and 69 us split, one of 462 rows in 316 us as
-# one block and 257 us split (best of 3, median of 7, 2-vCPU VM, Python 3.11)
+# more than they spare: 50 dense JSON sections of 35 rows wrote in 3.21 ms as
+# one block each and 3.62 ms split, one of 126 rows in 69 us against 83 us,
+# and one of 462 rows in 117 us as one block and 114 us split (median of 7
+# best-of-3 timings, 2-vCPU VM, Python 3.11)
 _ONE_BLOCK_ROWS = 256
 
 
@@ -183,36 +184,59 @@ def _colex_texts(texts: tuple[str, ...], size: int, separator: str) -> list[str]
     return joined
 
 
+def _colex_rank(subset: IndexSubset) -> int:
+    """The index of an increasing ``subset`` of [n] among the subsets of its size in colex order.
+
+    The sum of C(s_i - 1, i) over its labels s_1 < s_2 < ..., the
+    combinatorial number system (Knuth TAOCP 7.2.1.3): C(s_i - 1, i) subsets
+    agree with it above s_i and have a smaller i-th label.  It does not
+    depend on n.
+    """
+    return sum(comb(label - 1, i) for i, label in enumerate(subset, 1))
+
+
 def colex_rows(n: int, size: int, separator: str, row_separator: str,
                tails: dict[IndexSubset, str], default_tail: str) -> Iterator[str]:
     """The text of every ``size``-subset of [n] in colex order, a block of rows at a time.
 
     A row is the subset's labels joined by ``separator``, then
     ``tails[subset]`` or else ``default_tail``; ``row_separator`` goes
-    between rows.  A block is the consecutive subsets sharing their
+    between rows.  A ``tails`` key that is not an increasing ``size``-subset
+    of [n] is a ValueError.  A block is the consecutive subsets sharing their
     ``_top_size`` largest labels ``top``: a subset's other, low labels range
     over the subsets of the labels below ``top[0]``, and in colex order those
-    are the first C(top[0] - 1, low) subsets of the whole label list.  So the
-    low texts are joined once, into one list, and a block's rows are a slice
-    of it, each followed by ``top``'s text.  A block holding no ``tails``
-    subset is written by one ``join``; one holding some looks up each row's
-    text.  The join, and the pieces around it, are yielded as they are, so a
-    block of thousands of rows is not copied to prepend or append to it.
+    are the first C(top[0] - 1, low) subsets of the labels 1..n - high, the
+    most any block reads.  So the low texts are joined once, into one list,
+    and a block's rows are a slice of it, each followed by ``top``'s text.  A
+    block holding no ``tails`` subset is written by one ``join`` and its last
+    row's tail; in one holding some, each keyed row sits at the colex rank of
+    its low labels, and the stretches of rows up to and including each keyed
+    row are joined the same way and ended by its tail, so the block is one
+    more ``join``.  Each block is at most two pieces after the row separator
+    before it, yielded as they are, so a block of thousands of rows is not
+    copied to prepend or append to it.
     """
     if size < 0:
         raise ValueError(f"subset size must be >= 0, got {size}")
+    for subset in tails:
+        # labels strictly increasing from above 0 to at most n
+        if len(subset) != size or not all(map(lt, (0, *subset), (*subset, n + 1))):
+            raise ValueError(f"tails key {subset!r} is not an increasing {size}-subset of [{n}]")
     if size > n:
         return
     texts = tuple(map(str, range(1, n + 1)))
     high = _top_size(n, size)
     low = size - high
-    lows = _colex_texts(texts, low, separator)
-    keyed = {separator.join(map(str, subset)): tail for subset, tail in tails.items()}
-    keys = {subset[low:] for subset in tails}
+    # the least top label is at most n - high + 1
+    lows = _colex_texts(texts[:n - high], low, separator)
+    keyed: dict[IndexSubset, list[tuple[int, str]]] = {}
+    for subset, tail in tails.items():
+        keyed.setdefault(subset[low:], []).append((_colex_rank(subset[:low]), tail))
     if high:
         # the least top label leaves at least ``low`` labels below it
-        blocks = ((top, lows[:comb(top[0] - 1, low)], separator + separator.join(map(str, top)))
-                  for top in combinations_colex(range(low + 1, n + 1), high))
+        blocks = ((top, lows[:comb(top[0] - 1, low)], separator + text)
+                  for top, text in zip(combinations_colex(range(low + 1, n + 1), high),
+                                       _colex_texts(texts[low:], high, separator)))
     else:
         blocks = [((), lows, "")]
     default_separator = default_tail + row_separator
@@ -220,11 +244,16 @@ def colex_rows(n: int, size: int, separator: str, row_separator: str,
     for top, block, suffix in blocks:
         if lead:
             yield lead
-        if top in keys:
-            yield row_separator.join([(text := row + suffix) + keyed.get(text, default_tail)
-                                      for row in block])
+        joiner = suffix + default_separator
+        if top in keyed:
+            ends = sorted(keyed[top])
+            if ends[-1][0] < len(block) - 1:
+                ends.append((len(block) - 1, default_tail))
+            starts = [0] + [end + 1 for end, _ in ends[:-1]]
+            yield row_separator.join([joiner.join(block[start:end + 1]) + suffix + tail
+                                      for start, (end, tail) in zip(starts, ends)])
         else:
-            yield (suffix + default_separator).join(block)
+            yield joiner.join(block)
             yield suffix + default_tail
         lead = row_separator
 

@@ -58,15 +58,15 @@ section's rows are made only as they are written, by the one colex row
 writer, ``combinatorics.colex_rows``, which also writes the ``alternation``
 table, a block of rows sharing their top labels at a time: each row is a
 head shared by the section, the subset's labels and a tail, the zero row's
-unless the subset is on the support, and a block holding no support row is
-written by one ``join``.
+unless the subset is on the support, and a block is written by one ``join``
+on the zero tail, split at the support rows it holds.
 ``dumps_canonical`` and ``write_canonical`` run one encoder: ``_text``
 makes the whole text of every list, dict and scalar that holds no dense
 section or iterator, and an iterator of pieces for one that does, which
 writes each entry from the text already made of it, an iterator an item at
 a time and a dense section a block at a time.  ``write_canonical`` writes
-the pieces as they are made, holding the low labels' texts and one block,
-not the section.
+the pieces as they are made, holding the low labels' texts that blocks read
+and one block, not the section.
 """
 
 from __future__ import annotations
@@ -569,9 +569,9 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     One ``colex_rows`` walk makes the rows, between the opening bracket and
     the closing one.  Each row is the section's one head, its subset's
     labels and a tail: a support row's, made once per call, or else the zero
-    row's.  A block holding no support row is one join on the zero tail and
-    the next row's head.  A field that ``_text`` cannot write whole raises
-    TypeError.
+    row's.  A block is one join on the zero tail and the next row's head, its
+    support rows placed by their colex ranks between the stretches of zero
+    rows.  A field that ``_text`` cannot write whole raises TypeError.
     """
     report = section.report
     row_pad = pad + "  "

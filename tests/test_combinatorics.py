@@ -307,6 +307,20 @@ def _colex_subsets(n, size):
     return sorted(itertools.combinations(range(1, n + 1), size), key=lambda subset: subset[::-1])
 
 
+def _block_count(n, size):
+    """How many blocks the walk over the ``size``-subsets of [n] has: one per top label set."""
+    high = combinatorics._top_size(n, size)
+    return math.comb(n - (size - high), high) if size <= n else 0
+
+
+def _assert_pieces_per_block(pieces, n, size, row_separator):
+    # a block is at most two pieces after the row separator before it, so a
+    # keyed block is not yielded a stretch at a time
+    blocks = _block_count(n, size)
+    assert len([piece for piece in pieces if piece != row_separator]) <= 2 * blocks, (n, size)
+    assert len(pieces) <= 3 * blocks - 1 or not pieces, (n, size)
+
+
 @pytest.mark.parametrize("row_separator", ["", ",\n  {"], ids=["csv", "json"])
 @pytest.mark.parametrize("one_block_rows", [combinatorics._ONE_BLOCK_ROWS, 0])
 def test_colex_rows_are_the_colex_subsets_and_their_tails(one_block_rows, row_separator,
@@ -323,12 +337,65 @@ def test_colex_rows_are_the_colex_subsets_and_their_tails(one_block_rows, row_se
                 tails = {subset: f";{rng.randrange(10**6)}" for subset in chosen}
                 expected = row_separator.join(", ".join(map(str, subset)) + tails.get(subset, ";z")
                                               for subset in subsets)
-                text = "".join(colex_rows(n, size, ", ", row_separator, tails, ";z"))
-                assert text == expected, (n, size, keyed)
+                pieces = list(colex_rows(n, size, ", ", row_separator, tails, ";z"))
+                assert "".join(pieces) == expected, (n, size, keyed)
+                _assert_pieces_per_block(pieces, n, size, row_separator)
             # a walk of no keyed row writes each block in two pieces
             pieces = list(colex_rows(n, size, ", ", row_separator, {}, ";z"))
             split = 2 <= size < n and (one_block_rows == 0 or math.comb(n, size) > 256)
             assert (len(pieces) > 2) == split, (n, size)
+
+
+def test_colex_rank_is_the_index_in_colex_order():
+    for n in range(13):
+        for size in range(n + 1):
+            ranks = [combinatorics._colex_rank(subset) for subset in _colex_subsets(n, size)]
+            assert ranks == list(range(math.comb(n, size))), (n, size)
+
+
+def _blocks(n, size):
+    """The colex subsets of the walk's blocks, a list per top label set, by the oracle order."""
+    low = size - combinatorics._top_size(n, size)
+    blocks = {}
+    for subset in _colex_subsets(n, size):
+        blocks.setdefault(subset[low:], []).append(subset)
+    return list(blocks.values())
+
+
+@pytest.mark.parametrize("one_block_rows", [combinatorics._ONE_BLOCK_ROWS, 0])
+def test_colex_rows_tails_at_the_block_edges(one_block_rows, monkeypatch):
+    monkeypatch.setattr(combinatorics, "_ONE_BLOCK_ROWS", one_block_rows)
+    for n, size in ((5, 2), (7, 3), (9, 4), (11, 4), (11, 5), (12, 6), (13, 6)):
+        blocks = _blocks(n, size)
+        subsets = [subset for block in blocks for subset in block]
+        largest = max(blocks, key=len)
+        middle = len(largest) // 2
+        cases = {
+            "the first and last row of every block": [subset for block in blocks
+                                                      for subset in (block[0], block[-1])],
+            "two adjacent rows": largest[middle - 1:middle + 1],
+            "every row of one block": largest,
+            "every row of one block but its first and last": largest[1:-1],
+        }
+        if len(blocks) > 1:
+            cases["the last row of a block and the first of the next"] = [blocks[0][-1],
+                                                                         blocks[1][0]]
+        for name, chosen in cases.items():
+            tails = {subset: f";{i}" for i, subset in enumerate(chosen)}
+            expected = "\n".join(" ".join(map(str, subset)) + tails.get(subset, ";z")
+                                  for subset in subsets)
+            pieces = list(colex_rows(n, size, " ", "\n", tails, ";z"))
+            assert "".join(pieces) == expected, (n, size, name)
+            _assert_pieces_per_block(pieces, n, size, "\n")
+
+
+@pytest.mark.parametrize("key", [(2, 1, 3), (1, 2), (1, 2, 9), (0, 1, 2), (1, 1, 2), (1, 2, 3, 4)])
+def test_colex_rows_refuses_a_bad_tails_key(key):
+    # a key that no row has would never be written; under rank keying an
+    # unsorted or short one would land on another row's rank
+    tails = {(1, 2, 3): ";a", key: ";b", (5, 6, 7): ";c"}
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        list(colex_rows(7, 3, " ", "\n", tails, ";z"))
 
 
 def test_colex_rows_edges():

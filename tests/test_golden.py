@@ -5,9 +5,12 @@ moved to integer arithmetic, and those for k = 5 and 6 from the code that
 still wrote JSON through ``json.dumps(indent=2)``, so any change in a sign,
 a Radon point or the JSON layout of these reports shows up here.  The
 rational cases exercise points with denominators other than 1, which the
-CLI runs never produce.  The alternation digest was taken from the code that
-built the whole CSV in memory with ``csv.writer``, so it holds the table's
-own row formatter to csv's text, \\r\\n line ends included.
+CLI runs never produce.  The k = 5 alternation digest was taken from the
+code that built the whole CSV in memory with ``csv.writer``, so it holds the
+table's own row formatter to csv's text, \\r\\n line ends included; the
+k = 6 and 7 digests are the benchmark's, copied from
+``perfbench/reference.json``, and their walks are split into blocks, some
+holding keyed rows.
 """
 
 import hashlib
@@ -34,7 +37,11 @@ VERIFY_DIGESTS = {
 }
 PARITY_RANDOM_DIGEST = "fa34c4d465180490b081a6ea2699d55ea5a8974bb6f14d9c2efaf7da1ab97deb"
 RATIONAL_CASES_DIGEST = "c61c9b1deb80f108b7591d000f7ed0d08afa5ef0483e2d03a7f78e61ca7c33fa"
-ALTERNATION_K5_DIGEST = "82856978c75b3db874163ab41a982a2eda61c7f1cd65c099e41a4702795521ea"
+ALTERNATION_DIGESTS = {
+    5: "82856978c75b3db874163ab41a982a2eda61c7f1cd65c099e41a4702795521ea",
+    6: "b41436078bb884ff15eae7f5bcdf8e29215c2040df94e2bf727c44e43e702fb6",
+    7: "300d29004e07a860d1117ea12965d9844e063b4bfc729f9d990e70eb712ed3ba",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -56,10 +63,11 @@ def test_parity_random_report_digest(tmp_path):
 
 def test_alternation_table_digest(tmp_path, capsys):
     out = tmp_path / "table.csv"
-    assert main(["alternation", "--k", "5", "--csv", str(out)]) == 0
-    assert _sha256(out.read_bytes()) == ALTERNATION_K5_DIGEST
-    assert main(["alternation", "--k", "5"]) == 0
-    assert _sha256(capsys.readouterr().out.encode("ascii")) == ALTERNATION_K5_DIGEST
+    for k, digest in ALTERNATION_DIGESTS.items():
+        assert main(["alternation", "--k", str(k), "--csv", str(out)]) == 0
+        assert _sha256(out.read_bytes()) == digest, k
+        assert main(["alternation", "--k", str(k)]) == 0
+        assert _sha256(capsys.readouterr().out.encode("ascii")) == digest, k
 
 
 def _rational_cases_text() -> str:

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import tracemalloc
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
@@ -640,6 +642,21 @@ def test_each_dense_section_is_one_walk_over_label_strings(monkeypatch):
     write_canonical(io.StringIO(), document)
     # per_subset and cross_checks, each one walk of the 5-subsets of [11]
     assert walks == [(11, 5)] * 2
+
+
+def test_the_k9_report_is_written_holding_one_block_and_the_low_texts_a_block_reads():
+    # the largest block, C(16, 5) = 4,368 rows of the 10-subsets of [21], and
+    # the texts of the 5-subsets of [16]; the texts of all C(21, 5) = 20,349
+    # 5-subsets of [21] peaked at 4.1 MiB (Python 3.11)
+    document = counterexample_document(verify_counterexample(9))
+    with open(os.devnull, "w") as handle:
+        tracemalloc.start()
+        try:
+            write_canonical(handle, document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3.5 * 2**20, peak
 
 
 @given(_DOCUMENTS)
