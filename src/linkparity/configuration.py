@@ -9,17 +9,18 @@ General position means no d+1 points lie in a common (d-1)-hyperplane.  For
 n = d+3 points ``_gale_pair`` alone decides it, from the Gale dual: one
 fraction-free integer elimination gives two affine dependences spanning all
 of them, checked against the integer columns before use, and their 2x2
-cross products at each label v give the n dependences of [n] \\ {v}.  A
+cross products at each label v give the n dependences of [n] \\ {v}, after
+each of the two is divided by its content (its positive gcd).  A
 (d+1)-subset is dependent exactly when the dependence of one label outside
 it is zero at the other, so these integers decide every subset and name the
 first dependent one, with no determinant.  The same rows give the Radon
-partition of each [n] \\ {v}, with its Radon point in integer homogeneous
-coordinates; the point's ``Fraction``s are formed only when it is read.  A
-``Configuration`` computes both on first use, as ``gale_rows`` and
-``radon_partitions``, and keeps them on the instance: the sampler's
-certification, the report and every linking query of one configuration
-share one elimination.  Other shapes scan every (d+1)x(d+1) homogenized
-determinant.
+partition of each [n] \\ {v}: its sides and integer weights.  Its Radon
+point, in integer homogeneous coordinates and then as ``Fraction``s, is
+formed only when it is read.  A ``Configuration`` computes both on first
+use, as ``gale_rows`` and ``radon_partitions``, and keeps them on the
+instance: the sampler's certification, the report and every linking query
+of one configuration share one elimination.  Other shapes scan every
+(d+1)x(d+1) homogenized determinant.
 
 Random sampling PRNG (documented for cross-language reproduction): the value
 for coordinate slot c is drawn from its own splitmix64 output stream
@@ -40,11 +41,11 @@ from __future__ import annotations
 import re
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .combinatorics import _exceeds_binomial
@@ -117,18 +118,32 @@ class RadonPartition:
     ``weights`` holds, at index i - 1, the integer coefficient w_i of label i
     in that dependence of the points: positive on ``positive``, negative on
     ``negative``, zero at v alone.  Both hulls meet at the Radon point, whose
-    integer homogeneous coordinates are ``homogeneous``: the sums of w_i·p_i
-    over the positive side, then that side's total of w_i, which is > 0.
-    ``point`` divides them out, formed on first read and kept on the
-    partition.  When the sides are equal in size, each side's hull meets the
-    other's there, so the partition is a face hit of each side, its face the
-    ``other`` side.
+    barycentric coordinates on each side are that side's weights over their
+    sum.  ``columns`` are the configuration's integer columns s_i·(p_i, 1),
+    held by reference and seen by neither ``==`` nor ``repr``.  From them
+    ``homogeneous`` forms the point's integer homogeneous coordinates, and
+    ``point`` divides those out; each is formed on first read and kept on
+    the partition.  When the sides are equal in size, each side's hull meets
+    the other's there, so the partition is a face hit of each side, its face
+    the ``other`` side.
     """
 
     positive: tuple[int, ...]
     negative: tuple[int, ...]
     weights: tuple[int, ...]
-    homogeneous: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def homogeneous(self) -> tuple[int, ...]:
+        """The sums of w_i·p_i over the positive side, then that side's total of w_i, > 0.
+
+        Column i is s_i·(p_i, 1), so w_i·(p_i, 1) is the column times w_i / s_i,
+        an exact quotient: w_i is the dependence's coefficient times s_i.
+        """
+        columns, weights = self.columns, self.weights
+        scaled = ([weights[v - 1] // columns[v - 1][-1] * x for x in columns[v - 1]]
+                  for v in self.positive)
+        return tuple(map(sum, zip(*scaled)))
 
     @cached_property
     def point(self) -> Point:
@@ -196,26 +211,23 @@ class Configuration:
         """The Radon partition of [n] \\ {v} for each label v, in label order.
 
         Read off ``gale_rows``: the dependence c of [n] \\ {v} on the columns
-        scaled by s_i gives w_i = c_i·s_i on the points, and each row of the
-        columns summed over the positive side gives one homogeneous
-        coordinate of the Radon point, its last (the scales') the side's
-        total.  No ``Fraction`` is formed.
+        scaled by s_i gives w_i = c_i·s_i on the points, and its signs give
+        the sides.  Each partition holds the columns by reference; its Radon
+        point, ``homogeneous`` and ``point``, is formed only when read, so
+        no point sum and no ``Fraction`` is formed here.
         """
         columns, dependences = self.gale_rows
-        rows = tuple(zip(*columns))
-        scales = rows[-1]
+        scales = [column[-1] for column in columns]
         labels = self.labels
-        partitions = []
-        for dependence in dependences:
-            # the dependence with its negative side zeroed
-            positive_side = [c if c > 0 else 0 for c in dependence]
-            partitions.append(RadonPartition(
+        return tuple(
+            RadonPartition(
                 positive=tuple(v for v, c in zip(labels, dependence) if c > 0),
                 negative=tuple(v for v, c in zip(labels, dependence) if c < 0),
                 weights=tuple(map(mul, dependence, scales)),
-                homogeneous=tuple(sum(map(mul, positive_side, row)) for row in rows),
-            ))
-        return tuple(partitions)
+                columns=columns,
+            )
+            for dependence in dependences
+        )
 
 
 def explicit_configuration(points: Iterable[Iterable], dimension: int | None = None) -> Configuration:
@@ -307,11 +319,15 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
     kernel is the space of affine dependences (the Gale dual) with
     coefficient i divided by s_i, which keeps every sign.  One
     ``integer_kernel`` elimination gives a basis a, b of that 2-dimensional
-    space, certified by checking M·a = M·b = 0 over the integers and that
-    some cross product below is nonzero, so a and b are independent; a basis
-    failing either check raises CertificateError, a fault of the program.
-    Row v - 1 of the returned dependences is the cross product
-    a_v·b - b_v·a, the dependence of [n] \\ {v}, zero at v.
+    space, certified by checking M·a = M·b = 0 over the integers, that
+    neither is zero and that some cross product below is nonzero, so a and b
+    are independent; a basis failing any check raises CertificateError, a
+    fault of the program.  Each of a, b is then divided by its content, the
+    positive gcd of its entries: a change of basis of determinant
+    1/(c_a·c_b) > 0, so no sign moves, and the dependences lose the common
+    factor the elimination leaves in them.  Row v - 1 of the returned
+    dependences is the cross product a_v·b - b_v·a, the dependence of
+    [n] \\ {v}, zero at v.
 
     Outside general position this raises DegeneracyError naming the scan's
     first dependent (d+1)-subset: labels 1..d+1, on which the elimination
@@ -335,6 +351,15 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
             raise CertificateError(
                 "integer_kernel returned a vector outside the kernel of the Gale columns"
             )
+        if not any(a) or not any(b):
+            raise CertificateError(
+                "integer_kernel returned dependent vectors, one of them zero, "
+                "for the kernel of the Gale columns"
+            )
+        # each divided by its content, a positive gcd: every sign stays
+        content_a, content_b = gcd(*a), gcd(*b)
+        a = [x // content_a for x in a]
+        b = [x // content_b for x in b]
         dependences = [[av * bi - bv * ai for ai, bi in zip(a, b)] for av, bv in zip(a, b)]
         # every cross product is a 2x2 minor of (a, b): all zero iff a, b are dependent
         if not any(map(any, dependences)):

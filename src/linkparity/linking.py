@@ -17,15 +17,15 @@ of that pair taken at v.  ``configuration._gale_pair`` hands out these n
 integer dependences, from one fraction-free elimination, after certifying
 general position with them (or raising DegeneracyError naming the first
 dependent (d+1)-subset).  ``Configuration.radon_partitions`` reads off each
-one's sign split, integer weights and integer homogeneous Radon point, and
-keeps them on the configuration instance, so one configuration runs one
-elimination however many of the queries below it meets.  This module holds
-no general-position code and forms no cross product: every query reads
-those partitions.  A face hit is a balanced partition itself, one into two
-(k+1)-sets, its face read as ``RadonPartition.other`` of the subset.  n1
-tells the hits' points apart by their primitive homogeneous vectors, so a
-Radon point's ``Fraction``s are formed only for a witness row or a pair
-that is written.
+one's sign split and integer weights, and keeps them on the configuration
+instance, so one configuration runs one elimination however many of the
+queries below it meets.  This module holds no general-position code and
+forms no cross product: every query reads those partitions.  A face hit is
+a balanced partition itself, one into two (k+1)-sets, its face read as
+``RadonPartition.other`` of the subset.  n1 tells the hits of I apart by
+their weights on I, made primitive, so a Radon point, its integer
+homogeneous coordinates as well as its ``Fraction``s, is formed only for a
+witness row or a pair that is written.
 
 Verification campaigns:
 
@@ -140,18 +140,20 @@ class SubsetCounts:
         return self.n3 % 2 == 0
 
 
-def _distinct_points(hits: Iterable[RadonPartition]) -> int:
-    """n1: the number of distinct boundary points among one subset's face hits.
+def _distinct_points(subset: IndexSubset, hits: Iterable[RadonPartition]) -> int:
+    """n1: the number of distinct boundary points among the face hits of ``subset``.
 
-    Each hit is keyed by its primitive homogeneous Radon point: ``homogeneous``
-    divided by the gcd of its entries, which is positive since the last entry
-    is.  Two points are equal exactly when these integer vectors are, so no
-    ``Fraction`` is formed.
+    Each hit's Radon point is Σ_{i∈I} w_i·p_i / Σ_{i∈I} w_i, its weights on
+    I, which share one sign, as barycentric coordinates.  In general
+    position I's points are affinely independent, so two hits meet conv(I)
+    at one point exactly when their weights on I are proportional.  Each
+    hit is keyed by those k + 1 weights divided by their gcd, negated when I
+    is the negative side, so no point is formed.
     """
     keys = set()
     for hit in hits:
-        vector = hit.homogeneous
-        content = gcd(*vector)
+        vector = [hit.weights[label - 1] for label in subset]
+        content = gcd(*vector) if vector[0] > 0 else -gcd(*vector)
         keys.add(tuple([x // content for x in vector]))
     return len(keys)
 
@@ -252,7 +254,7 @@ def boundary_intersection_count(config: Configuration, subset: Iterable[int]) ->
         partition for partition in config.radon_partitions
         if canon == partition.positive or canon == partition.negative
     ]
-    assert _distinct_points(hits) == len(hits), \
+    assert _distinct_points(canon, hits) == len(hits), \
         "coincident face hits indicate a general-position violation"
     return len(hits)
 
@@ -289,7 +291,9 @@ def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     support = {}
     for subset in sorted(found.keys() | alternating.keys(), key=lambda s: s[::-1]):
         hits = tuple(sorted(found.get(subset, ()), key=lambda hit: hit.other(subset)[::-1]))
-        support[subset] = SubsetCounts(subset, _distinct_points(hits), alternating[subset], hits)
+        support[subset] = SubsetCounts(
+            subset, _distinct_points(subset, hits), alternating[subset], hits
+        )
     return LinkReport(config=config, support=support)
 
 

@@ -1,16 +1,18 @@
 """Independent oracles for cross-checking the fast paths.
 
 Everything here is deliberately naive: cofactor expansion for determinants,
-orientation-sign tests for planar segment crossings, a tag-and-sort
-alternation test, ``json.dumps`` of a report document whose dense sections
-are expanded row by row, and ``csv.writer`` of an alternation table.  These
-must stay free of the code they check.
+orientation-sign tests for planar segment crossings, the moment curve's
+closed-form Gale basis, a tag-and-sort alternation test, ``json.dumps`` of a
+report document whose dense sections are expanded row by row, and
+``csv.writer`` of an alternation table.  These must stay free of the code
+they check.
 """
 
 import csv
 import io
 import itertools
 import json
+import math
 from fractions import Fraction
 
 from linkparity.combinatorics import alternating_count_closed_form
@@ -87,6 +89,31 @@ def moment_curve_radon_faces(k):
         table.setdefault(first, []).append(second)
         table.setdefault(second, []).append(first)
     return {subset: sorted(faces) for subset, faces in table.items()}
+
+
+def _primitive(values):
+    """Rationals scaled by one positive factor to coprime integers."""
+    scale = math.lcm(*(Fraction(x).denominator for x in values))
+    integers = [int(x * scale) for x in values]
+    content = math.gcd(*integers)
+    return tuple(x // content for x in integers)
+
+
+def moment_curve_gale_basis(parameters):
+    """A basis a, b of the affine dependences of moment-curve points, in closed form.
+
+    For n distinct parameters t_i, Lagrange's identity gives
+    Σ_i t_i^e / ∏_{j≠i}(t_i − t_j) = 0 for every e ≤ n − 2 (the leading
+    coefficient of the degree n − 1 interpolant of t^e).  So for the points
+    (t_i, ..., t_i^{n-3}) in R^{n-3}, a_i = 1/∏_{j≠i}(t_i − t_j) and
+    b_i = t_i·a_i are affine dependences, independent since the t_i are
+    distinct.  Each is returned as primitive integers: a_i = L/∏_{j≠i}(t_i − t_j)
+    for the positive L that makes a coprime, and b likewise.
+    """
+    ts = [Fraction(t) for t in parameters]
+    a = [1 / math.prod(ti - tj for j, tj in enumerate(ts) if j != i)
+         for i, ti in enumerate(ts)]
+    return _primitive(a), _primitive([t * x for t, x in zip(ts, a)])
 
 
 def expanded(value):

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from pathlib import Path
 from unittest import mock
 
@@ -37,6 +37,7 @@ from linkparity.configuration import (
 )
 from linkparity.errors import CertificateError, ContractError, DegeneracyError, SamplingError
 from linkparity.ratmat import integer_kernel, parse_rational
+from oracles import moment_curve_gale_basis
 from test_linking import _rational_cases
 
 
@@ -146,7 +147,7 @@ def _gale_reference_cases():
 
 
 def test_gale_pair_equals_the_two_elimination_reference():
-    degenerate = 0
+    degenerate = scaled = 0
     for config in _gale_reference_cases():
         case = (config.dimension, config.provenance.describe())
         try:
@@ -158,8 +159,37 @@ def test_gale_pair_equals_the_two_elimination_reference():
             assert info.value.labels == reference.labels, case
             assert str(info.value) == str(reference), case
         else:
-            assert _gale_pair(config) == expected, case
+            columns, dependences = _gale_pair(config)
+            expected_columns, expected_dependences = expected
+            assert columns == expected_columns, case
+            # the reference keeps the content the eliminations leave in its
+            # vectors; the dependences are it divided by one positive integer
+            factor = Fraction(expected_dependences[0][1], dependences[0][1])
+            assert factor > 0 and factor.denominator == 1, case
+            assert [[factor * x for x in row] for row in dependences] == expected_dependences, case
+            scaled += factor > 1
     assert degenerate > 0  # the bound-1 attempts reach the degenerate branch
+    assert scaled > 0  # and some cases lose a content above 1
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_moment_curve_dependences_are_the_closed_form_times_one_factor(k):
+    config = moment_curve(2 * k + 3, 2 * k)
+    a, b = moment_curve_gale_basis(config.provenance.parameters)
+    columns, dependences = config.gale_rows
+    # the oracle passes the exact kernel check
+    assert all(sum(map(mul, row, a)) == 0 == sum(map(mul, row, b)) for row in zip(*columns))
+    expected = [[av * bi - bv * ai for ai, bi in zip(a, b)] for av, bv in zip(a, b)]
+    # any two bases differ by one determinant; it is negative here (-1/(2k+2)
+    # measured), so its sign is not assumed
+    factor = Fraction(dependences[0][1], expected[0][1])
+    assert factor != 0
+    assert [[x == 0 for x in row] for row in dependences] == \
+        [[x == 0 for x in row] for row in expected]
+    assert dependences == tuple(tuple(factor * x for x in row) for row in expected)
+    if k == 9:
+        # without the content division they were 834 bits wide
+        assert max(abs(x).bit_length() for row in dependences for x in row) < 64
 
 
 def test_gale_rows_are_the_gale_pair_as_tuples_computed_once(monkeypatch):
@@ -263,7 +293,9 @@ def test_gale_pair_refuses_a_basis_outside_the_kernel(monkeypatch):
         lambda a, b: ((*a[:-2], a[-1], a[-2]), b),
         # inside the kernel but dependent: every cross product is zero
         lambda a, b: (a, tuple(2 * x for x in a)),
+        # zero vectors, refused before either is divided by its content
         lambda a, b: ((0,) * len(a), b),
+        lambda a, b: (a, (0,) * len(b)),
     ):
         monkeypatch.setattr(configuration, "integer_kernel",
                             lambda rows, doctor=doctor: doctor(*real(rows)))

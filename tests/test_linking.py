@@ -295,9 +295,9 @@ def test_report_holds_the_supports_and_builds_its_rows_once(monkeypatch):
     distinct = []
     real_distinct = linking._distinct_points
 
-    def counted_distinct(hits):
-        distinct.append(hits)
-        return real_distinct(hits)
+    def counted_distinct(subset, hits):
+        distinct.append(subset)
+        return real_distinct(subset, hits)
 
     monkeypatch.setattr(linking, "combinations_colex", counted)
     monkeypatch.setattr(linking, "alternating_count_bruteforce", never)
@@ -316,23 +316,36 @@ def test_report_holds_the_supports_and_builds_its_rows_once(monkeypatch):
     for subset in report.support:
         assert report.row(subset) is report.support[subset]
     link_report_document(report)
-    assert len(distinct) == len(report.support)
+    assert distinct == list(report.support)
+
+
+def _n1_cases():
+    yield from _table_oracle_cases()
+    for k in range(1, 5):
+        for bound in (1, 3, 1000):
+            for seed in range(40):
+                yield sample_random_configuration(2 * k + 3, 2 * k, seed=seed, bound=bound)
 
 
 def test_n1_on_integer_keys_equals_the_fraction_set_count():
-    for config in _table_oracle_cases():
+    rows = 0
+    for config in _n1_cases():
         for row in total_linked_parity(config).support.values():
-            assert linking._distinct_points(row.hits) == len({hit.point for hit in row.hits})
-    # one point at two scales of its homogeneous vector is one point; a
-    # coordinate apart, two
-    same = RadonPartition((1,), (2,), (), (1, 6, 2))
-    also = RadonPartition((2,), (3,), (), (6, 36, 12))
-    other = RadonPartition((3,), (4,), (), (1, -6, 2))
-    assert same.point == also.point == (Fraction(1, 2), Fraction(3))
-    assert other.point == (Fraction(1, 2), Fraction(-3))
-    assert linking._distinct_points((same, also)) == len({same.point, also.point}) == 1
-    assert linking._distinct_points((same, also, other)) == 2
-    assert linking._distinct_points((other, same, also, other)) == 2
+            assert row.n1 == len({hit.point for hit in row.hits}), \
+                (config.provenance.describe(), row.subset)
+            rows += 1
+    assert rows == 6654  # of 540 configurations
+    # hand-made hits of I = (1, 2) among the points below: (1, 0) at two
+    # scales of I's weights, the second with I on the negative side, and (2, 0)
+    columns = tuple((x, y, 1) for x, y in ((0, 0), (4, 0), (1, -1), (1, 1), (1, 3), (2, 0)))
+    same = RadonPartition((1, 2), (3, 4), (3, 1, -2, -2, 0, 0), columns)
+    also = RadonPartition((3, 5), (1, 2), (-6, -2, 6, 0, 2, 0), columns)
+    other = RadonPartition((1, 2), (6,), (1, 1, 0, 0, 0, -2), columns)
+    assert same.point == also.point == (1, 0)
+    assert other.point == (2, 0)
+    assert linking._distinct_points((1, 2), (same, also)) == 1
+    assert linking._distinct_points((1, 2), (same, also, other)) == 2
+    assert linking._distinct_points((1, 2), (other, same, also, other)) == 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -344,9 +357,21 @@ def test_verify_forms_no_radon_point(k):
     partitions = result.report.config.radon_partitions
     assert len(partitions) == 2 * k + 3
     assert all("point" not in vars(partition) for partition in partitions)
+    assert all("homogeneous" not in vars(partition) for partition in partitions)
     # reading a point forms it once and keeps it on the partition
     assert partitions[0].point is partitions[0].point
-    assert "point" in vars(partitions[0])
+    assert "point" in vars(partitions[0]) and "homogeneous" in vars(partitions[0])
+
+
+def test_a_parity_report_forms_the_radon_points_of_its_witness_rows_only():
+    config = sample_random_configuration(7, 4, seed=3, bound=1000)
+    report = total_linked_parity(config)
+    dumps_canonical(link_report_document(report))
+    witnessed = {id(hit) for row in report.support.values() if row.n3 % 2 for hit in row.hits}
+    formed = {id(partition) for partition in config.radon_partitions
+              if "homogeneous" in vars(partition)}
+    assert formed == witnessed
+    assert 0 < len(witnessed) < len(config.radon_partitions)
 
 
 def test_a_reported_configuration_answers_as_a_fresh_copy_does():
