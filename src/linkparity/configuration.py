@@ -319,15 +319,17 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
     kernel is the space of affine dependences (the Gale dual) with
     coefficient i divided by s_i, which keeps every sign.  One
     ``integer_kernel`` elimination gives a basis a, b of that 2-dimensional
-    space, certified by checking M·a = M·b = 0 over the integers, that
-    neither is zero and that some cross product below is nonzero, so a and b
-    are independent; a basis failing any check raises CertificateError, a
-    fault of the program.  Each of a, b is then divided by its content, the
+    space.  Neither may be zero; each is then divided by its content, the
     positive gcd of its entries: a change of basis of determinant
     1/(c_a·c_b) > 0, so no sign moves, and the dependences lose the common
-    factor the elimination leaves in them.  Row v - 1 of the returned
-    dependences is the cross product a_v·b - b_v·a, the dependence of
-    [n] \\ {v}, zero at v.
+    factor the elimination leaves in them.  The divided pair is certified by
+    checking M·a = M·b = 0 over the integers, as exact as the check before
+    the division (a content divides every entry, so M·(a/c) = (M·a)/c) on
+    entries of a few bits where the elimination leaves thousands, and that
+    some cross product below is nonzero, so a and b are independent; a basis
+    failing any check raises CertificateError, a fault of the program.  Row
+    v - 1 of the returned dependences is the cross product a_v·b - b_v·a,
+    the dependence of [n] \\ {v}, zero at v.
 
     Outside general position this raises DegeneracyError naming the scan's
     first dependent (d+1)-subset: labels 1..d+1, on which the elimination
@@ -346,11 +348,6 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
         degenerate = tuple(range(1, config.dimension + 2))
     else:
         a, b = basis
-        # the certificate: every sign below rests on M·a = M·b = 0 exactly
-        if any(sum(map(mul, row, a)) or sum(map(mul, row, b)) for row in rows):
-            raise CertificateError(
-                "integer_kernel returned a vector outside the kernel of the Gale columns"
-            )
         if not any(a) or not any(b):
             raise CertificateError(
                 "integer_kernel returned dependent vectors, one of them zero, "
@@ -360,6 +357,12 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
         content_a, content_b = gcd(*a), gcd(*b)
         a = [x // content_a for x in a]
         b = [x // content_b for x in b]
+        # the certificate: every sign below rests on M·a = M·b = 0 exactly,
+        # which holds for the divided vectors iff it holds for the undivided
+        if any(sum(map(mul, row, a)) or sum(map(mul, row, b)) for row in rows):
+            raise CertificateError(
+                "integer_kernel returned a vector outside the kernel of the Gale columns"
+            )
         dependences = [[av * bi - bv * ai for ai, bi in zip(a, b)] for av, bv in zip(a, b)]
         # every cross product is a 2x2 minor of (a, b): all zero iff a, b are dependent
         if not any(map(any, dependences)):

@@ -61,25 +61,25 @@ head shared by the section, the subset's labels and a tail, the zero row's
 unless the subset is on the support, and a block is written by one ``join``
 on the zero tail, split at the support rows it holds.
 ``dumps_canonical`` and ``write_canonical`` run one encoder: ``_text``
-makes the whole text of every list, dict and scalar that holds no dense
-section or iterator, and an iterator of pieces for one that does, which
-writes each entry from the text already made of it, an iterator an item at
-a time and a dense section a block at a time.  ``write_canonical`` writes
-the pieces as they are made, holding the low labels' texts that blocks read
-and one block, not the section.
+makes one text of a document, each list and dict encoded once, with the
+placeholder ``"\\x00"`` where a dense section or an iterator streams (the
+``ensure_ascii`` encoder writes that character as ``\\u0000`` in every key
+and string), and ``_pieces`` writes the text split at its placeholders,
+each streamed value in its place: a dense section a colex block at a time,
+an iterator an item at a time, each item through ``_pieces``.
+``write_canonical`` writes the pieces as they are made, holding the low
+labels' texts that blocks read and one block, not the section.
 """
 
 from __future__ import annotations
 
-from collections.abc import Generator, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from io import TextIOBase
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from types import GeneratorType
 
 # alternating_count_bruteforce, find_degenerate_subset and
 # intersect_complementary are not called here; perfbench's span tracer wraps
@@ -466,8 +466,7 @@ def dumps_canonical(document: dict) -> str:
     accepted besides these; any other value or key type (a ``float``, a
     ``tuple``, a ``set``, an ``int`` key) raises TypeError.
     """
-    text = _text(document, "")
-    return (text if isinstance(text, str) else "".join(text)) + "\n"
+    return "".join(_pieces(document, "")) + "\n"
 
 
 def write_canonical(handle: TextIOBase, document: dict) -> None:
@@ -476,11 +475,7 @@ def write_canonical(handle: TextIOBase, document: dict) -> None:
     An iterator in ``document`` is written as a list one item at a time, and
     a ``DenseSection`` a colex block at a time, so the whole is never held.
     """
-    text = _text(document, "")
-    if isinstance(text, str):
-        handle.write(text)
-    else:
-        handle.writelines(text)
+    handle.writelines(_pieces(document, ""))
     handle.write("\n")
 
 
@@ -494,17 +489,19 @@ _SCALAR_TEXT = {
     type(None): lambda value: "null",
 }
 
+# stands in the one text for a value written as it is made; the ensure_ascii
+# encoder writes the character as \u0000 in every key and string
+_PLACEHOLDER = "\x00"
 
-def _text(value, pad: str) -> str | Generator[str, None, None]:
+
+def _text(value, pad: str, streamed: list) -> str:
     """``value`` as ``json.dumps(indent=2)`` writes it on a line indented by ``pad``.
 
-    The whole text, unless ``value`` is, or a list or dict in it holds, a
-    ``DenseSection`` or an iterator: then a generator of the text's pieces,
-    which writes a dense section a colex block at a time, an iterator an item
-    at a time, and every other entry from the one text made of it.
-    TypeError for a value or key that ``dumps_canonical`` does not accept.  A
-    scalar inside a list or dict is written by its ``_SCALAR_TEXT`` entry
-    with no call of ``_text``.
+    A ``DenseSection`` or an iterator anywhere in ``value`` is written as
+    ``_PLACEHOLDER`` and appended, with its pad, to ``streamed``, in the
+    order of the placeholders in the text.  TypeError for a value or key
+    that ``dumps_canonical`` does not accept.  A scalar inside a list or
+    dict is written by its ``_SCALAR_TEXT`` entry with no call of ``_text``.
     """
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
@@ -513,52 +510,53 @@ def _text(value, pad: str) -> str | Generator[str, None, None]:
     if isinstance(value, list):
         if not value:
             return "[]"
-        texts = [scalar(item) if (scalar := _SCALAR_TEXT.get(type(item))) else _text(item, inner)
-                 for item in value]
-        try:
-            return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
-        except TypeError:  # an item's text is a generator of pieces
-            return _entries(zip(repeat(""), texts), pad, "[]")
+        return "[\n" + inner + (",\n" + inner).join([
+            scalar(item) if (scalar := _SCALAR_TEXT.get(type(item)))
+            else _text(item, inner, streamed)
+            for item in value
+        ]) + "\n" + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        texts = []
-        items = iter(value.items())
-        for key, item in items:
-            prefix = _key(key) + ": "
-            text = scalar(item) if (scalar := _SCALAR_TEXT.get(type(item))) else _text(item, inner)
-            try:
-                texts.append(prefix + text)
-            except TypeError:  # the item's text is a generator of pieces
-                # the entries after it are made as they are written
-                rest = ((_key(key) + ": ", _text(item, inner)) for key, item in items)
-                return _entries(chain(zip(repeat(""), texts), [(prefix, text)], rest), pad, "{}")
-        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}"
+        return "{\n" + inner + (",\n" + inner).join([
+            _key(key) + ": " + (scalar(item) if (scalar := _SCALAR_TEXT.get(type(item)))
+                                else _text(item, inner, streamed))
+            for key, item in value.items()
+        ]) + "\n" + pad + "}"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, DenseSection):
-        return _dense_rows(value, pad)
-    if isinstance(value, Iterator):
-        return _entries((("", _text(item, inner)) for item in value), pad, "[]")
+    if isinstance(value, (DenseSection, Iterator)):
+        streamed.append((value, pad))
+        return _PLACEHOLDER
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _entries(entries: Iterable[tuple[str, str | Generator[str, None, None]]], pad: str,
-             brackets: str) -> Generator[str, None, None]:
-    """A list's or dict's text in pieces, from each entry's key text and ``_text``."""
-    inner = pad + "  "
-    separator = brackets[0] + "\n" + inner
-    for prefix, text in entries:
-        if isinstance(text, str):
-            yield separator + prefix + text
+def _pieces(value, pad: str) -> Iterator[str]:
+    """``_text(value, pad)`` in pieces, each streamed value written in its placeholder's place.
+
+    The whole text is made first, so a refused value outside any iterator
+    raises before a piece is yielded.  A dense section is written by
+    ``_dense_rows``, a colex block at a time, and an iterator an item at a
+    time, each item's text made only when the item is reached.
+    """
+    streamed = []
+    parts = _text(value, pad, streamed).split(_PLACEHOLDER)
+    yield parts[0]
+    for (item, item_pad), part in zip(streamed, parts[1:]):
+        if isinstance(item, DenseSection):
+            yield from _dense_rows(item, item_pad)
         else:
-            yield separator + prefix
-            yield from text
-        separator = ",\n" + inner
-    # the separator is still the opening one only after an empty iterator
-    yield brackets if separator[0] == brackets[0] else "\n" + pad + brackets[1]
+            inner = item_pad + "  "
+            separator = "[\n" + inner
+            for entry in item:
+                yield separator
+                yield from _pieces(entry, inner)
+                separator = ",\n" + inner
+            # the separator is still the opening one only after an empty iterator
+            yield "[]" if separator[0] == "[" else "\n" + item_pad + "]"
+        yield part
 
 
 def _key(key) -> str:
@@ -575,7 +573,8 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     labels and a tail: a support row's, made once per call, or else the zero
     row's.  A block is one join on the zero tail and the next row's head, its
     support rows placed by their colex ranks between the stretches of zero
-    rows.  A field that ``_text`` cannot write whole raises TypeError.
+    rows.  A field that ``_text`` refuses, or writes with a streamed value in
+    it, raises TypeError.
     """
     report = section.report
     row_pad = pad + "  "
@@ -585,18 +584,17 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     tail = "\n" + field_pad + "]" + "".join(
         f",\n{field_pad}{_key(name)}: %s" for name in section.fields
     ) + "\n" + row_pad + "}"
-
-    pads = [field_pad] * len(section.fields)
+    streamed = []
 
     def tail_of(row: SubsetCounts) -> str:
-        texts = tuple(map(_text, map(getattr, repeat(row), section.fields), pads))
-        if GeneratorType in map(type, texts):
-            raise TypeError(f"a dense section field of {section.fields} holds a streamed value")
-        return tail % texts
+        return tail % tuple([_text(getattr(row, name), field_pad, streamed)
+                             for name in section.fields])
 
     tails = {subset: tail_of(row) for subset, row in report.support.items()}
     # any subset off the support gives the zero row; the empty one is such a subset
     zero_tail = tail_of(report.row(()))
+    if streamed:
+        raise TypeError(f"a dense section field of {section.fields} holds a streamed value")
     # a section is never empty
     yield "[\n" + row_pad + head
     yield from colex_rows(report.config.n, report.k + 1, ",\n" + label_pad,

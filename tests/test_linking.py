@@ -687,6 +687,10 @@ def test_the_k9_report_is_written_holding_one_block_and_the_low_texts_a_block_re
 @given(_DOCUMENTS)
 @example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
 @example({"empty": [], "nested": [[], {}, [{"I": [1]}]]})
+# the encoder's placeholder character as a key, as a str value and inside a
+# list, which _lists_as_iterators makes an iterator
+@example({"\x00": "\x00", "list": ["\x00", ["a\x00b"], {"\x00": 1}]})
+@example([{"\x00": ["\x00"]}, "\x00"])
 @settings(max_examples=300, deadline=None)
 def test_write_canonical_equals_dumps_canonical(document):
     # dumps_canonical's text is json's; it shares write_canonical's
@@ -707,6 +711,8 @@ def test_streamed_sections_equal_the_built_documents():
     ]
     # a parity payload nests its reports a level deeper than verify does
     documents.append({"reports": documents[-2:]})
+    # the encoder's placeholder character in keys and strings beside streamed values
+    documents.append({"\x00": documents[-1], "a\x00": ["\x00", counterexample_document(result)]})
     for document in documents:
         expected = json_text(document)
         assert _first_difference(_written(document), expected) is None
@@ -714,15 +720,15 @@ def test_streamed_sections_equal_the_built_documents():
 
 
 def test_each_list_and_dict_is_encoded_once(monkeypatch):
-    # a container holding a dense section further down writes its earlier
-    # entries from the texts already made, at every nesting depth
+    # every list and dict is encoded once, into the one text of its
+    # document or of its iterator item, whether or not it holds a streamed value
     real = linking._text
     encoded = []
 
-    def counted(value, pad):
+    def counted(value, pad, streamed):
         if isinstance(value, (list, dict)):
             encoded.append(id(value))
-        return real(value, pad)
+        return real(value, pad, streamed)
 
     monkeypatch.setattr(linking, "_text", counted)
     reports = [link_report_document(total_linked_parity(config))
@@ -746,6 +752,8 @@ def test_each_list_and_dict_is_encoded_once(monkeypatch):
 @example([{}, {}])
 @example([{"a": 1}, ["a"]])
 @example({"big": -(10**300), "empty_dict": {}, "empty_list": [], "\u00e9\n\"": "\u2603"})
+@example({"\x00": "\x00", "list": ["\x00", ["a\x00b"], {"\x00": 1}]})
+@example([{"\x00": ["\x00"]}, "\x00"])
 @settings(max_examples=300, deadline=None)
 def test_dumps_canonical_equals_json_indent_2(document):
     # json's indent path is the oracle for every byte of the layout
@@ -800,3 +808,11 @@ def test_dumps_canonical_rejects_values_outside_json_documents(document):
         dumps_canonical(document)
     with pytest.raises(TypeError):
         _written(document)
+
+
+def test_a_refused_value_outside_any_iterator_is_refused_before_anything_is_written():
+    # the whole text is made before a piece is written, even past an iterator
+    buffer = io.StringIO()
+    with pytest.raises(TypeError):
+        write_canonical(buffer, {"rows": iter([1]), "bad": 1.5})
+    assert buffer.getvalue() == ""
