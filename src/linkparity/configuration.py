@@ -16,11 +16,13 @@ it is zero at the other, so these integers decide every subset and name the
 first dependent one, with no determinant.  The same rows give the Radon
 partition of each [n] \\ {v}: its sides and integer weights.  Its Radon
 point, in integer homogeneous coordinates and then as ``Fraction``s, is
-formed only when it is read.  A ``Configuration`` computes both on first
-use, as ``gale_rows`` and ``radon_partitions``, and keeps them on the
-instance: the sampler's certification, the report and every linking query
-of one configuration share one elimination.  Other shapes scan every
-(d+1)x(d+1) homogenized determinant.
+formed only when it is read.  A ``Configuration`` computes each on first
+use and keeps it on the instance: ``gale_rows``, the certified rows;
+``radon_partitions``, one partition per label; and ``face_hits``, the
+balanced partitions grouped by side, each side's in colex order of its
+faces.  The sampler's certification, the report and every linking query of
+one configuration share one elimination and one grouping.  Other shapes
+scan every (d+1)x(d+1) homogenized determinant.
 
 Random sampling PRNG (documented for cross-language reproduction): the value
 for coordinate slot c is drawn from its own splitmix64 output stream
@@ -159,10 +161,10 @@ class RadonPartition:
 class Configuration:
     """n labeled points in R^d; point with label i sits at ``points[i - 1]``.
 
-    For n = d + 3, ``gale_rows`` and ``radon_partitions`` are computed on
-    first use and kept on the instance, so each configuration runs one
-    elimination however many queries read them.  They are not fields:
-    equality, hashing and ``repr`` see the points alone.
+    For n = d + 3, ``gale_rows``, ``radon_partitions`` and ``face_hits`` are
+    computed on first use and kept on the instance, so each configuration
+    runs one elimination however many queries read them.  They are not
+    fields: equality, hashing and ``repr`` see the points alone.
     """
 
     dimension: int
@@ -228,6 +230,25 @@ class Configuration:
             )
             for dependence in dependences
         )
+
+    @cached_property
+    def face_hits(self) -> dict[tuple[int, ...], tuple[RadonPartition, ...]]:
+        """Each side of a balanced Radon partition, in colex order, to that side's partitions.
+
+        A balanced partition splits [n] \\ {v} into two sides of one size,
+        and each side's hull meets the other's, its face, so the partition
+        is a face hit of each side.  A side's partitions are in colex order
+        of their faces.  For odd d, n - 1 = d + 2 labels never split evenly,
+        so the index is empty.
+        """
+        found: dict[tuple[int, ...], list[RadonPartition]] = {}
+        # the face of side I at label v is [n] \ I \ {v}, so faces in colex
+        # order come from labels in descending order
+        for partition in reversed(self.radon_partitions):
+            if len(partition.positive) == len(partition.negative):
+                found.setdefault(partition.positive, []).append(partition)
+                found.setdefault(partition.negative, []).append(partition)
+        return {side: tuple(found[side]) for side in sorted(found, key=lambda side: side[::-1])}
 
 
 def explicit_configuration(points: Iterable[Iterable], dimension: int | None = None) -> Configuration:

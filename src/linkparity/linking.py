@@ -17,21 +17,24 @@ of that pair taken at v.  ``configuration._gale_pair`` hands out these n
 integer dependences, from one fraction-free elimination, after certifying
 general position with them (or raising DegeneracyError naming the first
 dependent (d+1)-subset).  ``Configuration.radon_partitions`` reads off each
-one's sign split and integer weights, and keeps them on the configuration
-instance, so one configuration runs one elimination however many of the
-queries below it meets.  This module holds no general-position code and
-forms no cross product: every query reads those partitions.  A face hit is
-a balanced partition itself, one into two (k+1)-sets, its face read as
-``RadonPartition.other`` of the subset.  n1 tells the hits of I apart by
-their weights on I, made primitive, so a Radon point, its integer
-homogeneous coordinates as well as its ``Fraction``s, is formed only for a
-witness row or a pair that is written.
+one's sign split and integer weights.  A balanced partition, one into two
+(k+1)-sets, is both an intersecting disjoint pair and a face hit of each
+side by the other, its face read as ``RadonPartition.other`` of the side.
+``Configuration.face_hits`` groups the balanced partitions by side, sides
+in colex order and each side's partitions in colex order of their faces,
+and keeps the index on the configuration instance, so one configuration
+runs one elimination and one grouping however many of the queries below it
+meets.  This module holds no general-position code and forms no cross
+product: every query reads that index and nothing else.  n1 tells the hits
+of I apart by their weights on I, made primitive, so a Radon point, its
+integer homogeneous coordinates as well as its ``Fraction``s, is formed
+only for a witness row or a pair that is written.
 
 Verification campaigns:
 
 * ``total_linked_parity`` keeps the configuration and its support: the
-  counts of every subset with a face hit (a side of a balanced partition,
-  grouped once per report) or an alternating partner (from
+  counts of every subset with a face hit (a side in ``face_hits``, its row's
+  hits that side's tuple) or an alternating partner (from
   ``alternating_counts``'s n unions), at most 2n subsets, each row built
   once.  Its linked total is even: the ordered double sum over disjoint
   (I, J) counts every unordered pair twice.
@@ -43,10 +46,10 @@ Verification campaigns:
 * ``find_intersecting_pair`` exhibits two disjoint (k+1)-subsets with
   intersecting hulls, which must exist for any d+3 general-position points
   in even dimension d.  It and ``intersecting_pairs`` read which pairs meet
-  off the balanced partitions, one pair each, and form a pair's barycentric
-  witness from its partition's integer weights only for a pair yielded, with
-  no solve.  ``intersect_complementary`` is the per-pair oracle the tests
-  compare them with.
+  off ``face_hits``, one pair per balanced partition, and form a pair's
+  barycentric witness from its partition's integer weights only for a pair
+  yielded, with no solve.  ``intersect_complementary`` is the per-pair
+  oracle the tests compare them with.
 
 Reports are computed serially; the ``workers`` arguments are accepted and
 ignored.  Reports serialize to JSON with a stable key order and carry no
@@ -64,9 +67,11 @@ on the zero tail, split at the support rows it holds.
 makes one text of a document, each list and dict encoded once, with the
 placeholder ``"\\x00"`` where a dense section or an iterator streams (the
 ``ensure_ascii`` encoder writes that character as ``\\u0000`` in every key
-and string), and ``_pieces`` writes the text split at its placeholders,
-each streamed value in its place: a dense section a colex block at a time,
-an iterator an item at a time, each item through ``_pieces``.
+and string) and a dense section's head and tails made with it, so a value
+refused outside any iterator raises before anything is written.
+``_pieces`` writes the text split at its placeholders, each streamed value
+in its place: a dense section a colex block at a time, an iterator an item
+at a time, each item through ``_pieces``.
 ``write_canonical`` writes the pieces as they are made, holding the low
 labels' texts that blocks read and one block, not the section.
 """
@@ -78,6 +83,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from io import TextIOBase
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -226,34 +232,20 @@ def _require_linking_shape(d: int, n: int) -> int:
     return d // 2
 
 
-def _balanced_partitions(config: Configuration) -> list[RadonPartition]:
-    """``config.radon_partitions`` into two (k+1)-sets, in label order: the face hits.
-
-    Such a partition of [n] \\ {v} is a face hit of each side by the other;
-    an unbalanced one hits nothing.
-    """
-    k = config.dimension // 2
-    # 2k + 2 nonzero coefficients
-    return [partition for partition in config.radon_partitions if len(partition.positive) == k + 1]
-
-
 def boundary_intersection_count(config: Configuration, subset: Iterable[int]) -> int:
     """Number of boundary points of the complementary simplex met by conv(I).
 
     Sums [conv(I) ∩ conv(J) != empty] over the (k+1)-subsets J of the
-    complement: the Radon partitions {I, J} among ``config.radon_partitions``,
-    computed on the first query of a configuration and read by every later
-    one.  Each face contributes at most one point, and distinct faces hit
-    distinct points under general position (asserted).
+    complement: the number of I's partitions in ``config.face_hits``,
+    grouped on the first query of a configuration and looked up by every
+    later one.  Each face contributes at most one point, and distinct faces
+    hit distinct points under general position (asserted).
     """
     k = _require_linking_shape(config.dimension, config.n)
     canon = check_subset(subset, config.n, name="I")
     if len(canon) != k + 1:
         raise ContractError(f"|I| must be k + 1 = {k + 1}, got {len(canon)}")
-    hits = [
-        partition for partition in config.radon_partitions
-        if canon == partition.positive or canon == partition.negative
-    ]
+    hits = config.face_hits.get(canon, ())
     assert _distinct_points(canon, hits) == len(hits), \
         "coincident face hits indicate a general-position violation"
     return len(hits)
@@ -262,7 +254,7 @@ def boundary_intersection_count(config: Configuration, subset: Iterable[int]) ->
 def is_linked(config: Configuration, subset: Iterable[int]) -> bool:
     """True iff conv(I) meets the complementary simplex boundary oddly often.
 
-    Reads the configuration's Radon partitions; see ``boundary_intersection_count``.
+    Reads the configuration's face hits; see ``boundary_intersection_count``.
     """
     return boundary_intersection_count(config, subset) % 2 == 1
 
@@ -270,27 +262,22 @@ def is_linked(config: Configuration, subset: Iterable[int]) -> bool:
 def total_linked_parity(config: Configuration, workers: int = 1) -> LinkReport:
     """The report of a configuration: the counts of every subset on its support.
 
-    The support is the union of the balanced partitions' sides and the
-    nonzero alternating counts, formed here alone.  Each subset's hits are
-    grouped here, once per report, into a list, as two partitions may share
-    a side; each row's n1 is counted once.
+    The support is the union of the sides in ``config.face_hits`` and the
+    nonzero alternating counts, formed here alone; a row's hits are its
+    side's tuple in that index, and each row's n1 is counted once.
     Raises DegeneracyError (with the offending subset) when the configuration
     is not in general position, and ContractError for a report of more than
     ``MAX_REPORT_ROWS`` rows (k > 9).  ``workers`` is accepted and ignored:
-    the report costs the configuration's Radon partitions (one integer
-    elimination, none if an earlier query made them) and n unions, no
+    the report costs the configuration's face hits (one integer elimination
+    and one grouping, none if an earlier query made them) and n unions, no
     enumeration.
     """
     k = _require_linking_shape(config.dimension, config.n)
     _require_report_rows(k)
-    found: dict[IndexSubset, list[RadonPartition]] = {}
-    for partition in _balanced_partitions(config):
-        found.setdefault(partition.positive, []).append(partition)
-        found.setdefault(partition.negative, []).append(partition)
     alternating = alternating_counts(config.n, k + 1)
     support = {}
-    for subset in sorted(found.keys() | alternating.keys(), key=lambda s: s[::-1]):
-        hits = tuple(sorted(found.get(subset, ()), key=lambda hit: hit.other(subset)[::-1]))
+    for subset in sorted(config.face_hits.keys() | alternating.keys(), key=lambda s: s[::-1]):
+        hits = config.face_hits.get(subset, ())
         support[subset] = SubsetCounts(
             subset, _distinct_points(subset, hits), alternating[subset], hits
         )
@@ -352,22 +339,19 @@ def intersecting_pairs(
     """Every disjoint (k+1)-subset pair with intersecting hulls: one per balanced partition.
 
     Pairs come in ``enumerate_disjoint_pairs`` order: ``first`` is the side
-    with the smaller minimum, and pairs are sorted by the colex order of
-    ``first``, then of ``second``.  Each pair's witness is
-    ``radon_witness``'s, equal field by field to
-    ``intersect_complementary``'s.  Raises DegeneracyError on the first
-    step when general position fails.
+    with the smaller minimum, and pairs are in the colex order of ``first``,
+    then of ``second``.  That is the order of ``config.face_hits``, sides
+    and then faces, read once, each partition from its side holding the
+    smaller minimum.  Each pair's witness is ``radon_witness``'s, equal
+    field by field to ``intersect_complementary``'s.  Raises
+    DegeneracyError on the first step when general position fails.
     """
     _require_linking_shape(config.dimension, config.n)
-    pairs = []
-    for partition in _balanced_partitions(config):
-        first, second = partition.positive, partition.negative
-        if second[0] < first[0]:
-            first, second = second, first
-        pairs.append((first, second, partition))
-    pairs.sort(key=lambda pair: (pair[0][::-1], pair[1][::-1]))
-    for first, second, partition in pairs:
-        yield first, second, radon_witness(partition, first, second)
+    for first, hits in config.face_hits.items():
+        for partition in hits:
+            second = partition.other(first)
+            if first[0] < second[0]:
+                yield first, second, radon_witness(partition, first, second)
 
 
 def find_intersecting_pair(
@@ -498,10 +482,12 @@ def _text(value, pad: str, streamed: list) -> str:
     """``value`` as ``json.dumps(indent=2)`` writes it on a line indented by ``pad``.
 
     A ``DenseSection`` or an iterator anywhere in ``value`` is written as
-    ``_PLACEHOLDER`` and appended, with its pad, to ``streamed``, in the
-    order of the placeholders in the text.  TypeError for a value or key
-    that ``dumps_canonical`` does not accept.  A scalar inside a list or
-    dict is written by its ``_SCALAR_TEXT`` entry with no call of ``_text``.
+    ``_PLACEHOLDER``, and the pieces that write it in its place are
+    appended to ``streamed``, in the order of the placeholders in the text:
+    a dense section's by ``_dense_rows``, its head and tails made now, and
+    an iterator's by ``_items``.  TypeError for a value or key that
+    ``dumps_canonical`` does not accept.  A scalar inside a list or dict is
+    written by its ``_SCALAR_TEXT`` entry with no call of ``_text``.
     """
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
@@ -527,8 +513,11 @@ def _text(value, pad: str, streamed: list) -> str:
         return encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, (DenseSection, Iterator)):
-        streamed.append((value, pad))
+    if isinstance(value, DenseSection):
+        streamed.append(_dense_rows(value, pad))
+        return _PLACEHOLDER
+    if isinstance(value, Iterator):
+        streamed.append(_items(value, pad))
         return _PLACEHOLDER
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -536,27 +525,30 @@ def _text(value, pad: str, streamed: list) -> str:
 def _pieces(value, pad: str) -> Iterator[str]:
     """``_text(value, pad)`` in pieces, each streamed value written in its placeholder's place.
 
-    The whole text is made first, so a refused value outside any iterator
-    raises before a piece is yielded.  A dense section is written by
-    ``_dense_rows``, a colex block at a time, and an iterator an item at a
-    time, each item's text made only when the item is reached.
+    The whole text is made first, a dense section's head and tails with it,
+    so a refused value outside any iterator raises before a piece is
+    yielded.  A dense section is then written a colex block at a time, and
+    an iterator an item at a time, each item's text made only when the item
+    is reached.
     """
     streamed = []
     parts = _text(value, pad, streamed).split(_PLACEHOLDER)
     yield parts[0]
-    for (item, item_pad), part in zip(streamed, parts[1:]):
-        if isinstance(item, DenseSection):
-            yield from _dense_rows(item, item_pad)
-        else:
-            inner = item_pad + "  "
-            separator = "[\n" + inner
-            for entry in item:
-                yield separator
-                yield from _pieces(entry, inner)
-                separator = ",\n" + inner
-            # the separator is still the opening one only after an empty iterator
-            yield "[]" if separator[0] == "[" else "\n" + item_pad + "]"
+    for pieces, part in zip(streamed, parts[1:]):
+        yield from pieces
         yield part
+
+
+def _items(items: Iterator, pad: str) -> Iterator[str]:
+    """The list an iterator yields, as ``json.dumps(indent=2)`` lays it out, an item at a time."""
+    inner = pad + "  "
+    separator = "[\n" + inner
+    for item in items:
+        yield separator
+        yield from _pieces(item, inner)
+        separator = ",\n" + inner
+    # the separator is still the opening one only after an empty iterator
+    yield "[]" if separator[0] == "[" else "\n" + pad + "]"
 
 
 def _key(key) -> str:
@@ -568,13 +560,14 @@ def _key(key) -> str:
 def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     """The section's list as ``json.dumps(indent=2)`` lays it out, a colex block at a time.
 
-    One ``colex_rows`` walk makes the rows, between the opening bracket and
-    the closing one.  Each row is the section's one head, its subset's
-    labels and a tail: a support row's, made once per call, or else the zero
-    row's.  A block is one join on the zero tail and the next row's head, its
-    support rows placed by their colex ranks between the stretches of zero
-    rows.  A field that ``_text`` refuses, or writes with a streamed value in
-    it, raises TypeError.
+    The head and every tail are made by this call, so a field that
+    ``_text`` refuses, or writes with a streamed value in it, raises
+    TypeError here, before any row is written.  The returned iterator runs
+    one ``colex_rows`` walk between the opening bracket and the closing one.
+    Each row is the section's one head, its subset's labels and a tail: a
+    support row's or else the zero row's.  A block is one join on the zero
+    tail and the next row's head, its support rows placed by their colex
+    ranks between the stretches of zero rows.
     """
     report = section.report
     row_pad = pad + "  "
@@ -595,8 +588,7 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     zero_tail = tail_of(report.row(()))
     if streamed:
         raise TypeError(f"a dense section field of {section.fields} holds a streamed value")
+    rows = colex_rows(report.config.n, report.k + 1, ",\n" + label_pad,
+                      ",\n" + row_pad + head, tails, zero_tail)
     # a section is never empty
-    yield "[\n" + row_pad + head
-    yield from colex_rows(report.config.n, report.k + 1, ",\n" + label_pad,
-                          ",\n" + row_pad + head, tails, zero_tail)
-    yield "\n" + pad + "]"
+    return chain(["[\n" + row_pad + head], rows, ["\n" + pad + "]"])

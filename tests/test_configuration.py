@@ -204,10 +204,13 @@ def test_gale_rows_are_the_gale_pair_as_tuples_computed_once(monkeypatch):
         columns, dependences = config.gale_rows
         assert config.gale_rows is config.gale_rows
         assert config.radon_partitions is config.radon_partitions
+        assert config.face_hits is config.face_hits
         assert find_degenerate_subset(config) is None
         assert (list(map(list, columns)), list(map(list, dependences))) == _gale_pair(config)
         assert all(type(row) is tuple for row in (columns, dependences, *columns, *dependences))
         assert type(config.radon_partitions) is tuple
+        assert type(config.face_hits) is dict
+        assert all(type(hits) is tuple for hits in config.face_hits.values())
     # one for each of the 6 configurations queried, and one for each of the
     # 5 sampled ones that _rational_cases rescales into new configurations
     assert len(eliminations) == 6 + 5
@@ -239,8 +242,9 @@ def test_radon_partitions_split_each_dependence_by_sign():
 def test_computed_gale_rows_leave_equality_hash_and_repr_alone():
     config = sample_random_configuration(7, 4, seed=3, bound=1000)
     fresh = Configuration(config.dimension, config.points, config.provenance)
-    config.radon_partitions
-    assert "radon_partitions" in vars(config) and "gale_rows" not in vars(fresh)
+    config.face_hits
+    assert "radon_partitions" in vars(config) and "face_hits" in vars(config)
+    assert "gale_rows" not in vars(fresh)
     assert config == fresh
     assert hash(config) == hash(fresh)
     assert repr(config) == repr(fresh)
@@ -249,12 +253,19 @@ def test_computed_gale_rows_leave_equality_hash_and_repr_alone():
 def test_gale_rows_of_a_degenerate_configuration_raise_on_every_access():
     config = explicit_configuration([(0, 0), (3, 1), (0, 2), (1, 3), (2, 4)])
     for _ in range(2):
-        for name in ("gale_rows", "radon_partitions"):
+        for name in ("gale_rows", "radon_partitions", "face_hits"):
             with pytest.raises(DegeneracyError) as info:
                 getattr(config, name)
             assert info.value.labels == (3, 4, 5)
         assert find_degenerate_subset(config) == (3, 4, 5)
-    assert "gale_rows" not in vars(config) and "radon_partitions" not in vars(config)
+    assert not {"gale_rows", "radon_partitions", "face_hits"} & vars(config).keys()
+
+
+def test_face_hits_of_an_odd_dimension_are_empty():
+    # n - 1 = d + 2 labels, an odd number, never split into two equal sides
+    for config in (moment_curve(6, 3), sample_random_configuration(8, 5, seed=1, bound=1000)):
+        assert config.face_hits == {}
+        assert len(config.radon_partitions) == config.n
 
 
 def test_gale_rows_need_d_plus_3_points():

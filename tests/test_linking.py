@@ -232,6 +232,24 @@ def test_report_hits_are_the_configurations_own_partitions():
                     (config.provenance.describe(), row.subset)
 
 
+def test_face_hits_are_the_faces_each_subset_meets_by_per_pair_solves():
+    for config in _table_oracle_cases():
+        k = config.dimension // 2
+        face_hits = config.face_hits
+        case = config.provenance.describe()
+        assert list(face_hits) == sorted(face_hits, key=lambda side: side[::-1]), case
+        for subset in combinations_colex(config.labels, k + 1):
+            complement = tuple(v for v in config.labels if v not in subset)
+            expected = [
+                face for face in combinations_colex(complement, k + 1)
+                if intersect_complementary(config, subset, face).intersects
+            ]
+            hits = face_hits.get(subset, ())
+            assert [hit.other(subset) for hit in hits] == expected, (case, subset)
+            assert all(subset in (hit.positive, hit.negative) for hit in hits), (case, subset)
+            assert bool(expected) == (subset in face_hits), (case, subset)
+
+
 def _witness_cases():
     for n, d in ((5, 2), (7, 4), (9, 6)):
         for bound in (3, 1000):
@@ -815,4 +833,10 @@ def test_a_refused_value_outside_any_iterator_is_refused_before_anything_is_writ
     buffer = io.StringIO()
     with pytest.raises(TypeError):
         write_canonical(buffer, {"rows": iter([1]), "bad": 1.5})
+    assert buffer.getvalue() == ""
+    # a dense section's tails are made with the text, so a refused field is too
+    with pytest.raises(TypeError):
+        write_canonical(buffer, {
+            "per_subset": DenseSection(total_linked_parity(moment_curve(5, 2)), ("subset",)),
+        })
     assert buffer.getvalue() == ""
