@@ -12,9 +12,11 @@ are the pair, and is the n4 of every linking report; the reference
 
 ``colex_rows`` is the one writer of the dense tables of C(n, k+1) rows, the
 ``alternation --k`` table and the dense report sections: it writes every
-subset in colex order a block of rows at a time, each block one ``join``
-whether or not it holds one of the few rows that differ from the default,
-which are placed by their colex ranks within the block.
+subset in colex order a block of rows at a time, a block being the subsets
+that share their ``size // 2`` largest labels.  One loop writes every block
+as stretches of rows, each one ``join`` on the default tail that ends at
+one of the few rows that differ from the default, placed by its colex rank
+within the block, or at the block's last row.
 """
 
 from __future__ import annotations
@@ -150,23 +152,6 @@ def combinations_colex(items: Sequence, size: int) -> Iterator[tuple]:
         values[j] = items[indices[j]]
 
 
-# a walk of at most this many rows is one block, as below it the blocks cost
-# more than they spare: 50 dense JSON sections of 35 rows wrote in 3.21 ms as
-# one block each and 3.62 ms split, one of 126 rows in 69 us against 83 us,
-# and one of 462 rows in 117 us as one block and 114 us split (median of 7
-# best-of-3 timings, 2-vCPU VM, Python 3.11)
-_ONE_BLOCK_ROWS = 256
-
-
-def _top_size(n: int, size: int) -> int:
-    """How many top labels key a block of the walk over the ``size``-subsets of ``n`` labels.
-
-    0 when the walk is one block: at most ``_ONE_BLOCK_ROWS`` rows, or
-    subsets of at most one label; else ``size // 2``.
-    """
-    return 0 if size < 2 or comb(n, size) <= _ONE_BLOCK_ROWS else size // 2
-
-
 def _colex_texts(texts: tuple[str, ...], size: int, separator: str) -> list[str]:
     """The ``size``-subsets of ``texts``, each joined by ``separator``, in colex order.
 
@@ -203,18 +188,17 @@ def colex_rows(n: int, size: int, separator: str, row_separator: str,
     ``tails[subset]`` or else ``default_tail``; ``row_separator`` goes
     between rows.  A ``tails`` key that is not an increasing ``size``-subset
     of [n] is a ValueError.  A block is the consecutive subsets sharing their
-    ``_top_size`` largest labels ``top``: a subset's other, low labels range
-    over the subsets of the labels below ``top[0]``, and in colex order those
-    are the first C(top[0] - 1, low) subsets of the labels 1..n - high, the
-    most any block reads.  So the low texts are joined once, into one list,
-    and a block's rows are a slice of it, each followed by ``top``'s text.  A
-    block holding no ``tails`` subset is written by one ``join`` and its last
-    row's tail; in one holding some, each keyed row sits at the colex rank of
-    its low labels, and the stretches of rows up to and including each keyed
-    row are joined the same way and ended by its tail, so the block is one
-    more ``join``.  Each block is at most two pieces after the row separator
-    before it, yielded as they are, so a block of thousands of rows is not
-    copied to prepend or append to it.
+    ``size // 2`` largest labels ``top``, so a walk of subsets of at most one
+    label is one block.  A subset's other, low labels range over the subsets
+    of the labels below ``top[0]``, and in colex order those are the first
+    C(top[0] - 1, low) subsets of the labels 1..n - high, the most any block
+    reads.  So the low texts are joined once, into one list, and a block's
+    rows are a slice of it, each followed by ``top``'s text.  A block is
+    written as stretches of rows, each ending at a keyed row, placed by the
+    colex rank of its low labels, or at the block's last row: a stretch is
+    one ``join`` on the default tail and then its last row's tail, two
+    pieces, with the row separator a piece of its own between stretches.  So
+    a block of thousands of rows is never copied to add a tail to it.
     """
     if size < 0:
         raise ValueError(f"subset size must be >= 0, got {size}")
@@ -225,37 +209,35 @@ def colex_rows(n: int, size: int, separator: str, row_separator: str,
     if size > n:
         return
     texts = tuple(map(str, range(1, n + 1)))
-    high = _top_size(n, size)
+    high = size // 2
     low = size - high
     # the least top label is at most n - high + 1
     lows = _colex_texts(texts[:n - high], low, separator)
     keyed: dict[IndexSubset, list[tuple[int, str]]] = {}
     for subset, tail in tails.items():
         keyed.setdefault(subset[low:], []).append((_colex_rank(subset[:low]), tail))
-    if high:
-        # the least top label leaves at least ``low`` labels below it
-        blocks = ((top, lows[:comb(top[0] - 1, low)], separator + text)
-                  for top, text in zip(combinations_colex(range(low + 1, n + 1), high),
-                                       _colex_texts(texts[low:], high, separator)))
-    else:
-        blocks = [((), lows, "")]
+    for ends in keyed.values():
+        ends.sort()
+    # a top's least label t leaves t - 1 >= ``low`` labels below it, and no
+    # top label leaves all n
+    tops = zip(combinations_colex(range(low + 1, n + 1), high),
+               _colex_texts(tuple(separator + text for text in texts[low:]), high, ""))
     default_separator = default_tail + row_separator
     lead = ""
-    for top, block, suffix in blocks:
-        if lead:
-            yield lead
+    for top, suffix in tops:
+        block = lows[:comb(min(top, default=n + 1) - 1, low)]
         joiner = suffix + default_separator
-        if top in keyed:
-            ends = sorted(keyed[top])
-            if ends[-1][0] < len(block) - 1:
-                ends.append((len(block) - 1, default_tail))
-            starts = [0] + [end + 1 for end, _ in ends[:-1]]
-            yield row_separator.join([joiner.join(block[start:end + 1]) + suffix + tail
-                                      for start, (end, tail) in zip(starts, ends)])
-        else:
-            yield joiner.join(block)
-            yield suffix + default_tail
-        lead = row_separator
+        start = 0
+        for end, tail in itertools.chain(keyed.get(top, ()), [(len(block) - 1, default_tail)]):
+            if start > end:
+                # the last row was keyed
+                break
+            if lead:
+                yield lead
+            yield joiner.join(block[start:end + 1])
+            yield suffix + tail
+            lead = row_separator
+            start = end + 1
 
 
 def spread_subsets(n: int, size: int) -> Iterator[IndexSubset]:

@@ -123,11 +123,10 @@ class RadonPartition:
     barycentric coordinates on each side are that side's weights over their
     sum.  ``columns`` are the configuration's integer columns s_i·(p_i, 1),
     held by reference and seen by neither ``==`` nor ``repr``.  From them
-    ``homogeneous`` forms the point's integer homogeneous coordinates, and
-    ``point`` divides those out; each is formed on first read and kept on
-    the partition.  When the sides are equal in size, each side's hull meets
-    the other's there, so the partition is a face hit of each side, its face
-    the ``other`` side.
+    ``point`` forms the point's integer homogeneous coordinates and divides
+    them out, on first read, and keeps it on the partition.  When the sides
+    are equal in size, each side's hull meets the other's there, so the
+    partition is a face hit of each side, its face the ``other`` side.
     """
 
     positive: tuple[int, ...]
@@ -136,8 +135,8 @@ class RadonPartition:
     columns: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @cached_property
-    def homogeneous(self) -> tuple[int, ...]:
-        """The sums of w_i·p_i over the positive side, then that side's total of w_i, > 0.
+    def point(self) -> Point:
+        """The positive side's sums of w_i·p_i, each divided by its total of w_i, which is > 0.
 
         Column i is s_i·(p_i, 1), so w_i·(p_i, 1) is the column times w_i / s_i,
         an exact quotient: w_i is the dependence's coefficient times s_i.
@@ -145,11 +144,7 @@ class RadonPartition:
         columns, weights = self.columns, self.weights
         scaled = ([weights[v - 1] // columns[v - 1][-1] * x for x in columns[v - 1]]
                   for v in self.positive)
-        return tuple(map(sum, zip(*scaled)))
-
-    @cached_property
-    def point(self) -> Point:
-        *sums, total = self.homogeneous
+        *sums, total = map(sum, zip(*scaled))
         return tuple(Fraction(x, total) for x in sums)
 
     def other(self, side: tuple[int, ...]) -> tuple[int, ...]:
@@ -215,8 +210,8 @@ class Configuration:
         Read off ``gale_rows``: the dependence c of [n] \\ {v} on the columns
         scaled by s_i gives w_i = c_i·s_i on the points, and its signs give
         the sides.  Each partition holds the columns by reference; its Radon
-        point, ``homogeneous`` and ``point``, is formed only when read, so
-        no point sum and no ``Fraction`` is formed here.
+        ``point`` is formed only when read, so no point sum and no
+        ``Fraction`` is formed here.
         """
         columns, dependences = self.gale_rows
         scales = [column[-1] for column in columns]
@@ -449,6 +444,8 @@ def _attempt_points(n: int, d: int, seed: int, bound: int,
 
 def _check_sampling(n: int, d: int, bound: int) -> None:
     """The sampler's argument checks, made before any point is drawn."""
+    if d < 1:
+        raise ContractError(f"need d >= 1, got d={d}")
     if n < d + 1:
         raise ContractError(f"need n >= d + 1 points, got n={n}, d={d}")
     _check_bound(bound)
@@ -473,12 +470,13 @@ def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Config
     always produce identical output.  Each attempt is certified by
     ``find_degenerate_subset``: one integer elimination and n rows of cross
     products when n = d + 3, every (d+1)x(d+1) determinant otherwise.  A
-    bound outside [1, 2^63 - 1] raises ContractError, and so does a shape
-    with more than ``_MAX_GP_SUBSETS`` (10,000) (d+1)-subsets, C(n, d + 1),
-    to certify per attempt, or with more than ``_MAX_POINT_COORDINATES``
-    (10,000) coordinates, n·d; ``_check_sampling`` checks all three before
-    any point is drawn.  Small bounds may exhaust the ``_MAX_ATTEMPTS``
-    budget, which raises SamplingError.
+    dimension d below 1 or a bound outside [1, 2^63 - 1] raises
+    ContractError, and so does a shape with more than ``_MAX_GP_SUBSETS``
+    (10,000) (d+1)-subsets, C(n, d + 1), to certify per attempt, or with more
+    than ``_MAX_POINT_COORDINATES`` (10,000) coordinates, n·d;
+    ``_check_sampling`` checks all four before any point is drawn.  Small
+    bounds may exhaust the ``_MAX_ATTEMPTS`` budget, which raises
+    SamplingError.
     """
     _check_sampling(n, d, bound)
     for attempt in range(_MAX_ATTEMPTS):

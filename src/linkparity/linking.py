@@ -59,10 +59,11 @@ of a document: its dense sections, ``per_subset`` and ``cross_checks``, are
 ``DenseSection``s, each naming the ``SubsetCounts`` fields it writes.  A
 section's rows are made only as they are written, by the one colex row
 writer, ``combinatorics.colex_rows``, which also writes the ``alternation``
-table, a block of rows sharing their top labels at a time: each row is a
-head shared by the section, the subset's labels and a tail, the zero row's
-unless the subset is on the support, and a block is written by one ``join``
-on the zero tail, split at the support rows it holds.
+table, a block of rows sharing their (k + 1) // 2 largest labels at a time:
+each row is a head shared by the section, the subset's labels and a tail,
+the zero row's unless the subset is on the support, and a block is written
+as stretches, each one ``join`` on the zero tail that ends at a support row
+or at the block's last row.
 ``dumps_canonical`` and ``write_canonical`` run one encoder: ``_text``
 makes one text of a document, each list and dict encoded once, with the
 placeholder ``"\\x00"`` where a dense section or an iterator streams (the
@@ -565,9 +566,10 @@ def _dense_rows(section: DenseSection, pad: str) -> Iterator[str]:
     TypeError here, before any row is written.  The returned iterator runs
     one ``colex_rows`` walk between the opening bracket and the closing one.
     Each row is the section's one head, its subset's labels and a tail: a
-    support row's or else the zero row's.  A block is one join on the zero
-    tail and the next row's head, its support rows placed by their colex
-    ranks between the stretches of zero rows.
+    support row's or else the zero row's.  A block, the rows sharing their
+    (k + 1) // 2 largest labels, is written as stretches: each is one join on
+    the zero tail and the next row's head, and ends at a support row, placed
+    by its colex rank, or at the block's last row.
     """
     report = section.report
     row_pad = pad + "  "

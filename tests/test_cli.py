@@ -813,6 +813,26 @@ def test_sampler_refuses_a_shape_whose_file_could_not_be_read(tmp_path, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, d", [
+    (["parity", "--random", "3", "0", "--json", "never.json"], 0),
+    (["parity", "--random", "1", "-2", "--json", "never.json"], -2),
+    (["sample", "--n", "3", "--d", "0", "--out", "never.json"], 0),
+    (["sample", "--n", "5", "--d", "-2", "--out", "never.json"], -2),
+])
+def test_sampler_refuses_a_dimension_below_one_before_drawing(argv, d, tmp_path, monkeypatch,
+                                                             capsys):
+    def never(*args):
+        raise AssertionError("drew points in a dimension below 1")
+
+    monkeypatch.setattr(configuration, "_attempt_points", never)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert f"got d={d}" in err
+    assert "range()" not in err
+    assert not (tmp_path / "never.json").exists()
+
+
 class _Reached(Exception):
     pass
 

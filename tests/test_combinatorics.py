@@ -309,24 +309,24 @@ def _colex_subsets(n, size):
 
 def _block_count(n, size):
     """How many blocks the walk over the ``size``-subsets of [n] has: one per top label set."""
-    high = combinatorics._top_size(n, size)
+    high = size // 2
     return math.comb(n - (size - high), high) if size <= n else 0
 
 
-def _assert_pieces_per_block(pieces, n, size, row_separator):
-    # a block is at most two pieces after the row separator before it, so a
-    # keyed block is not yielded a stretch at a time
+def _assert_pieces_per_block(pieces, n, size, row_separator, keyed):
+    # each stretch of a block is two pieces, its join and its last row's
+    # tail, and it ends at a keyed row or at the block's last row; the row
+    # separator is a piece of its own between stretches
     blocks = _block_count(n, size)
-    assert len([piece for piece in pieces if piece != row_separator]) <= 2 * blocks, (n, size)
-    assert len(pieces) <= 3 * blocks - 1 or not pieces, (n, size)
+    separators = pieces[2::3] if row_separator else []
+    assert all(piece == row_separator for piece in separators), (n, size)
+    assert len(pieces) - len(separators) <= 2 * (blocks + keyed), (n, size)
+    if not keyed:
+        assert len(pieces) - len(separators) == 2 * blocks, (n, size)
 
 
 @pytest.mark.parametrize("row_separator", ["", ",\n  {"], ids=["csv", "json"])
-@pytest.mark.parametrize("one_block_rows", [combinatorics._ONE_BLOCK_ROWS, 0])
-def test_colex_rows_are_the_colex_subsets_and_their_tails(one_block_rows, row_separator,
-                                                          monkeypatch):
-    # the default rule, and every walk of two or more labels a subset split
-    monkeypatch.setattr(combinatorics, "_ONE_BLOCK_ROWS", one_block_rows)
+def test_colex_rows_are_the_colex_subsets_and_their_tails(row_separator):
     rng = random.Random(7)
     for n in range(13):
         for size in range(n + 2):
@@ -339,10 +339,10 @@ def test_colex_rows_are_the_colex_subsets_and_their_tails(one_block_rows, row_se
                                               for subset in subsets)
                 pieces = list(colex_rows(n, size, ", ", row_separator, tails, ";z"))
                 assert "".join(pieces) == expected, (n, size, keyed)
-                _assert_pieces_per_block(pieces, n, size, row_separator)
+                _assert_pieces_per_block(pieces, n, size, row_separator, len(tails))
             # a walk of no keyed row writes each block in two pieces
             pieces = list(colex_rows(n, size, ", ", row_separator, {}, ";z"))
-            split = 2 <= size < n and (one_block_rows == 0 or math.comb(n, size) > 256)
+            split = 2 <= size < n
             assert (len(pieces) > 2) == split, (n, size)
 
 
@@ -355,16 +355,14 @@ def test_colex_rank_is_the_index_in_colex_order():
 
 def _blocks(n, size):
     """The colex subsets of the walk's blocks, a list per top label set, by the oracle order."""
-    low = size - combinatorics._top_size(n, size)
+    low = size - size // 2
     blocks = {}
     for subset in _colex_subsets(n, size):
         blocks.setdefault(subset[low:], []).append(subset)
     return list(blocks.values())
 
 
-@pytest.mark.parametrize("one_block_rows", [combinatorics._ONE_BLOCK_ROWS, 0])
-def test_colex_rows_tails_at_the_block_edges(one_block_rows, monkeypatch):
-    monkeypatch.setattr(combinatorics, "_ONE_BLOCK_ROWS", one_block_rows)
+def test_colex_rows_tails_at_the_block_edges():
     for n, size in ((5, 2), (7, 3), (9, 4), (11, 4), (11, 5), (12, 6), (13, 6)):
         blocks = _blocks(n, size)
         subsets = [subset for block in blocks for subset in block]
@@ -386,7 +384,17 @@ def test_colex_rows_tails_at_the_block_edges(one_block_rows, monkeypatch):
                                   for subset in subsets)
             pieces = list(colex_rows(n, size, " ", "\n", tails, ";z"))
             assert "".join(pieces) == expected, (n, size, name)
-            _assert_pieces_per_block(pieces, n, size, "\n")
+            _assert_pieces_per_block(pieces, n, size, "\n", len(tails))
+
+
+@pytest.mark.parametrize("n, size", [(7, 3), (11, 5), (13, 6)])
+def test_colex_rows_copies_no_block_to_add_a_tail(n, size):
+    largest = max(_blocks(n, size), key=len)
+    # keyed tails longer than the default one, on rows inside the block
+    tails = {subset: ";keyed" for subset in largest[1:-1:3]}
+    pieces = list(colex_rows(n, size, " ", "\n", tails, ";z"))
+    unkeyed = "\n".join(" ".join(map(str, subset)) + ";z" for subset in largest)
+    assert max(map(len, pieces)) <= len(unkeyed), (n, size)
 
 
 @pytest.mark.parametrize("key", [(2, 1, 3), (1, 2), (1, 2, 9), (0, 1, 2), (1, 1, 2), (1, 2, 3, 4)])

@@ -368,17 +368,16 @@ def test_n1_on_integer_keys_equals_the_fraction_set_count():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_verify_forms_no_radon_point(k):
-    # n1 reads the homogeneous vectors, and the moment curve has no linked
+    # n1 reads each hit's weights on I, and the moment curve has no linked
     # subset, so no witness row; its document divides out no Radon point
     result = verify_counterexample(k)
     dumps_canonical(counterexample_document(result))
     partitions = result.report.config.radon_partitions
     assert len(partitions) == 2 * k + 3
     assert all("point" not in vars(partition) for partition in partitions)
-    assert all("homogeneous" not in vars(partition) for partition in partitions)
     # reading a point forms it once and keeps it on the partition
     assert partitions[0].point is partitions[0].point
-    assert "point" in vars(partitions[0]) and "homogeneous" in vars(partitions[0])
+    assert "point" in vars(partitions[0])
 
 
 def test_a_parity_report_forms_the_radon_points_of_its_witness_rows_only():
@@ -387,7 +386,7 @@ def test_a_parity_report_forms_the_radon_points_of_its_witness_rows_only():
     dumps_canonical(link_report_document(report))
     witnessed = {id(hit) for row in report.support.values() if row.n3 % 2 for hit in row.hits}
     formed = {id(partition) for partition in config.radon_partitions
-              if "homogeneous" in vars(partition)}
+              if "point" in vars(partition)}
     assert formed == witnessed
     assert 0 < len(witnessed) < len(config.radon_partitions)
 
