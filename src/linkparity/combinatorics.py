@@ -213,31 +213,34 @@ def colex_rows(n: int, size: int, separator: str, row_separator: str,
     low = size - high
     # the least top label is at most n - high + 1
     lows = _colex_texts(texts[:n - high], low, separator)
-    keyed: dict[IndexSubset, list[tuple[int, str]]] = {}
+    # each stretch of a block ends before a stop: one past a keyed row's colex
+    # rank, or the block's end, None, where the last row takes the default tail
+    last = (None, default_tail)
+    keyed: dict[IndexSubset, list[tuple[int | None, str]]] = {}
     for subset, tail in tails.items():
-        keyed.setdefault(subset[low:], []).append((_colex_rank(subset[:low]), tail))
-    for ends in keyed.values():
-        ends.sort()
-    # a top's least label t leaves t - 1 >= ``low`` labels below it, and no
-    # top label leaves all n
+        keyed.setdefault(subset[low:], []).append((_colex_rank(subset[:low]) + 1, tail))
+    for stops in keyed.values():
+        stops.sort()
+        stops.append(last)
+    # a top's least label t leaves t - 1 >= ``low`` labels below it
     tops = zip(combinations_colex(range(low + 1, n + 1), high),
                _colex_texts(tuple(separator + text for text in texts[low:]), high, ""))
     default_separator = default_tail + row_separator
     lead = ""
     for top, suffix in tops:
-        block = lows[:comb(min(top, default=n + 1) - 1, low)]
+        block = lows[:comb(top[0] - 1, low)] if top else lows
         joiner = suffix + default_separator
         start = 0
-        for end, tail in itertools.chain(keyed.get(top, ()), [(len(block) - 1, default_tail)]):
-            if start > end:
+        for stop, tail in keyed.get(top, (last,)):
+            if start == len(block):
                 # the last row was keyed
                 break
             if lead:
                 yield lead
-            yield joiner.join(block[start:end + 1])
+            yield joiner.join(block[start:stop])
             yield suffix + tail
             lead = row_separator
-            start = end + 1
+            start = stop
 
 
 def spread_subsets(n: int, size: int) -> Iterator[IndexSubset]:
