@@ -79,7 +79,7 @@ from .linking import (
     verify_counterexample,
     write_canonical,
 )
-from .ratmat import format_rational, parse_rational
+from .ratmat import format_rational, parse_integer, parse_rational
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
@@ -101,10 +101,7 @@ def _manifest(command: str, parameters: dict, seeds=(), input_hashes=()) -> dict
 
 
 def _parse_labels(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ContractError(f"expected comma-separated integers, got {text!r}")
+    return tuple(map(parse_integer, text.split(",")))
 
 
 def _load(path: str) -> tuple[Configuration, str]:

@@ -7,22 +7,24 @@ lists, and rejection-sampled random integer configurations.
 
 General position means no d+1 points lie in a common (d-1)-hyperplane.  For
 n = d+3 points ``_gale_pair`` alone decides it, from the Gale dual: one
-fraction-free integer elimination gives two affine dependences spanning all
-of them, checked against the integer columns before use, and their 2x2
-cross products at each label v give the n dependences of [n] \\ {v}, after
-each of the two is divided by its content (its positive gcd).  A
-(d+1)-subset is dependent exactly when the dependence of one label outside
-it is zero at the other, so these integers decide every subset and name the
-first dependent one, with no determinant.  The same rows give the Radon
-partition of each [n] \\ {v}: its sides and integer weights.  Its Radon
-point, in integer homogeneous coordinates and then as ``Fraction``s, is
-formed only when it is read.  A ``Configuration`` computes each on first
-use and keeps it on the instance: ``gale_rows``, the certified rows;
-``radon_partitions``, one partition per label; and ``face_hits``, the
-balanced partitions grouped by side, each side's in colex order of its
-faces.  The sampler's certification, the report and every linking query of
-one configuration share one elimination and one grouping.  Other shapes
-scan every (d+1)x(d+1) homogenized determinant.
+fraction-free integer elimination gives two affine dependences, each
+divided by its content (its positive gcd), and their 2x2 cross products at
+each label v give the n dependences of [n] \\ {v}.  Two checks and one scan
+certify them: the two are checked against the integer columns, a scan looks
+for a zero cross product, and only if it finds one does the second check
+ask whether every cross product is zero: two dependent vectors, which do
+not span the kernel.  A (d+1)-subset is dependent exactly when the
+dependence of one label outside it is zero at the other, so these integers
+decide every subset and name the first dependent one, with no determinant.
+The same rows give the Radon partition of each [n] \\ {v}: its sides and
+integer weights.  Its Radon point, in integer homogeneous coordinates and
+then as ``Fraction``s, is formed only when it is read.  A ``Configuration``
+computes each on first use and keeps it on the instance: ``gale_rows``, the
+certified rows; ``radon_partitions``, one partition per label; and
+``face_hits``, the balanced partitions grouped by side, each side's in colex
+order of its faces.  The sampler's certification, the report and every
+linking query of one configuration share one elimination and one grouping.
+Other shapes scan every (d+1)x(d+1) homogenized determinant.
 
 Random sampling PRNG (documented for cross-language reproduction): the value
 for coordinate slot c is drawn from its own splitmix64 output stream
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .combinatorics import _exceeds_binomial
@@ -58,12 +60,12 @@ from .errors import (
     SamplingError,
     quote_input,
 )
-from .ratmat import Matrix, det, format_rational, integer_kernel, parse_rational
+from .ratmat import (Matrix, _clear_row_denominators, det, format_rational, integer_kernel,
+                     parse_integer, parse_rational)
 
 Point = tuple[Fraction, ...]
 
 _MASK64 = (1 << 64) - 1
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 # every line end of str.splitlines, "\r\n" first; _lines cuts after one of them
 # past each _LINE_PIECE characters
 _LINE_END_RE = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
@@ -200,8 +202,7 @@ class Configuration:
             raise ContractError(
                 f"the Gale pair needs n = d + 3 points, got n={self.n}, d={self.dimension}"
             )
-        columns, dependences = _gale_pair(self)
-        return tuple(map(tuple, columns)), tuple(map(tuple, dependences))
+        return _gale_pair(self)
 
     @cached_property
     def radon_partitions(self) -> tuple[RadonPartition, ...]:
@@ -327,64 +328,61 @@ def _degenerate_subset_scan(config: Configuration) -> tuple[int, ...] | None:
     return None
 
 
-def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]:
+def _gale_pair(
+    config: Configuration,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Integer homogeneous columns, and the affine dependence of each n - 1 of them.
 
     For n = d + 3 points.  Column i is (p_i, 1) scaled by the positive lcm
-    s_i of p_i's denominators, so the (d+1)×n matrix is integer and its
-    kernel is the space of affine dependences (the Gale dual) with
-    coefficient i divided by s_i, which keeps every sign.  One
-    ``integer_kernel`` elimination gives a basis a, b of that 2-dimensional
-    space.  Neither may be zero; each is then divided by its content, the
-    positive gcd of its entries: a change of basis of determinant
-    1/(c_a·c_b) > 0, so no sign moves, and the dependences lose the common
-    factor the elimination leaves in them.  The divided pair is certified by
-    checking M·a = M·b = 0 over the integers, as exact as the check before
-    the division (a content divides every entry, so M·(a/c) = (M·a)/c) on
-    entries of a few bits where the elimination leaves thousands, and that
-    some cross product below is nonzero, so a and b are independent; a basis
-    failing any check raises CertificateError, a fault of the program.  Row
-    v - 1 of the returned dependences is the cross product a_v·b - b_v·a,
-    the dependence of [n] \\ {v}, zero at v.
+    s_i of p_i's denominators, as ``ratmat._clear_row_denominators`` clears
+    a row, so the (d+1)×n matrix M is integer and its kernel is the space of
+    affine dependences (the Gale dual) with coefficient i divided by s_i,
+    which keeps every sign.  One ``integer_kernel`` elimination gives a
+    basis a, b of that 2-dimensional space.  Each is divided by its content,
+    the positive gcd of its entries, or 1 for a zero vector: a change of
+    basis of positive determinant, so no sign moves, and the dependences
+    lose the common factor the elimination leaves in them.  Row v - 1 of the
+    returned dependences is the cross product a_v·b - b_v·a, the dependence
+    of [n] \\ {v}, zero at v.
+
+    Two checks and one scan certify the pair.  The first check is
+    M·a = M·b = 0 over the integers, as exact as before the division (a
+    content divides every entry, so M·(a/c) = (M·a)/c) on entries of a few
+    bits where the elimination leaves thousands.  The scan then looks for a
+    zero cross product off the diagonal, (u, v) in reverse lexicographic
+    order.  If it finds none, some cross product is nonzero, so a and b are
+    independent and the rows are returned.  If it finds one, the second
+    check asks whether every cross product is zero, the case of dependent
+    vectors, a zero one among them.  A basis failing either check raises
+    CertificateError, a fault of the program.
 
     Outside general position this raises DegeneracyError naming the scan's
     first dependent (d+1)-subset: labels 1..d+1, on which the elimination
     pivots, when it is singular; otherwise a, b span the kernel and
-    [n] \\ {u, v} is dependent iff row u - 1 is zero at v too, so the first
-    such pair (u, v) in reverse lexicographic order, the ``combinations``
-    order of the complements, names it.  Certified rows are zero only at v.
+    [n] \\ {u, v} is dependent iff row u - 1 is zero at v too, so the
+    scan's first zero, in the ``combinations`` order of the complements,
+    names it.  Certified rows are zero only at v.
     """
-    columns = []
-    for point in config.points:
-        scale = lcm(*(x.denominator for x in point))
-        columns.append([x.numerator * (scale // x.denominator) for x in point] + [scale])
+    columns = tuple((*row, scale) for row, scale in map(_clear_row_denominators, config.points))
     rows = list(zip(*columns))
     basis = integer_kernel(rows)
     if basis is None:
         degenerate = tuple(range(1, config.dimension + 2))
     else:
         a, b = basis
-        if not any(a) or not any(b):
-            raise CertificateError(
-                "integer_kernel returned dependent vectors, one of them zero, "
-                "for the kernel of the Gale columns"
-            )
         # each divided by its content, a positive gcd: every sign stays
-        content_a, content_b = gcd(*a), gcd(*b)
+        content_a, content_b = gcd(*a) or 1, gcd(*b) or 1
         a = [x // content_a for x in a]
         b = [x // content_b for x in b]
-        # the certificate: every sign below rests on M·a = M·b = 0 exactly,
+        # the first check: every sign below rests on M·a = M·b = 0 exactly,
         # which holds for the divided vectors iff it holds for the undivided
         if any(sum(map(mul, row, a)) or sum(map(mul, row, b)) for row in rows):
             raise CertificateError(
                 "integer_kernel returned a vector outside the kernel of the Gale columns"
             )
-        dependences = [[av * bi - bv * ai for ai, bi in zip(a, b)] for av, bv in zip(a, b)]
-        # every cross product is a 2x2 minor of (a, b): all zero iff a, b are dependent
-        if not any(map(any, dependences)):
-            raise CertificateError(
-                "integer_kernel returned dependent vectors for the kernel of the Gale columns"
-            )
+        dependences = tuple(
+            tuple([av * bi - bv * ai for ai, bi in zip(a, b)]) for av, bv in zip(a, b)
+        )
         n = config.n
         zero = next((
             (i, j) for i in range(n - 2, -1, -1) for j in range(n - 1, i, -1)
@@ -392,6 +390,12 @@ def _gale_pair(config: Configuration) -> tuple[list[list[int]], list[list[int]]]
         ), None)
         if zero is None:
             return columns, dependences
+        # the second check: every cross product is a 2x2 minor of (a, b),
+        # all zero iff a, b are dependent
+        if not any(map(any, dependences)):
+            raise CertificateError(
+                "integer_kernel returned dependent vectors for the kernel of the Gale columns"
+            )
         degenerate = tuple(label for label in config.labels if label - 1 not in zero)
     raise DegeneracyError(f"points {degenerate} lie in a common hyperplane", labels=degenerate)
 
@@ -502,13 +506,6 @@ def sample_random_configuration(n: int, d: int, seed: int, bound: int) -> Config
 # ---------------------------------------------------------------------------
 
 
-def _parse_integer(text: str) -> int:
-    """Parse an ASCII ``[+-]?[0-9]+`` literal, the integer form ``parse_rational`` accepts."""
-    if not _INTEGER_RE.fullmatch(text):
-        raise ValueError(f"not an integer literal: {quote_input(text)}")
-    return int(text)
-
-
 def _parse_provenance(text: str) -> Provenance:
     body = text.strip()
     if body == "explicit":
@@ -530,9 +527,9 @@ def _parse_provenance(text: str) -> Provenance:
         if missing := [key for key in ("seed", "bound", "attempts") if key not in fields]:
             raise ValueError(f"random-sample provenance lacks {', '.join(missing)}")
         return RandomSample(
-            seed=_parse_integer(fields["seed"]),
-            bound=_parse_integer(fields["bound"]),
-            attempts=_parse_integer(fields["attempts"]),
+            seed=parse_integer(fields["seed"]),
+            bound=parse_integer(fields["bound"]),
+            attempts=parse_integer(fields["attempts"]),
         )
     raise ValueError(f"unrecognized provenance: {quote_input(text)}")
 
@@ -619,7 +616,7 @@ def read_points_text(text: str) -> Configuration:
             header = stripped.split(None, 2)
             if len(header) != 2:
                 raise ValueError(f"header must be 'd n', got {quote_input(stripped)}")
-            d, n = _parse_integer(header[0]), _parse_integer(header[1])
+            d, n = parse_integer(header[0]), parse_integer(header[1])
             if d < 1 or n < 1:
                 raise ValueError(f"header needs d >= 1 and n >= 1, got {quote_input(stripped)}")
             if n * d > _MAX_POINT_COORDINATES:

@@ -28,17 +28,30 @@ from .errors import quote_input
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(_INTEGER_RE.pattern + r"(/[0-9]+)?")
 
 
 class DimensionError(ValueError):
     """Matrix shapes do not fit the requested operation."""
 
 
+def parse_integer(text: str) -> int:
+    """Parse an ASCII ``[+-]?[0-9]+`` literal, surrounding whitespace stripped.
+
+    The integer form ``parse_rational`` accepts, and no other: no ``_``, no
+    digits outside ASCII.
+    """
+    token = text.strip()
+    if not _INTEGER_RE.fullmatch(token):
+        raise ValueError(f"not an integer literal: {quote_input(text)}")
+    return int(token)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the ``p/q`` text form (``p`` alone meaning ``p/1``)."""
     token = text.strip()
-    if not _RATIONAL_RE.match(token):
+    if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"not a rational literal: {quote_input(text)}")
     if "/" not in token:
         return Fraction(int(token))

@@ -766,6 +766,29 @@ def test_witness_bad_input_is_usage_error(extra, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "--P", "1_0,2", "--Q", "3,4", "--d", "2"],
+    ["witness", "--P", "٣,4", "--Q", "1,2", "--d", "2"],
+    ["alternation", "--subset", "1_0", "--n", "11"],
+    ["witness", "--P", "9" * 4999 + "x,2", "--Q", "3,4", "--d", "2"],
+])
+def test_labels_take_the_integer_literals_of_point_files_alone(argv, capsys):
+    # int() would read 1_0 as 10 and an Arabic-Indic digit as 3
+    assert main(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: not an integer literal: ")
+    # the label is quoted as every parser quotes its input, cut at 40 characters
+    assert len(err.encode()) < 120
+
+
+def test_witness_labels_may_be_spaced(capsys):
+    assert main(["witness", "--P", " 1, 3", "--Q", "2,4 ", "--d", "2"]) == 0
+    spaced = capsys.readouterr()
+    assert main(["witness", "--P", "1,3", "--Q", "2,4", "--d", "2"]) == 0
+    assert capsys.readouterr() == spaced
+
+
 def test_sample_exhausting_its_attempts_exits_3(tmp_path, capsys):
     # six distinct values from {-1, 0, 1} cannot exist
     out = tmp_path / "never.pts"

@@ -161,12 +161,13 @@ def test_gale_pair_equals_the_two_elimination_reference():
         else:
             columns, dependences = _gale_pair(config)
             expected_columns, expected_dependences = expected
-            assert columns == expected_columns, case
+            assert columns == tuple(map(tuple, expected_columns)), case
             # the reference keeps the content the eliminations leave in its
             # vectors; the dependences are it divided by one positive integer
             factor = Fraction(expected_dependences[0][1], dependences[0][1])
             assert factor > 0 and factor.denominator == 1, case
-            assert [[factor * x for x in row] for row in dependences] == expected_dependences, case
+            assert tuple(tuple(factor * x for x in row) for row in dependences) == \
+                tuple(map(tuple, expected_dependences)), case
             scaled += factor > 1
     assert degenerate > 0  # the bound-1 attempts reach the degenerate branch
     assert scaled > 0  # and some cases lose a content above 1
@@ -206,7 +207,7 @@ def test_gale_rows_are_the_gale_pair_as_tuples_computed_once(monkeypatch):
         assert config.radon_partitions is config.radon_partitions
         assert config.face_hits is config.face_hits
         assert find_degenerate_subset(config) is None
-        assert (list(map(list, columns)), list(map(list, dependences))) == _gale_pair(config)
+        assert (columns, dependences) == _gale_pair(config)
         assert all(type(row) is tuple for row in (columns, dependences, *columns, *dependences))
         assert type(config.radon_partitions) is tuple
         assert type(config.face_hits) is dict
@@ -295,8 +296,22 @@ def test_gale_pair_refuses_a_basis_outside_the_kernel(monkeypatch):
         a, b = real(rows)
         return tuple(3 * x for x in a), tuple(map(add, a, b))
 
-    monkeypatch.setattr(configuration, "integer_kernel", rebased)
-    assert find_degenerate_subset(moment_curve(7, 4)) is None
+    def configurations():
+        # built anew for each basis, as a configuration keeps its certified
+        # rows: the moment curve, a rational configuration whose column
+        # scales are not all 1, and a degenerate one, on which a doctored
+        # basis must raise CertificateError and never DegeneracyError
+        return (moment_curve(7, 4), explicit_configuration(
+            [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+             (0, 0, 0, 1), ("1/2", 3, -1, 2), (5, -2, "7/3", 1)]),
+            explicit_configuration([(0, 0), (3, 1), (0, 2), (1, 3), (2, 4)]))
+
+    for kernel in (real, rebased):
+        monkeypatch.setattr(configuration, "integer_kernel", kernel)
+        assert [find_degenerate_subset(config) for config in configurations()] == \
+            [None, None, (3, 4, 5)]
+        with pytest.raises(DegeneracyError, match=re.escape("points (3, 4, 5) lie in")):
+            configurations()[2].gale_rows
     for doctor in (
         lambda a, b: ((a[0] + 1, *a[1:]), b),
         lambda a, b: (a, (*b[:-1], b[-1] - 1)),
@@ -304,15 +319,13 @@ def test_gale_pair_refuses_a_basis_outside_the_kernel(monkeypatch):
         lambda a, b: ((*a[:-2], a[-1], a[-2]), b),
         # inside the kernel but dependent: every cross product is zero
         lambda a, b: (a, tuple(2 * x for x in a)),
-        # zero vectors, refused before either is divided by its content
+        # zero vectors, kept zero by the content division: every cross product is zero
         lambda a, b: ((0,) * len(a), b),
         lambda a, b: (a, (0,) * len(b)),
     ):
         monkeypatch.setattr(configuration, "integer_kernel",
                             lambda rows, doctor=doctor: doctor(*real(rows)))
-        for config in (moment_curve(7, 4), explicit_configuration(
-                [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-                 (0, 0, 0, 1), ("1/2", 3, -1, 2), (5, -2, "7/3", 1)])):
+        for config in configurations():
             with pytest.raises(CertificateError, match="outside the kernel|dependent vectors"):
                 config.gale_rows
             # a failed certificate is a fault, never read as a degeneracy
